@@ -2,13 +2,12 @@
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/run_all.py [--output PATH]
+    PYTHONPATH=src python benchmarks/run_all.py --output PATH
 
 Runs the performance-critical workloads with quick trial counts
 (``REPRO_TRIALS`` overrides) and writes per-bench wall times plus the
-headline speedups to ``--output`` (default ``BENCH_PR7.json``) so the
-perf trajectory is tracked across PRs.  The active kernel backend and
-the numba version (or ``null``) are stamped into the result's ``env``
+headline ratios to ``--output``.  The active kernel backend and the
+numba version (or ``null``) are stamped into the result's ``env``
 block, so a report is always attributable to the backend that
 produced it.
 
@@ -29,11 +28,8 @@ sparse certificate.  The exact k-connectivity decision now runs as an
 ISAP scan with shared sink-rooted labels on the certificate subgraph
 (``kconn_decision_per_s`` tracks decisions per second on the
 mindegree-scale fixture; ``kconn_certificate_vs_plain`` the
-certificate's own contribution), which un-dilutes the
-``mindegree_full_grid`` ratio: the exact ``k = 3`` decisions no longer
-dominate, so the shared-deployment saving shows on the full grid too
-(acceptance: >= 2x over legacy; the sweep-bound ``ks=[1, 2]`` grid is
-tracked unchanged).
+certificate's own contribution); ``mindegree_full_grid_study`` times
+the full default grid, where the exact ``k = 3`` decisions dominate.
 
 PR 4 headline (still tracked): adaptive trial allocation.
 ``zero_one_adaptive_trial_savings`` is total cell-trials of a
@@ -45,9 +41,8 @@ one-shot bit-for-bit, and ``tests/test_kernels.py`` pins every kernel
 backend decision- and value-identical.
 
 PR 2 headline (still tracked): the Scenario/Study compiler.
-``theorem1``, ``mindegree``, and ``degree_poisson`` ride the
-shared-deployment sweep, each measured against its
-``backend="legacy"`` per-point loop.
+``figure1``, ``theorem1``, ``mindegree``, and ``degree_poisson`` ride
+the shared-deployment sweep; their absolute wall times are recorded.
 """
 
 from __future__ import annotations
@@ -93,13 +88,7 @@ def main(argv: List[str]) -> int:
         description="Run the key perf workloads and write a JSON report.",
     )
     parser.add_argument(
-        "--output",
-        default=os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "BENCH_PR7.json",
-        ),
-        metavar="PATH",
-        help="result JSON path (default: BENCH_PR7.json at the repo root)",
+        "--output", required=True, metavar="PATH", help="result JSON path"
     )
     out_path = parser.parse_args(argv[1:]).output
 
@@ -121,81 +110,33 @@ def main(argv: List[str]) -> int:
     benches: List[Dict[str, object]] = []
     speedups: Dict[str, float] = {}
 
-    def backend_pair(
-        name: str, run, quick_trials: int, points: int, **kwargs
-    ) -> None:
-        study_s = _timed(
-            lambda: run(trials=quick_trials, workers=1, backend="study", **kwargs)
-        )
-        legacy_s = _timed(
-            lambda: run(trials=quick_trials, workers=1, backend="legacy", **kwargs)
-        )
+    def study_bench(name: str, run, points: int, repeats: int = 2, **kwargs) -> None:
+        wall = _timed(lambda: run(trials=trials, workers=1, **kwargs), repeats)
         benches.append(
             {
                 "name": f"{name}_study",
-                "wall_s": round(study_s, 3),
-                "trials": quick_trials,
+                "wall_s": round(wall, 3),
+                "trials": trials,
                 "points": points,
-                "config": dict(kwargs),
+                "config": {
+                    k: list(v) if isinstance(v, (tuple, list)) else v
+                    for k, v in kwargs.items()
+                },
             }
         )
-        benches.append(
-            {
-                "name": f"{name}_legacy",
-                "wall_s": round(legacy_s, 3),
-                "trials": quick_trials,
-                "points": points,
-                "config": dict(kwargs),
-            }
-        )
-        speedups[f"{name}_study_vs_legacy"] = round(legacy_s / study_s, 2)
 
-    # -- figure1: study path (same shared-deployment engine as PR 1) ----
-    sweep_s = _timed(
-        lambda: run_figure1(
-            trials=trials, ring_sizes=ring_sizes, backend="study", workers=1
-        ),
-        repeats=1,
+    # -- the shared-deployment study path --------------------------------
+    study_bench(
+        "figure1_quick", run_figure1, 6 * len(ring_sizes), repeats=1,
+        ring_sizes=ring_sizes,
     )
-    benches.append(
-        {
-            "name": "figure1_quick_study",
-            "wall_s": round(sweep_s, 3),
-            "trials": trials,
-            "points": 6 * len(ring_sizes),
-            "deployments": len(ring_sizes) * trials,
-        }
-    )
-    legacy_s = _timed(
-        lambda: run_figure1(
-            trials=trials, ring_sizes=ring_sizes, backend="legacy", workers=1
-        ),
-        repeats=1,
-    )
-    benches.append(
-        {
-            "name": "figure1_quick_legacy",
-            "wall_s": round(legacy_s, 3),
-            "trials": trials,
-            "points": 6 * len(ring_sizes),
-            "deployments": 6 * len(ring_sizes) * trials,
-        }
-    )
-    speedups["figure1_study_vs_legacy"] = round(legacy_s / sweep_s, 2)
-
-    # -- the three ROADMAP CRN experiments, study vs legacy backends ----
-    backend_pair("theorem1", run_theorem1_check, trials, points=12)
-    backend_pair("degree_poisson", run_degree_poisson, trials, points=3)
-    # Sweep-bound grid: decisions are vectorized/biconnectivity, so the
-    # shared-deployment saving shows directly.
-    backend_pair(
-        "mindegree", run_mindegree_equiv, trials, points=6, ks=(1, 2)
-    )
-    # Full default grid: the exact k = 3 flow scan (same work on both
-    # backends) dominates; monotone deduction still skips ~40% of it.
-    backend_pair(
-        "mindegree_full_grid", run_mindegree_equiv, trials, points=9
-    )
+    study_bench("theorem1", run_theorem1_check, points=12)
+    study_bench("degree_poisson", run_degree_poisson, points=3)
+    # Sweep-bound grid: decisions are vectorized/biconnectivity.
+    study_bench("mindegree", run_mindegree_equiv, points=6, ks=(1, 2))
+    # Full default grid: the exact k = 3 flow scan dominates; monotone
+    # deduction still skips ~40% of it.
+    study_bench("mindegree_full_grid", run_mindegree_equiv, points=9)
 
     # -- adaptive zero_one: CI-targeted trial allocation -----------------
     # The PR 4 headline.  One adaptive run at the 0.02 transition-band

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 
-
 from benchmarks.conftest import emit, run_once
 from repro.core.design import minimal_key_ring_size
 from repro.experiments.figure1 import (
@@ -70,19 +69,17 @@ def test_bench_figure1_full_sweep(benchmark):
 
 
 def test_bench_figure1_single_point_trial(benchmark):
-    """Micro-bench: one Monte Carlo trial at the heaviest Figure 1 point."""
+    """Micro-bench: one deployment + decision at the heaviest Figure 1 point."""
     import numpy as np_
 
-    from repro.params import QCompositeParams
-    from repro.simulation.trials import connectivity_trial
+    from repro.graphs.unionfind import is_connected_pair_keys
+    from repro.study.metrics import sample_deployment
 
-    params = QCompositeParams(
-        num_nodes=1000, key_ring_size=88, pool_size=10000, overlap=2,
-        channel_prob=1.0,
-    )
     seeds = iter(range(10_000))
 
     def one_trial():
-        return connectivity_trial(params, np_.random.default_rng(next(seeds)))
+        rng = np_.random.default_rng(next(seeds))
+        dep = sample_deployment(1000, 10000, 88, 2, rng, needs_onoff=False)
+        return is_connected_pair_keys(1000, dep.candidates[dep.counts >= 2])
 
     benchmark(one_trial)

@@ -1,78 +1,29 @@
-"""Sweep-engine bench: shared deployments vs the legacy per-point path.
+"""Study-path micro-bench: one Figure 1 K column on shared deployments.
 
-The quick Figure 1 workload (all six curves, default ring grid,
-``REPRO_TRIALS=20``) runs on both backends.  The batched engine samples
-one deployment per ``(K, trial)`` and derives every ``(q, p)`` point
-from it (nested thinning + vectorized min-label connectivity), so it
-must beat the per-point path — which resamples rings and recounts key
-overlaps for each of the six curves — by at least 3x end to end.
+One deployment per trial (ring sample + overlap counts + one uniform
+per candidate edge) serves all six ``(q, p)`` curves via nested
+thinning and the vectorized min-label connectivity kernel.
 """
 
 from __future__ import annotations
 
-import time
-
-from benchmarks.conftest import emit, run_once
-from repro.experiments.figure1 import default_ring_sizes, render_figure1, run_figure1
+from benchmarks.conftest import run_once
+from repro.experiments.figure1 import FIGURE1_CURVES
 from repro.simulation.engine import trials_from_env
-
-SPEEDUP_FLOOR = 3.0
-
-
-def test_bench_sweep_vs_legacy_quick_figure1(benchmark):
-    trials = trials_from_env(20)
-    ring_sizes = default_ring_sizes()
-
-    start = time.perf_counter()
-    legacy = run_figure1(
-        trials=trials, ring_sizes=ring_sizes, backend="legacy", workers=1
-    )
-    legacy_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    sweep = run_once(
-        benchmark,
-        run_figure1,
-        trials=trials,
-        ring_sizes=ring_sizes,
-        backend="sweep",
-        workers=1,
-    )
-    sweep_s = time.perf_counter() - start
-
-    speedup = legacy_s / sweep_s
-    emit(
-        "Sweep engine vs legacy per-point path (quick Figure 1)",
-        f"trials={trials}, rings={len(ring_sizes)}, curves=6\n"
-        f"legacy: {legacy_s:.2f}s ({6 * len(ring_sizes) * trials} deployments)\n"
-        f"sweep:  {sweep_s:.2f}s ({len(ring_sizes) * trials} deployments)\n"
-        f"speedup: {speedup:.2f}x\n\n"
-        + render_figure1(sweep),
-    )
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"sweep engine only {speedup:.2f}x faster than legacy "
-        f"(needs >= {SPEEDUP_FLOOR}x): legacy {legacy_s:.2f}s, sweep {sweep_s:.2f}s"
-    )
-
-    # Both backends estimate the same model: CIs must overlap pointwise.
-    for ps, pl in zip(sweep.points, legacy.points):
-        assert ps.point == pl.point
-        assert ps.estimate.ci_low <= pl.estimate.ci_high
-        assert pl.estimate.ci_low <= ps.estimate.ci_high
+from repro.study import MetricSpec, Scenario, run_scenario
 
 
 def test_bench_sweep_single_column(benchmark):
     """Micro-bench: one K column (all trials, all six curves)."""
-    from repro.simulation.sweep import SweepSpec, run_sweep_trials
-
-    spec = SweepSpec(
+    scenario = Scenario(
+        name="column",
         num_nodes=1000,
         pool_size=10000,
         ring_sizes=(60,),
-        curves=tuple((q, p) for q, p in [(2, 1.0), (2, 0.5), (2, 0.2),
-                                         (3, 1.0), (3, 0.5), (3, 0.2)]),
+        curves=tuple(FIGURE1_CURVES),
+        metrics=(MetricSpec("connectivity"),),
         trials=trials_from_env(10),
         seed=1,
     )
-    counts = run_once(benchmark, run_sweep_trials, spec, workers=1)
-    assert counts.shape == (1, 6)
+    result = run_once(benchmark, run_scenario, scenario, workers=1)
+    assert result.values.shape == (1, scenario.trials, 6, 1)

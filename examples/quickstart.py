@@ -11,9 +11,16 @@ q-composite scheme (q = 2) over unreliable channels (p = 0.5), then:
 Run:  python examples/quickstart.py
 """
 
-from repro import OnOffChannel, QCompositeParams, QCompositeScheme, SecureWSN
+from repro import (
+    MetricSpec,
+    OnOffChannel,
+    QCompositeParams,
+    QCompositeScheme,
+    Scenario,
+    SecureWSN,
+)
 from repro.core.theorem1 import predict_k_connectivity
-from repro.simulation.runners import estimate_connectivity
+from repro.study import run_scenario
 from repro.wsn.metrics import summarize
 
 
@@ -35,7 +42,17 @@ def main() -> None:
     print(f"P[connected] (Thm 1) ≈ {prediction.probability:.3f}")
 
     # --- Simulation: 100 random deployments -------------------------------
-    estimate = estimate_connectivity(params, trials=100, seed=7)
+    scenario = Scenario(
+        name="quickstart",
+        num_nodes=params.num_nodes,
+        pool_size=params.pool_size,
+        ring_sizes=(params.key_ring_size,),
+        curves=((params.overlap, params.channel_prob),),
+        metrics=(MetricSpec("connectivity"),),
+        trials=100,
+        seed=7,
+    )
+    estimate = run_scenario(scenario).bernoulli("connectivity")
     print(
         f"P[connected] (Monte Carlo, {estimate.trials} trials) = "
         f"{estimate.estimate:.3f}  "

@@ -20,24 +20,30 @@ The package layers:
 * :mod:`repro.channels` — on/off and disk channel models;
 * :mod:`repro.wsn` — deployed networks, routing, failures, capture attacks;
 * :mod:`repro.core` — Theorem 1, Lemmas 1/7/8/9, design guidelines (Eq. 9);
-* :mod:`repro.simulation` — the Monte Carlo engine and trial protocols;
-* :mod:`repro.study` — the declarative Scenario/Study layer: every
-  experiment as a frozen JSON config compiled onto shared-deployment
-  sweeps;
+* :mod:`repro.simulation` — the Monte Carlo execution substrate: warm
+  pools, the fault-tolerant scheduler, estimators and result containers;
+* :mod:`repro.study` — the declarative Scenario/Study layer and the one
+  sampler of the model: every experiment as a frozen JSON config
+  compiled onto shared-deployment sweeps;
 * :mod:`repro.experiments` — every figure/table of the paper, declared
   as scenarios and runnable.
 
 Quickstart::
 
-    from repro import QCompositeParams, predict_k_connectivity
-    from repro.simulation import estimate_connectivity
+    from repro import MetricSpec, QCompositeParams, Scenario, predict_k_connectivity
+    from repro.study import run_scenario
 
     params = QCompositeParams(
         num_nodes=1000, key_ring_size=45, pool_size=10000,
         overlap=2, channel_prob=0.5,
     )
-    print(predict_k_connectivity(params, k=1).probability)   # Theorem 1
-    print(estimate_connectivity(params, trials=100).estimate)  # Monte Carlo
+    print(predict_k_connectivity(params, k=1).probability)  # Theorem 1
+    scenario = Scenario(
+        name="quickstart", num_nodes=1000, pool_size=10000,
+        ring_sizes=(45,), curves=((2, 0.5),),
+        metrics=(MetricSpec("connectivity"),), trials=100,
+    )
+    print(run_scenario(scenario).bernoulli("connectivity").estimate)  # Monte Carlo
 """
 
 from repro.exceptions import (

@@ -975,11 +975,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "kernel_backend", None) is not None:
         # Session-wide selection: validates the name and loads the
         # backend now, so a bad flag fails here and not mid-sweep.
-        # Also exported as the env var: the sweep/study engines pin the
-        # resolved name into their work units, but the per-trial paths
-        # (legacy backends, protocol scenarios) resolve ambiently in
-        # the workers, and spawn-start worker processes only see the
-        # parent's environment, not its module globals.
+        # Also exported as the env var: the study compiler pins the
+        # resolved name into its work units, but protocol scenarios
+        # resolve ambiently in the workers, and spawn-start worker
+        # processes only see the parent's environment, not its module
+        # globals.
         import os
 
         from repro.kernels import ENV_VAR, set_backend

@@ -15,43 +15,20 @@ Chan–Perrig–Song estimate.
 
 from __future__ import annotations
 
-import functools
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-import numpy as np
-
-from repro.channels.onoff import OnOffChannel
-from repro.exceptions import ParameterError
-from repro.keygraphs.schemes import QCompositeScheme
-from repro.simulation.engine import run_trials, trials_from_env
+from repro.simulation.engine import trials_from_env
 from repro.simulation.estimators import BernoulliEstimate
 from repro.simulation.results import CurvePoint, ExperimentResult
 from repro.study import MetricSpec, Scenario, Study
 from repro.utils.tables import format_table
-from repro.wsn.attacks import analytic_compromise_fraction, capture_attack
-from repro.wsn.network import SecureWSN
+from repro.wsn.attacks import analytic_compromise_fraction
 
 __all__ = [
     "build_attack_study",
     "run_attack_tradeoff",
     "render_attack_tradeoff",
-    "attack_trial",
 ]
-
-
-def attack_trial(
-    num_nodes: int,
-    key_ring_size: int,
-    pool_size: int,
-    q: int,
-    num_captured: int,
-    rng: np.random.Generator,
-) -> Tuple[int, int]:
-    """One deployment + attack → (links compromised, links evaluated)."""
-    scheme = QCompositeScheme(key_ring_size, pool_size, q)
-    network = SecureWSN(num_nodes, scheme, OnOffChannel(1.0), seed=rng)
-    outcome = capture_attack(network, num_captured, seed=rng)
-    return (outcome.links_compromised, outcome.links_evaluated)
 
 
 def build_attack_study(
@@ -105,52 +82,35 @@ def run_attack_tradeoff(
     pool_size: int = 10000,
     seed: int = 20170611,
     workers: Optional[int] = None,
-    backend: str = "study",
 ) -> ExperimentResult:
     """Sweep (q, #captured) at connectivity-equalized ring sizes.
 
     Each ``q`` uses its own ``K*(q)`` — the Eq. (9) minimal ring for the
     *design* network size (``design_nodes``; the attack simulation runs
     on ``num_nodes`` sensors since the per-link compromise statistics do
-    not depend on ``n``).  ``backend="legacy"`` keeps the original
-    SecureWSN-based per-point attack simulation as a cross-check.
+    not depend on ``n``).
     """
-    if backend not in ("study", "legacy"):
-        raise ParameterError(f"unknown backend {backend!r}; use 'study' or 'legacy'")
     from repro.core.design import minimal_key_ring_size
 
     trials = trials if trials is not None else trials_from_env(20, full=100)
     ring_sizes = {
         q: minimal_key_ring_size(design_nodes, pool_size, q, 1.0) for q in qs
     }
-    if backend == "study":
-        study = build_attack_study(
-            trials, qs, captured_grid, num_nodes, design_nodes, pool_size, seed
-        )
-        study_result = study.run(workers=workers)
+    study = build_attack_study(
+        trials, qs, captured_grid, num_nodes, design_nodes, pool_size, seed
+    )
+    study_result = study.run(workers=workers)
     points: List[CurvePoint] = []
     for q in qs:
         ring = ring_sizes[q]
+        scenario_result = study_result[f"attack_q{q}"]
         for captured in captured_grid:
-            if backend == "study":
-                scenario_result = study_result[f"attack_q{q}"]
-                compromised = scenario_result.successes(
-                    f"attack_compromised[captured={captured}]", (q, 1.0), ring
-                )
-                evaluated = scenario_result.successes(
-                    f"attack_evaluated[captured={captured}]", (q, 1.0), ring
-                )
-            else:
-                outcomes = run_trials(
-                    functools.partial(
-                        attack_trial, num_nodes, ring, pool_size, q, captured
-                    ),
-                    trials,
-                    seed=seed + q * 1000 + captured,
-                    workers=workers,
-                )
-                compromised = sum(c for c, _ in outcomes)
-                evaluated = sum(e for _, e in outcomes)
+            compromised = scenario_result.successes(
+                f"attack_compromised[captured={captured}]", (q, 1.0), ring
+            )
+            evaluated = scenario_result.successes(
+                f"attack_evaluated[captured={captured}]", (q, 1.0), ring
+            )
             analytic = analytic_compromise_fraction(ring, pool_size, q, captured)
             points.append(
                 CurvePoint(
@@ -177,7 +137,6 @@ def run_attack_tradeoff(
             "design_nodes": design_nodes,
             "pool_size": pool_size,
             "seed": seed,
-            "backend": backend,
         },
         points=points,
     )

@@ -19,13 +19,11 @@ import numpy as np
 
 from repro.core.degree_distribution import lambda_nh, lambda_nh_exact
 from repro.core.scaling import channel_prob_for_alpha
-from repro.exceptions import ParameterError
 from repro.params import QCompositeParams
 from repro.probability.poisson import poisson_total_variation
 from repro.simulation.engine import trials_from_env
 from repro.simulation.estimators import BernoulliEstimate
 from repro.simulation.results import CurvePoint, ExperimentResult
-from repro.simulation.runners import sample_degree_counts
 from repro.study import MetricSpec, Scenario, Study
 from repro.utils.tables import format_table
 
@@ -45,8 +43,7 @@ def build_degree_poisson_study(
     """One scenario; every degree ``h`` is one metric of one deployment.
 
     All ``N_h`` counts come from a single ``np.bincount`` per sampled
-    world — the legacy path resampled the whole deployment once per
-    ``h``.
+    world.
     """
     trials = trials if trials is not None else trials_from_env(120, full=600)
     p = channel_prob_for_alpha(num_nodes, key_ring_size, pool_size, q, alpha, k=1)
@@ -76,15 +73,8 @@ def run_degree_poisson(
     q: int = 2,
     seed: int = 20170609,
     workers: Optional[int] = None,
-    backend: str = "study",
 ) -> ExperimentResult:
-    """Sample degree-``h`` counts at the critical scaling (α = 0 default).
-
-    ``backend="legacy"`` keeps the original one-deployment-per-``h``
-    sampling as a cross-check.
-    """
-    if backend not in ("study", "legacy"):
-        raise ParameterError(f"unknown backend {backend!r}; use 'study' or 'legacy'")
+    """Sample degree-``h`` counts at the critical scaling (α = 0 default)."""
     trials = trials if trials is not None else trials_from_env(120, full=600)
     p = channel_prob_for_alpha(num_nodes, key_ring_size, pool_size, q, alpha, k=1)
     params = QCompositeParams(
@@ -95,22 +85,16 @@ def run_degree_poisson(
         channel_prob=p,
     )
     t = params.edge_probability()
-    if backend == "study":
-        study = build_degree_poisson_study(
-            trials, degrees, alpha, num_nodes, key_ring_size, pool_size, q, seed
-        )
-        scenario_result = study.run(workers=workers)["degree_poisson"]
+    study = build_degree_poisson_study(
+        trials, degrees, alpha, num_nodes, key_ring_size, pool_size, q, seed
+    )
+    scenario_result = study.run(workers=workers)["degree_poisson"]
 
     points: List[CurvePoint] = []
     for h in degrees:
-        if backend == "study":
-            counts = scenario_result.series(
-                f"degree_count[h={h}]", (q, p), key_ring_size
-            ).astype(np.int64)
-        else:
-            counts = sample_degree_counts(
-                params, h, trials, seed=seed + h, workers=workers
-            )
+        counts = scenario_result.series(
+            f"degree_count[h={h}]", (q, p), key_ring_size
+        ).astype(np.int64)
         lam = lambda_nh(num_nodes, t, h)
         lam_exact = lambda_nh_exact(num_nodes, t, h)
         histogram = np.bincount(counts)
@@ -145,7 +129,6 @@ def run_degree_poisson(
             "q": q,
             "channel_prob": p,
             "seed": seed,
-            "backend": backend,
         },
         points=points,
     )

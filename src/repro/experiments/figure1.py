@@ -21,11 +21,9 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.theorem1 import predict_k_connectivity
-from repro.exceptions import ParameterError
 from repro.params import QCompositeParams
 from repro.simulation.engine import trials_from_env
 from repro.simulation.results import CurvePoint, ExperimentResult
-from repro.simulation.runners import estimate_connectivity
 from repro.study import MetricSpec, Scenario, Study
 from repro.utils.tables import format_table
 
@@ -93,35 +91,23 @@ def run_figure1(
     workers: Optional[int] = None,
     num_nodes: int = NUM_NODES,
     pool_size: int = POOL_SIZE,
-    backend: str = "study",
 ) -> ExperimentResult:
     """Run the Figure 1 sweep and return all points.
 
-    The default ``"study"`` backend (alias ``"sweep"``) compiles the
-    declaration from :func:`build_figure1_study` onto the shared-
-    deployment sweep: one ring sample + overlap count per ``(K,
-    trial)`` serves all curves via nested channel thinning, which is
-    several times faster and couples the curves for lower-variance
-    comparisons.  ``backend="legacy"`` runs the original per-point
-    path, kept as an independent cross-check.
+    Compiles the declaration from :func:`build_figure1_study` onto the
+    shared-deployment study path: one ring sample + overlap count per
+    ``(K, trial)`` serves all curves via nested channel thinning, which
+    couples the curves for lower-variance comparisons.
 
-    The default seed is fixed so published EXPERIMENTS.md numbers are
-    regenerable; pass a different seed for an independent replication.
+    The default seed is fixed so published numbers are regenerable;
+    pass a different seed for an independent replication.
     """
     trials = trials if trials is not None else trials_from_env(60, full=500)
     ring_sizes = list(ring_sizes) if ring_sizes is not None else default_ring_sizes()
     curves = list(curves) if curves is not None else list(FIGURE1_CURVES)
-    if backend not in ("study", "sweep", "legacy"):
-        raise ParameterError(
-            f"unknown backend {backend!r}; use 'study', 'sweep', or 'legacy'"
-        )
-
     curves = [(int(q), float(p)) for q, p in curves]
-    if backend != "legacy":
-        study = build_figure1_study(
-            trials, ring_sizes, curves, seed, num_nodes, pool_size
-        )
-        scenario_result = study.run(workers=workers)["figure1"]
+    study = build_figure1_study(trials, ring_sizes, curves, seed, num_nodes, pool_size)
+    scenario_result = study.run(workers=workers)["figure1"]
 
     points: List[CurvePoint] = []
     for q, p in curves:
@@ -133,19 +119,10 @@ def run_figure1(
                 overlap=q,
                 channel_prob=p,
             )
-            if backend != "legacy":
-                estimate = scenario_result.bernoulli(
-                    "connectivity", (q, p), ring
-                )
-            else:
-                estimate = estimate_connectivity(
-                    params, trials, seed=seed + ring + int(1000 * p) + 100000 * q,
-                    workers=workers,
-                )
             points.append(
                 CurvePoint(
                     point={"q": q, "p": p, "K": ring},
-                    estimate=estimate,
+                    estimate=scenario_result.bernoulli("connectivity", (q, p), ring),
                     prediction=predict_k_connectivity(params, k=1).probability,
                 )
             )
@@ -158,7 +135,6 @@ def run_figure1(
             "ring_sizes": list(ring_sizes),
             "curves": [list(c) for c in curves],
             "seed": seed,
-            "backend": backend,
         },
         points=points,
     )

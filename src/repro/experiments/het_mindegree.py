@@ -13,24 +13,20 @@ checked on the *same* Monte Carlo deployments:
 
 One class-mix scenario per ``k`` shares the deployment family (same
 labels, rings, overlap counts, and channel uniforms), so the whole
-``(k, α)`` grid pays for sampling once.  ``backend="legacy"`` keeps
-independent per-point sampling of the heterogeneous model as a
-cross-check.
+``(k, α)`` grid pays for sampling once.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.heterogeneous import (
     class_edge_probabilities,
     het_channel_scale_for_alpha,
     het_limit_probability,
 )
-from repro.exceptions import ParameterError
 from repro.simulation.engine import trials_from_env
 from repro.simulation.results import CurvePoint, ExperimentResult
-from repro.simulation.runners import estimate_het_agreement
 from repro.study import ClassMix, MetricSpec, Scenario, Study
 from repro.utils.tables import format_table
 
@@ -111,11 +107,8 @@ def run_het_mindegree(
     q: int = 1,
     seed: int = 20190827,
     workers: Optional[int] = None,
-    backend: str = "study",
 ) -> ExperimentResult:
     """Joint heterogeneous min-degree / k-connectivity sweep over (k, α)."""
-    if backend not in ("study", "legacy"):
-        raise ParameterError(f"unknown backend {backend!r}; use 'study' or 'legacy'")
     trials = trials if trials is not None else trials_from_env(60, full=300)
     study = build_het_mindegree_study(
         trials,
@@ -129,47 +122,26 @@ def run_het_mindegree(
         q,
         seed,
     )
-    if backend == "study":
-        study_result = study.run(workers=workers)
+    study_result = study.run(workers=workers)
     lambdas = class_edge_probabilities(ring_sizes, pool_size, q, mu, channel_probs)
     mu_min = float(mu[min(range(len(lambdas)), key=lambdas.__getitem__)])
     ring_entry = study.scenarios[0].ring_sizes_at(0)[0]
     points: List[CurvePoint] = []
-    for ki, k in enumerate(ks):
-        for ai, alpha in enumerate(alphas):
+    for k in ks:
+        scenario_result = study_result[f"het_mindegree_k{k}"]
+        for alpha in alphas:
             scale = het_channel_scale_for_alpha(
                 num_nodes, ring_sizes, pool_size, q, mu, channel_probs, alpha, k
             )
-            if backend == "study":
-                scenario_result = study_result[f"het_mindegree_k{k}"]
-                deg_est = scenario_result.bernoulli(
-                    f"min_degree[k={k}]", (q, scale), ring_entry
-                )
-                conn_est = scenario_result.bernoulli(
-                    f"k_connectivity[k={k}]", (q, scale), ring_entry
-                )
-                agreement = scenario_result.agreement(
-                    f"min_degree[k={k}]",
-                    f"k_connectivity[k={k}]",
-                    (q, scale),
-                    ring_entry,
-                )
-            else:
-                scaled: Tuple[Tuple[float, ...], ...] = tuple(
-                    tuple(scale * a for a in row) for row in channel_probs
-                )
-                deg_est, conn_est, agreement = estimate_het_agreement(
-                    num_nodes,
-                    pool_size,
-                    tuple(int(r) for r in ring_sizes),
-                    tuple(float(m) for m in mu),
-                    scaled,
-                    q,
-                    k,
-                    trials,
-                    seed=seed + ki * len(alphas) + ai,
-                    workers=workers,
-                )
+            deg_est = scenario_result.bernoulli(
+                f"min_degree[k={k}]", (q, scale), ring_entry
+            )
+            conn_est = scenario_result.bernoulli(
+                f"k_connectivity[k={k}]", (q, scale), ring_entry
+            )
+            agreement = scenario_result.agreement(
+                f"min_degree[k={k}]", f"k_connectivity[k={k}]", (q, scale), ring_entry
+            )
             points.append(
                 CurvePoint(
                     point={
@@ -200,7 +172,6 @@ def run_het_mindegree(
             "mu_min": mu_min,
             "q": q,
             "seed": seed,
-            "backend": backend,
         },
         points=points,
     )

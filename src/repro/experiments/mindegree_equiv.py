@@ -15,12 +15,10 @@ from typing import List, Optional, Sequence
 
 from repro.core.mindegree import min_degree_probability_poisson
 from repro.core.scaling import channel_prob_for_alpha
-from repro.exceptions import ParameterError
 from repro.params import QCompositeParams
 from repro.probability.limits import limit_probability
 from repro.simulation.engine import trials_from_env
 from repro.simulation.results import CurvePoint, ExperimentResult
-from repro.simulation.runners import estimate_agreement
 from repro.study import MetricSpec, Scenario, Study
 from repro.utils.tables import format_table
 
@@ -79,25 +77,21 @@ def run_mindegree_equiv(
     q: int = 2,
     seed: int = 20170608,
     workers: Optional[int] = None,
-    backend: str = "study",
 ) -> ExperimentResult:
     """Joint min-degree / k-connectivity sweep over (k, α).
 
     ``n = 300`` keeps the exact ``k = 3`` decision (Dinic/Even) cheap
-    enough for hundreds of trials.  ``backend="legacy"`` keeps the
-    original independent-per-point sampling as a cross-check.
+    enough for hundreds of trials.
     """
-    if backend not in ("study", "legacy"):
-        raise ParameterError(f"unknown backend {backend!r}; use 'study' or 'legacy'")
     trials = trials if trials is not None else trials_from_env(60, full=300)
-    if backend == "study":
-        study = build_mindegree_study(
-            trials, ks, alphas, num_nodes, key_ring_size, pool_size, q, seed
-        )
-        study_result = study.run(workers=workers)
+    study = build_mindegree_study(
+        trials, ks, alphas, num_nodes, key_ring_size, pool_size, q, seed
+    )
+    study_result = study.run(workers=workers)
     points: List[CurvePoint] = []
-    for ki, k in enumerate(ks):
-        for ai, alpha in enumerate(alphas):
+    for k in ks:
+        scenario_result = study_result[f"mindegree_k{k}"]
+        for alpha in alphas:
             p = channel_prob_for_alpha(
                 num_nodes, key_ring_size, pool_size, q, alpha, k
             )
@@ -108,32 +102,15 @@ def run_mindegree_equiv(
                 overlap=q,
                 channel_prob=p,
             )
-            if backend == "study":
-                scenario_result = study_result[f"mindegree_k{k}"]
-                deg_est = scenario_result.bernoulli(
-                    f"min_degree[k={k}]", (q, p), key_ring_size
-                )
-                conn_est = scenario_result.bernoulli(
-                    f"k_connectivity[k={k}]", (q, p), key_ring_size
-                )
-                agreement = scenario_result.agreement(
-                    f"min_degree[k={k}]",
-                    f"k_connectivity[k={k}]",
-                    (q, p),
-                    key_ring_size,
-                )
-            else:
-                # Grid-index seed derivation: non-negative (SeedSequence
-                # rejects negatives, which alpha-based offsets hit for
-                # small root seeds) and collision-free across the grid
-                # (every (k, alpha) point gets an independent stream).
-                deg_est, conn_est, agreement = estimate_agreement(
-                    params,
-                    k,
-                    trials,
-                    seed=seed + ki * len(alphas) + ai,
-                    workers=workers,
-                )
+            deg_est = scenario_result.bernoulli(
+                f"min_degree[k={k}]", (q, p), key_ring_size
+            )
+            conn_est = scenario_result.bernoulli(
+                f"k_connectivity[k={k}]", (q, p), key_ring_size
+            )
+            agreement = scenario_result.agreement(
+                f"min_degree[k={k}]", f"k_connectivity[k={k}]", (q, p), key_ring_size
+            )
             # Primary estimate slot: the min-degree probability (Lemma 8's
             # statistic); connectivity and agreement ride in the point dict.
             points.append(
@@ -163,7 +140,6 @@ def run_mindegree_equiv(
             "pool_size": pool_size,
             "q": q,
             "seed": seed,
-            "backend": backend,
         },
         points=points,
     )

@@ -9,8 +9,9 @@ of frozen, JSON-round-trippable scenarios), its ``run`` callable
 executes that study through the shared-deployment compiler and
 interprets the :class:`~repro.study.StudyResult` into the experiment's
 :class:`~repro.simulation.results.ExperimentResult`, and ``render``
-formats the tables.  The bespoke per-point sampling loops the modules
-used to carry survive only as ``backend="legacy"`` cross-checks.
+formats the tables.  Every Monte Carlo experiment samples through the
+study compiler; ``tests/oracle.py`` re-samples each one cell by cell,
+independently, as the statistical reference.
 
 Experiment kinds:
 

@@ -10,48 +10,21 @@ physically but cannot be trusted cryptographically.
 
 from __future__ import annotations
 
-import functools
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.channels.onoff import OnOffChannel
-from repro.exceptions import ParameterError
-from repro.keygraphs.schemes import QCompositeScheme
-from repro.simulation.engine import run_trials, trials_from_env
+from repro.simulation.engine import trials_from_env
 from repro.simulation.estimators import BernoulliEstimate
 from repro.simulation.results import CurvePoint, ExperimentResult
 from repro.study import MetricSpec, Scenario, Study
 from repro.utils.tables import format_table
-from repro.wsn.network import SecureWSN
-from repro.wsn.resilience import evaluate_resilience
 
 __all__ = [
     "build_resilience_study",
     "run_resilience",
     "render_resilience",
-    "resilience_trial",
 ]
-
-
-def resilience_trial(
-    num_nodes: int,
-    key_ring_size: int,
-    pool_size: int,
-    q: int,
-    channel_prob: float,
-    num_captured: int,
-    rng: np.random.Generator,
-) -> Tuple[bool, bool, float]:
-    """One deployment + attack → (resilient, plain-connected, comp. frac)."""
-    scheme = QCompositeScheme(key_ring_size, pool_size, q)
-    network = SecureWSN(num_nodes, scheme, OnOffChannel(channel_prob), seed=rng)
-    outcome = evaluate_resilience(network, num_captured, seed=rng)
-    return (
-        outcome.resiliently_connected,
-        outcome.connected_ignoring_compromise,
-        outcome.compromise_fraction,
-    )
 
 
 def build_resilience_study(
@@ -109,17 +82,12 @@ def run_resilience(
     channel_prob: float = 0.9,
     seed: int = 20170614,
     workers: Optional[int] = None,
-    backend: str = "study",
 ) -> ExperimentResult:
     """Sweep (q, captured) and estimate both connectivity notions.
 
     Ring sizes are dimensioned per q for 0.95 connectivity of the
     *unattacked* network, so the captured=0 rows calibrate the columns.
-    ``backend="legacy"`` keeps the original SecureWSN-based per-point
-    evaluation as a cross-check.
     """
-    if backend not in ("study", "legacy"):
-        raise ParameterError(f"unknown backend {backend!r}; use 'study' or 'legacy'")
     from repro.core.design import minimal_key_ring_size
 
     trials = trials if trials is not None else trials_from_env(30, full=150)
@@ -129,54 +97,34 @@ def run_resilience(
         )
         for q in qs
     }
-    if backend == "study":
-        study = build_resilience_study(
-            trials, qs, captured_grid, num_nodes, design_nodes, pool_size,
-            channel_prob, seed,
-        )
-        study_result = study.run(workers=workers)
+    study = build_resilience_study(
+        trials, qs, captured_grid, num_nodes, design_nodes, pool_size,
+        channel_prob, seed,
+    )
+    study_result = study.run(workers=workers)
     points: List[CurvePoint] = []
     for q in qs:
         ring = ring_sizes[q]
+        curve = (q, channel_prob)
+        scenario_result = study_result[f"resilience_q{q}"]
         for captured in captured_grid:
-            if backend == "study":
-                scenario_result = study_result[f"resilience_q{q}"]
-                curve = (q, channel_prob)
-                resilient_hits = scenario_result.successes(
-                    f"resilient_connectivity[captured={captured}]", curve, ring
-                )
-                plain_hits = scenario_result.successes(
-                    f"survivor_connectivity[captured={captured}]", curve, ring
-                )
-                comp = scenario_result.series(
-                    f"attack_compromised[captured={captured}]", curve, ring
-                )
-                # attack_evaluated counts *all* surviving links between
-                # alive nodes, compromised included, matching the
-                # denominator of ResilienceOutcome.compromise_fraction.
-                total = scenario_result.series(
-                    f"attack_evaluated[captured={captured}]", curve, ring
-                )
-                fractions = np.where(total > 0, comp / np.maximum(total, 1), 0.0)
-                mean_comp = float(fractions.mean())
-            else:
-                outcomes = run_trials(
-                    functools.partial(
-                        resilience_trial,
-                        num_nodes,
-                        ring,
-                        pool_size,
-                        q,
-                        channel_prob,
-                        captured,
-                    ),
-                    trials,
-                    seed=seed + 31 * q + captured,
-                    workers=workers,
-                )
-                resilient_hits = sum(1 for r, _, _ in outcomes if r)
-                plain_hits = sum(1 for _, c, _ in outcomes if c)
-                mean_comp = float(np.mean([f for _, _, f in outcomes]))
+            resilient_hits = scenario_result.successes(
+                f"resilient_connectivity[captured={captured}]", curve, ring
+            )
+            plain_hits = scenario_result.successes(
+                f"survivor_connectivity[captured={captured}]", curve, ring
+            )
+            comp = scenario_result.series(
+                f"attack_compromised[captured={captured}]", curve, ring
+            )
+            # attack_evaluated counts *all* surviving links between alive
+            # nodes, compromised included, matching the denominator of
+            # ResilienceOutcome.compromise_fraction.
+            total = scenario_result.series(
+                f"attack_evaluated[captured={captured}]", curve, ring
+            )
+            fractions = np.where(total > 0, comp / np.maximum(total, 1), 0.0)
+            mean_comp = float(fractions.mean())
             points.append(
                 CurvePoint(
                     point={
@@ -201,7 +149,6 @@ def run_resilience(
             "pool_size": pool_size,
             "channel_prob": channel_prob,
             "seed": seed,
-            "backend": backend,
         },
         points=points,
     )

@@ -19,12 +19,10 @@ from typing import List, Optional, Sequence
 
 from repro.core.mindegree import min_degree_probability_poisson
 from repro.core.scaling import channel_prob_for_alpha
-from repro.exceptions import ParameterError
 from repro.params import QCompositeParams
 from repro.probability.limits import limit_probability
 from repro.simulation.engine import trials_from_env
 from repro.simulation.results import CurvePoint, ExperimentResult
-from repro.simulation.runners import estimate_k_connectivity
 from repro.study import MetricSpec, Scenario, Study
 from repro.utils.tables import format_table
 
@@ -113,29 +111,24 @@ def run_theorem1_check(
     q: int = 2,
     seed: int = 20170606,
     workers: Optional[int] = None,
-    backend: str = "study",
     num_nodes_grid: Optional[Sequence[int]] = None,
 ) -> ExperimentResult:
     """Sweep α at fixed (n, K, P, q), tuning p; estimate P[k-connected].
 
-    The default ``"study"`` backend rides the shared-deployment sweep
-    (see :func:`build_theorem1_study`); ``backend="legacy"`` keeps the
-    original independent-per-point sampling as a cross-check.  The
-    default ``n = 500`` keeps the exact k-connectivity decision
-    affordable for ``k = 2``; the bench scales ``n`` and trials via the
-    usual environment knobs.  ``num_nodes_grid`` swaps the single ``n``
-    for a growth sweep over the size axis (one sized declaration per
-    ``k``); each point then also carries its ``n``.
+    Rides the shared-deployment study path (see
+    :func:`build_theorem1_study`).  The default ``n = 500`` keeps the
+    exact k-connectivity decision affordable for ``k = 2``; the bench
+    scales ``n`` and trials via the usual environment knobs.
+    ``num_nodes_grid`` swaps the single ``n`` for a growth sweep over
+    the size axis (one sized declaration per ``k``); each point then
+    also carries its ``n``.
     """
-    if backend not in ("study", "legacy"):
-        raise ParameterError(f"unknown backend {backend!r}; use 'study' or 'legacy'")
     trials = trials if trials is not None else trials_from_env(80, full=400)
-    if backend == "study":
-        study = build_theorem1_study(
-            trials, alphas, ks, num_nodes, key_ring_size, pool_size, q, seed,
-            num_nodes_grid=num_nodes_grid,
-        )
-        study_result = study.run(workers=workers)
+    study = build_theorem1_study(
+        trials, alphas, ks, num_nodes, key_ring_size, pool_size, q, seed,
+        num_nodes_grid=num_nodes_grid,
+    )
+    study_result = study.run(workers=workers)
     sizes = (num_nodes,) if num_nodes_grid is None else tuple(num_nodes_grid)
     points: List[CurvePoint] = []
     for k in ks:
@@ -151,22 +144,12 @@ def run_theorem1_check(
                     overlap=q,
                     channel_prob=p,
                 )
-                if backend == "study":
-                    estimate = study_result[f"theorem1_k{k}"].bernoulli(
-                        f"k_connectivity[k={k}]",
-                        (q, p),
-                        key_ring_size,
-                        size=n if num_nodes_grid is not None else None,
-                    )
-                else:
-                    estimate = estimate_k_connectivity(
-                        params,
-                        k,
-                        trials,
-                        seed=seed + int(alpha * 10) + 1000 * k
-                        + (100 * n if num_nodes_grid is not None else 0),
-                        workers=workers,
-                    )
+                estimate = study_result[f"theorem1_k{k}"].bernoulli(
+                    f"k_connectivity[k={k}]",
+                    (q, p),
+                    key_ring_size,
+                    size=n if num_nodes_grid is not None else None,
+                )
                 point = {
                     "k": k,
                     "alpha": alpha,
@@ -194,7 +177,6 @@ def run_theorem1_check(
             "alphas": list(alphas),
             "ks": list(ks),
             "seed": seed,
-            "backend": backend,
         },
         points=points,
     )

@@ -1,11 +1,6 @@
 """Graph substrate: containers, algorithms, and random generators."""
 
 from repro.graphs.biconnectivity import articulation_points, is_biconnected
-from repro.graphs.edge_connectivity import (
-    edge_connectivity,
-    is_k_edge_connected,
-    local_edge_connectivity,
-)
 from repro.graphs.generators import (
     edge_to_pair_index,
     erdos_renyi_edges,
@@ -14,14 +9,6 @@ from repro.graphs.generators import (
     pair_index_to_edge,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.operators import (
-    decode_edges,
-    encode_edges,
-    intersect_edge_arrays,
-    intersection,
-    is_spanning_subgraph,
-    union,
-)
 from repro.graphs.properties import (
     average_clustering,
     degree_histogram,
@@ -57,21 +44,12 @@ from repro.graphs.maxflow import FlowNetwork
 __all__ = [
     "articulation_points",
     "is_biconnected",
-    "edge_connectivity",
-    "is_k_edge_connected",
-    "local_edge_connectivity",
     "edge_to_pair_index",
     "erdos_renyi_edges",
     "erdos_renyi_graph",
     "expected_edge_count",
     "pair_index_to_edge",
     "Graph",
-    "decode_edges",
-    "encode_edges",
-    "intersect_edge_arrays",
-    "intersection",
-    "is_spanning_subgraph",
-    "union",
     "average_clustering",
     "degree_histogram",
     "degree_histogram_edges",

@@ -13,15 +13,15 @@ compiled kernel plug in here by registering one more backend.
 Selection, highest precedence first:
 
 1. an explicit name argument (``get_backend("numba")``), which is how
-   a ``Scenario``'s ``kernel_backend`` config field and a resolved
-   ``SweepSpec`` reach the workers;
+   a ``Scenario``'s ``kernel_backend`` config field reaches the
+   workers;
 2. the process-wide active backend (:func:`set_backend` /
    :func:`use_backend` — the CLI ``--kernel-backend`` flag);
 3. the ``REPRO_KERNEL_BACKEND`` environment variable;
 4. the ``reference`` default (pure numpy, always available).
 
-Resolution happens in the *submitting* process: the sweep engine and
-study compiler resolve the ambient name before scheduling and pin it
+Resolution happens in the *submitting* process: the study compiler
+resolves the ambient name before scheduling and pins it
 into every work unit, so warm-pool workers honor an override made after
 the pool was spawned (a forked worker's environment snapshot is stale
 by then).  Optional-dependency backends (``numba``) are registered

@@ -1,45 +1,27 @@
-"""Monte Carlo simulation: engine, trial protocols, runners, results.
+"""Monte Carlo execution substrate: engine, pools, scheduler, results.
 
-Performance notes
------------------
-The Monte Carlo stack has two execution paths:
+This package runs work; it does not sample the model.  The one sampler
+of Section II's model is the study compiler (:mod:`repro.study`): one
+deployment per ``(size, K, trial)`` serves every ``(q, p)`` curve and
+every metric of the scenarios sharing it.  Rings are sampled once,
+key-overlap counts are computed once, and all channel probabilities
+are realized from a single uniform draw per candidate edge by nested
+thinning (``U < p``).  Marginally each curve sees exactly the model;
+jointly the curves are coupled monotonically, so estimates at the same
+``(K, trial)`` are positively correlated across curves and must not be
+treated as independent when aggregated over curves.  Across trials
+and ring sizes everything stays independent.
 
-* the **legacy per-point path** (:mod:`repro.simulation.trials` +
-  :func:`run_trials`): one deployment per ``(q, p, K)`` point, kept as
-  an independent cross-check backend;
-* the **shared-deployment sweep engine** (:mod:`repro.simulation.sweep`):
-  one deployment per ``(K, trial)`` serving *all* ``(q, p)`` curves.
-  Rings are sampled once, key-overlap counts are computed once, and all
-  channel probabilities are realized from a single uniform draw per
-  candidate edge by nested thinning (``U < p``).  Marginally each curve
-  sees exactly the model of Section II; jointly the curves are coupled
-  monotonically (smaller ``p`` / larger ``q`` edge sets are subsets of
-  larger ``p`` / smaller ``q`` ones within a deployment).
+What lives here:
 
-The coupling is deliberate common-random-numbers design: differences
-and orderings *between* curves (e.g. threshold locations in Figure 1)
-are estimated with much lower variance, and the dominant sampling cost
-is paid once instead of once per curve.  The flip side: estimates at
-the same ``(K, trial)`` are positively correlated **across curves**, so
-they must not be treated as independent when aggregating over curves.
-Across trials and across ring sizes everything remains independent.
-
-Connectivity decisions on the sweep path run on the vectorized
-min-label kernel (:func:`repro.graphs.unionfind.is_connected_pair_keys`)
-directly over int64 pair keys — no per-edge Python loop and no Graph
-construction.  Work is sharded by whole ``K`` columns
-(:func:`repro.simulation.engine.run_batches`), splitting columns into
-contiguous trial blocks when columns are scarce
-(:func:`repro.simulation.sweep.split_trial_blocks`), so process/IPC
-overhead is amortized over ``trials * len(curves)`` point evaluations
-and a single-``K`` sweep still saturates the pool.  Pools are *warm*:
-:mod:`repro.simulation.pool` keeps executors alive across calls, so
-repeated experiment invocations stop paying worker startup
-(``REPRO_PERSISTENT_POOL=0`` disables reuse).
-
-The declarative layer over this stack — frozen JSON-round-trippable
-scenarios compiled onto shared deployments with arbitrary metric sets —
-lives in :mod:`repro.study`.
+* :func:`run_batches` / :func:`run_trials` — deterministic fan-out of
+  work units and per-trial protocols over the warm worker pool
+  (:mod:`repro.simulation.pool`; ``REPRO_PERSISTENT_POOL=0`` disables
+  reuse), bit-identical for any worker count;
+* :func:`run_units` — the fault-tolerant per-unit supervisor with its
+  seeded chaos harness (:mod:`repro.simulation.faults`);
+* :class:`BernoulliEstimate` and the :class:`ExperimentResult`
+  containers the experiments return.
 """
 
 from repro.simulation.engine import (
@@ -77,30 +59,6 @@ from repro.simulation.results import (
     load_result,
     save_result,
 )
-from repro.simulation.runners import (
-    estimate_agreement,
-    estimate_connectivity,
-    estimate_k_connectivity,
-    estimate_min_degree,
-    sample_degree_counts,
-)
-from repro.simulation.sweep import (
-    SweepSpec,
-    run_sweep_trials,
-    split_trial_blocks,
-    sweep_connectivity_estimates,
-    sweep_curve_masks,
-    sweep_deployment_outcomes,
-)
-from repro.simulation.trials import (
-    connectivity_trial,
-    degree_count_trial,
-    isolated_count_trial,
-    k_connectivity_trial,
-    min_degree_trial,
-    min_degree_vs_kconn_trial,
-    sample_secure_edges,
-)
 
 __all__ = [
     "default_workers",
@@ -123,28 +81,10 @@ __all__ = [
     "combine_fault_reports",
     "resolve_scheduler_policy",
     "run_units",
-    "split_trial_blocks",
     "BernoulliEstimate",
     "wilson_interval",
     "CurvePoint",
     "ExperimentResult",
     "load_result",
     "save_result",
-    "estimate_agreement",
-    "estimate_connectivity",
-    "estimate_k_connectivity",
-    "estimate_min_degree",
-    "sample_degree_counts",
-    "SweepSpec",
-    "run_sweep_trials",
-    "sweep_connectivity_estimates",
-    "sweep_curve_masks",
-    "sweep_deployment_outcomes",
-    "connectivity_trial",
-    "degree_count_trial",
-    "isolated_count_trial",
-    "k_connectivity_trial",
-    "min_degree_trial",
-    "min_degree_vs_kconn_trial",
-    "sample_secure_edges",
 ]

@@ -121,9 +121,9 @@ def run_batches(
     """Run ``fn(batch)`` for every work unit; return results in order.
 
     The coarse-grained sibling of :func:`run_trials`: each batch is a
-    self-contained column of work (e.g. all trials of one ring size in
-    the sweep engine), so process fan-out and IPC are amortized over
-    the whole column instead of paid per trial.  *fn* must be picklable
+    self-contained column of work (e.g. a block of trials of one
+    ``(size, K)`` column in the study compiler), so process fan-out and
+    IPC are amortized over the whole column instead of paid per trial.  *fn* must be picklable
     for ``workers > 1``; batches carry their own deterministic seeds, so
     results do not depend on worker count.
     """

@@ -6,19 +6,18 @@ scenarios keyed on their canonical per-size expansion — and emits one
 plan per group.  Executing a plan samples each ``(size, K, trial)``
 world exactly once (rings, overlap counts, channel variables) and
 evaluates *every* curve and metric of *every* member scenario on it:
-the common-random-numbers structure of the PR 1 sweep engine,
-generalized from "six connectivity curves" to arbitrary metric sets,
-the disk channel, capture attacks, and (since the size axis) whole
-growth sweeps in ``n``.
+common random numbers across curves, metrics, the disk channel,
+capture attacks, class mixes and whole growth sweeps in ``n``.  This
+is the only sampler of the model in the library; ``tests/oracle.py``
+is its independent per-trial reference.
 
 Work units are ``(group, size, K-column, trial-block)`` tuples.
 Columns split into contiguous trial blocks whenever there are fewer
-``(size, K)`` columns than workers
-(:func:`repro.simulation.sweep.split_trial_blocks`), so a single-``K``
-study still saturates the pool.  Because each deployment seed is
-addressed by ``(size_index, ring_index, trial)`` for sized groups and
-``(ring_index, trial)`` for plain ones, and per-trial values are
-*assigned* (never reduced across blocks), results are bit-identical
+``(size, K)`` columns than workers (:func:`split_trial_blocks`), so a
+single-``K`` study still saturates the pool.  Because each deployment
+seed is addressed by ``(size_index, ring_index, trial)`` for sized
+groups and ``(ring_index, trial)`` for plain ones, and per-trial values
+are *assigned* (never reduced across blocks), results are bit-identical
 for any worker count and any block layout.
 
 :meth:`Study.run_extension` emits the same work units from an
@@ -49,7 +48,6 @@ from repro.simulation.scheduler import (
     resolve_scheduler_policy,
     run_units,
 )
-from repro.simulation.sweep import split_trial_blocks
 from repro.study.metrics import (
     DeploymentEvaluator,
     evaluate_scenario,
@@ -59,7 +57,46 @@ from repro.study.result import ScenarioResult, StudyResult
 from repro.study.scenario import ClassMix, Scenario
 from repro.utils.rng import grid_seed_sequence
 
-__all__ = ["Study", "GroupPlan", "ActiveMap", "run_scenario"]
+__all__ = ["Study", "GroupPlan", "ActiveMap", "run_scenario", "split_trial_blocks"]
+
+
+def split_trial_blocks(
+    num_columns: int,
+    trials: int,
+    workers: int,
+    total_columns: Optional[int] = None,
+    start: int = 0,
+) -> List[Tuple[int, int, int]]:
+    """Work units ``(column, start, stop)`` for a columns-by-trials grid.
+
+    Whole columns are the natural work unit (fan-out and IPC amortize
+    over all their trials), but when there are fewer columns than
+    workers each column splits into ``ceil(workers / columns)``
+    contiguous trial blocks so the pool stays busy.  A "column" is one
+    ``(size, K)`` pair of a group; ``total_columns`` overrides the
+    divisor when several groups share one pool.
+
+    ``start`` restricts the blocks to the trial window ``[start,
+    trials)`` — the incremental unit of adaptive trial extension.  An
+    empty window (``start >= trials``) yields no blocks, and a window
+    smaller than the would-be block count degrades to single-trial
+    blocks.  Block boundaries are a pure function of ``(num_columns,
+    trials, workers, start)``; they never affect results, only
+    parallelism, because every ``(column, trial)`` cell is seeded
+    independently by its absolute trial index.
+    """
+    if start < 0:
+        raise ParameterError(f"start must be >= 0, got {start}")
+    if start >= trials:
+        return []
+    divisor = total_columns if total_columns is not None else num_columns
+    splits = min(trials - start, max(1, -(-workers // max(divisor, 1))))
+    bounds = np.linspace(start, trials, splits + 1, dtype=np.int64)
+    return [
+        (column, int(bounds[b]), int(bounds[b + 1]))
+        for column in range(num_columns)
+        for b in range(splits)
+    ]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -11,8 +11,8 @@ deterministic function of these arrays — nothing is resampled.
 Draw order is part of the contract (it fixes the random stream):
 rings, then on/off uniforms (if any on/off scenario is present), then
 disk positions (if any disk scenario), then the capture permutation
-(if any capture metric).  Single-scenario on/off groups therefore
-reproduce the PR 1 sweep engine bit-for-bit.
+(if any capture metric).  The golden digests in
+``tests/golden_digests.json`` pin this stream.
 
 The per-curve metric cascade is arranged so work is shared: degrees
 are one ``np.bincount`` over the masked pair endpoints and serve the
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,12 +40,12 @@ from repro.keygraphs.rings import (
     sample_uniform_rings,
 )
 from repro.keygraphs.uniform_graph import overlap_counts_from_rings
-from repro.simulation.sweep import class_pair_probabilities
 from repro.study.scenario import ClassMix, MetricSpec, Scenario
 
 __all__ = [
     "Deployment",
     "DeploymentEvaluator",
+    "class_pair_probabilities",
     "evaluate_scenario",
     "sample_deployment",
 ]
@@ -117,6 +117,30 @@ class Deployment:
     capture_order: Optional[np.ndarray] = None  # node permutation
     labels: Optional[np.ndarray] = None  # per-node class (class mix)
     pair_alpha: Optional[np.ndarray] = None  # per-candidate alpha[c(u), c(v)]
+
+
+def class_pair_probabilities(
+    labels: np.ndarray,
+    candidates: np.ndarray,
+    num_nodes: int,
+    channel_probs: Sequence[Sequence[float]],
+) -> np.ndarray:
+    """Per-candidate channel probability ``alpha[c(u), c(v)]``.
+
+    The heterogeneous on/off channel turns a candidate edge ``(u, v)``
+    on with the class-pair probability, so each candidate's threshold
+    is a gather from the ``C x C`` matrix indexed by the endpoint
+    labels.  Pure post-processing: no randomness is consumed.
+    """
+    alpha = np.asarray(channel_probs, dtype=np.float64)
+    if alpha.ndim != 2 or alpha.shape[0] != alpha.shape[1]:
+        raise ParameterError(
+            f"channel_probs must be a square matrix, got shape {alpha.shape}"
+        )
+    labels = np.asarray(labels, dtype=np.int64)
+    u = candidates // num_nodes
+    v = candidates % num_nodes
+    return alpha[labels[u], labels[v]]
 
 
 def sample_deployment(

@@ -4,16 +4,30 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
+from repro.exceptions import ParameterError
 from repro.experiments.giant_component import (
     er_giant_fraction,
-    giant_component_trial,
     render_giant_component,
     run_giant_component,
 )
-from repro.params import QCompositeParams
+from repro.study import MetricSpec, Scenario, run_scenario
+
+
+def giant_fractions(num_nodes, key_ring_size, pool_size, q, p, seed):
+    """Largest-component fraction of a few deployments at one point."""
+    scenario = Scenario(
+        name="giant",
+        num_nodes=num_nodes,
+        pool_size=pool_size,
+        ring_sizes=(key_ring_size,),
+        curves=((q, p),),
+        metrics=(MetricSpec("giant_fraction"),),
+        trials=3,
+        seed=seed,
+    )
+    return run_scenario(scenario, workers=1).series("giant_fraction")
 
 
 class TestErGiantFraction:
@@ -41,19 +55,11 @@ class TestErGiantFraction:
 
 class TestTrial:
     def test_fraction_in_unit_interval(self):
-        params = QCompositeParams(
-            num_nodes=100, key_ring_size=20, pool_size=500, overlap=2,
-            channel_prob=0.2,
-        )
-        frac = giant_component_trial(params, np.random.default_rng(1))
-        assert 0.0 < frac <= 1.0
+        fractions = giant_fractions(100, 20, 500, 2, 0.2, seed=1)
+        assert ((0.0 < fractions) & (fractions <= 1.0)).all()
 
     def test_dense_graph_single_component(self):
-        params = QCompositeParams(
-            num_nodes=50, key_ring_size=40, pool_size=60, overlap=1,
-            channel_prob=1.0,
-        )
-        assert giant_component_trial(params, np.random.default_rng(2)) == 1.0
+        assert (giant_fractions(50, 40, 60, 1, 1.0, seed=2) == 1.0).all()
 
 
 class TestRun:
@@ -72,7 +78,7 @@ class TestRun:
         assert "ER limit" in render_giant_component(result)
 
     def test_infeasible_mean_degree_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             run_giant_component(
                 trials=2,
                 mean_degrees=(500.0,),  # would need p > 1

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.graphs.biconnectivity import articulation_points, is_biconnected
 from repro.graphs.graph import Graph
-from repro.graphs.operators import intersection, is_spanning_subgraph, union
 from repro.graphs.properties import degrees_from_edges
 from repro.graphs.traversal import connected_components, is_connected, shortest_path
 from repro.graphs.unionfind import count_components_edges, is_connected_edges
@@ -102,28 +101,13 @@ class TestPathInvariants:
 
 class TestOperatorInvariants:
     @given(graphs(max_nodes=8), graphs(max_nodes=8))
-    @settings(max_examples=80, deadline=None)
-    def test_intersection_union_lattice(self, a, b):
-        n = max(a.num_nodes, b.num_nodes)
-        a2 = Graph(n, a.edges())
-        b2 = Graph(n, b.edges())
-        inter = intersection(a2, b2)
-        uni = union(a2, b2)
-        assert is_spanning_subgraph(inter, a2)
-        assert is_spanning_subgraph(inter, b2)
-        assert is_spanning_subgraph(a2, uni)
-        assert is_spanning_subgraph(b2, uni)
-        assert inter.num_edges + uni.num_edges == a2.num_edges + b2.num_edges
-
-    @given(graphs(max_nodes=8), graphs(max_nodes=8))
     @settings(max_examples=60, deadline=None)
     def test_connectivity_monotone_under_supergraph(self, a, b):
-        # Adding edges never disconnects: κ(union) >= κ(intersection).
+        # Adding edges never disconnects: κ(a ∪ b) >= κ(a ∩ b).
         n = max(a.num_nodes, b.num_nodes)
-        a2 = Graph(n, a.edges())
-        b2 = Graph(n, b.edges())
-        assert vertex_connectivity(union(a2, b2)) >= vertex_connectivity(
-            intersection(a2, b2)
+        edges_a, edges_b = set(a.edges()), set(b.edges())
+        assert vertex_connectivity(Graph(n, edges_a | edges_b)) >= vertex_connectivity(
+            Graph(n, edges_a & edges_b)
         )
 
 

@@ -6,8 +6,8 @@ historical deployment keys byte-identical; class-mix sweeps stay
 deterministic and bit-identical across every execution substrate
 (one-shot, adaptive extension, trial/size sharding, content-addressed
 cache); and the two registry experiments reproduce the heterogeneous
-zero-one / min-degree laws with the legacy per-point sampler agreeing
-within confidence intervals.
+zero-one / min-degree laws (their agreement with independent per-trial
+sampling is checked in ``tests/test_oracle.py``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
-from repro.experiments.het_mindegree import run_het_mindegree
 from repro.experiments.het_zero_one import render_het_zero_one, run_het_zero_one
 from repro.experiments.registry import get_experiment
 from repro.service.cache import ResultCache, run_cached
@@ -277,36 +276,3 @@ class TestHetExperiments:
         assert low.estimate.estimate <= high.estimate.estimate
         assert low.prediction < high.prediction
         assert "het limit" in render_het_zero_one(result)
-
-    @pytest.mark.slow
-    def test_zero_one_legacy_backend_agrees(self):
-        kwargs = dict(
-            trials=150,
-            num_nodes_grid=(120,),
-            alpha_offsets=(-3.0, 3.0),
-            workers=WORKERS,
-        )
-        study = run_het_zero_one(backend="study", **kwargs)
-        legacy = run_het_zero_one(backend="legacy", **kwargs)
-        for s_pt, l_pt in zip(study.points, legacy.points):
-            assert s_pt.point == l_pt.point
-            s, l = s_pt.estimate, l_pt.estimate
-            assert s.ci_low <= l.ci_high and l.ci_low <= s.ci_high, s_pt.point
-
-    @pytest.mark.slow
-    def test_mindegree_legacy_backend_agrees(self):
-        kwargs = dict(
-            trials=150,
-            ks=(2,),
-            alphas=(0.5,),
-            num_nodes=120,
-            workers=WORKERS,
-        )
-        study = run_het_mindegree(backend="study", **kwargs)
-        legacy = run_het_mindegree(backend="legacy", **kwargs)
-        (s_pt,), (l_pt,) = study.points, legacy.points
-        s, l = s_pt.estimate, l_pt.estimate
-        assert s.ci_low <= l.ci_high and l.ci_low <= s.ci_high
-        # Min-degree dominates k-connectivity pointwise under CRN.
-        assert s_pt.point["kconn_estimate"] <= s.estimate
-        assert 0.0 <= s_pt.point["agreement"] <= 1.0

@@ -10,10 +10,10 @@ Four pillars:
    plain Dinic decision on random ER and key-ring graphs across a k
    grid, including the k <= 2 shortcut paths and n < k + 1 edge cases;
 3. backend consistency — every *available* registered backend produces
-   identical sweep metrics on the shared Figure-1 fixture, warm pool on
+   identical study metrics on the shared Figure-1 fixture, warm pool on
    and off (the corpus the numba CI leg runs with numba installed);
-4. config threading — Scenario/SweepSpec fields, JSON round-trip, CLI
-   flag and ``repro kernels``, provenance stamping.
+4. config threading — Scenario fields, JSON round-trip, CLI flag and
+   ``repro kernels``, provenance stamping.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.kernels import (
 from repro.kernels.probe import probe_backends
 from repro.kernels.reference import ReferenceBackend, scan_first_certificate
 from repro.keygraphs.uniform_graph import uniform_intersection_edges
-from repro.simulation.sweep import SweepSpec, run_sweep_trials
 from repro.study import MetricSpec, Scenario, Study
 
 AVAILABLE = [info["name"] for info in available_backends() if info["available"]]
@@ -280,23 +279,6 @@ class TestBackendConsistency:
         )
 
     @pytest.mark.parametrize("backend", AVAILABLE)
-    def test_sweep_engine_identical_across_backends(self, backend):
-        spec = SweepSpec(
-            num_nodes=80,
-            pool_size=900,
-            ring_sizes=(16, 20),
-            curves=((2, 1.0), (2, 0.5)),
-            trials=6,
-            seed=31,
-        )
-        baseline = run_sweep_trials(spec, workers=1)
-        import dataclasses
-
-        pinned = dataclasses.replace(spec, kernel_backend=backend)
-        result = run_sweep_trials(pinned, workers=1)
-        assert np.array_equal(result, baseline)
-
-    @pytest.mark.parametrize("backend", AVAILABLE)
     def test_probe_passes(self, backend):
         (probe,) = probe_backends(backend)
         assert probe["available"]
@@ -345,17 +327,6 @@ class TestConfigThreading:
         plans = Study((base, other)).compile()
         assert len(plans) == 1
         assert plans[0].kernel_backend == "reference"
-
-    def test_sweep_spec_rejects_unknown_backend(self):
-        with pytest.raises(KernelError):
-            SweepSpec(
-                num_nodes=10,
-                pool_size=100,
-                ring_sizes=(5,),
-                curves=((2, 1.0),),
-                trials=2,
-                kernel_backend="bogus",
-            )
 
     def test_env_override_threads_into_provenance(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "reference")

@@ -10,7 +10,6 @@ block assembly.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.experiments.degree_poisson import run_degree_poisson
@@ -104,30 +103,3 @@ class TestSharedDeployments:
             result.series(f"degree_count[h={h}]") for h in (0, 1, 2)
         )
         assert (total <= 100).all()
-
-
-class TestBackendCrossCheck:
-    def test_theorem1_study_vs_legacy_ci_overlap(self):
-        kwargs = dict(
-            trials=60, alphas=(2.0,), ks=(1,), num_nodes=120,
-            key_ring_size=40, pool_size=2000, workers=1,
-        )
-        study = run_theorem1_check(backend="study", **kwargs)
-        legacy = run_theorem1_check(backend="legacy", **kwargs)
-        for ps, pl in zip(study.points, legacy.points):
-            assert ps.estimate.ci_low <= pl.estimate.ci_high
-            assert pl.estimate.ci_low <= ps.estimate.ci_high
-
-    def test_degree_poisson_study_vs_legacy_means_close(self):
-        kwargs = dict(
-            trials=40, degrees=(0,), num_nodes=150, key_ring_size=40,
-            pool_size=2000, workers=1,
-        )
-        study = run_degree_poisson(backend="study", **kwargs)
-        legacy = run_degree_poisson(backend="legacy", **kwargs)
-        lam = study.points[0].point["lambda_exact"]
-        for result in (study, legacy):
-            mean = result.points[0].point["empirical_mean"]
-            # Poisson-ish counts: means from 40 trials stay within a few
-            # standard errors of the analytic mean.
-            assert abs(mean - lam) < 4.0 * np.sqrt(lam / 40) + 1.0

@@ -9,8 +9,8 @@ Covers the tentpole guarantees of the ``num_nodes_grid`` redesign:
   ``SeedSequence(seed, spawn_key=(size_index, ring_index, trial))``,
   so estimates are bit-identical for any worker count *and* match a
   serial per-size reference evaluation using the same seeds;
-* ``zero_one`` is a single size-grid declaration whose study backend
-  cross-checks against ``backend="legacy"``;
+* ``zero_one`` is a single size-grid declaration (its statistical
+  cross-check against independent sampling is ``tests/test_oracle.py``);
 * indicator detection comes from the metric spec, not the values, so
   a pinned value metric renders as mean ± std.
 """
@@ -318,20 +318,6 @@ class TestZeroOneSingleDeclaration:
             (pt.estimate.successes, pt.estimate.trials, dict(pt.point))
             for pt in b.points
         ]
-
-    def test_study_vs_legacy_ci_overlap(self):
-        from repro.experiments.zero_one import run_zero_one
-
-        kwargs = dict(
-            trials=50, num_nodes_grid=(100,), alpha_offsets=(2.0,),
-            pool_size=2000, workers=1,
-        )
-        study = run_zero_one(backend="study", **kwargs)
-        legacy = run_zero_one(backend="legacy", **kwargs)
-        for ps, pl in zip(study.points, legacy.points):
-            assert ps.point == pl.point
-            assert ps.estimate.ci_low <= pl.estimate.ci_high
-            assert pl.estimate.ci_low <= ps.estimate.ci_high
 
     def test_unknown_backend(self):
         from repro.experiments.zero_one import run_zero_one

@@ -1,17 +1,24 @@
-"""Tests for the shared-deployment batched sweep engine.
+"""The shared-deployment sweep: coupling, determinism, backend consistency.
 
-Covers the three properties the engine's exactness rests on:
+Covers the properties the study compiler's exactness rests on:
 
 1. the nested-thinning coupling invariant (smaller ``p`` / larger ``q``
    masks are subsets of larger ``p`` / smaller ``q`` masks within one
-   deployment);
-2. statistical consistency between the sweep backend and the legacy
-   per-point path (same model marginally, only the joint law differs);
-3. determinism: both backends are bit-exact under a fixed seed, and the
-   sweep result is invariant to the worker count.
+   deployment), checked on :func:`repro.study.metrics.sample_deployment`;
+2. determinism: ``Study.run`` is bit-exact under a fixed seed and
+   invariant to the worker count;
+3. backend consistency: every available kernel backend produces the
+   same value tensors on a Figure-1-style corpus through ``Study.run``,
+   warm pool on and off.  The numba CI leg runs this file with numba
+   installed, so the corpus covers the jitted backend there.
+
+Statistical agreement with independent per-trial sampling lives in
+``tests/test_oracle.py``.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,27 +27,47 @@ from repro.exceptions import ParameterError
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.zero_one import run_zero_one
 from repro.graphs.generators import erdos_renyi_edges
-from repro.graphs.traversal import connected_components
 from repro.graphs.graph import Graph
+from repro.graphs.traversal import connected_components
 from repro.graphs.unionfind import (
     connected_components_labels,
     count_components_pair_keys,
     is_connected_pair_keys,
 )
-from repro.simulation.sweep import (
-    SweepSpec,
-    run_sweep_trials,
-    sweep_connectivity_estimates,
-    sweep_curve_masks,
-    sweep_deployment_outcomes,
-)
+from repro.study import ClassMix, MetricSpec, Scenario, Study
+from repro.study.metrics import DeploymentEvaluator, sample_deployment
 
-SIX_CURVES = [(2, 1.0), (2, 0.5), (2, 0.2), (3, 1.0), (3, 0.5), (3, 0.2)]
+SIX_CURVES = ((2, 1.0), (2, 0.5), (2, 0.2), (3, 1.0), (3, 0.5), (3, 0.2))
 
 
 def _subset(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether boolean mask *a* selects a subset of mask *b*."""
     return not bool((a & ~b).any())
+
+
+def _curve_masks(num_nodes, pool_size, ring_size, curves, rng):
+    """One shared deployment; the on/off mask of every curve."""
+    dep = sample_deployment(
+        num_nodes, pool_size, ring_size, min(q for q, _ in curves), rng
+    )
+    evaluator = DeploymentEvaluator(dep)
+    return {(q, p): evaluator.curve_mask("onoff", q, p) for q, p in curves}
+
+
+def _sweep(trials=5, **overrides):
+    """A connectivity sweep scenario with six Figure-1 curves."""
+    fields = dict(
+        name="sweep",
+        num_nodes=120,
+        pool_size=2000,
+        ring_sizes=(28, 34),
+        curves=SIX_CURVES,
+        metrics=(MetricSpec("connectivity"),),
+        trials=trials,
+        seed=2017,
+    )
+    fields.update(overrides)
+    return Scenario(**fields)
 
 
 class TestVectorizedKernel:
@@ -78,8 +105,7 @@ class TestCouplingInvariant:
     def test_masks_nested_in_p_and_q(self):
         rng = np.random.default_rng(2017)
         for _ in range(5):
-            cand, masks = sweep_curve_masks(200, 2000, 40, SIX_CURVES, rng)
-            by_curve = dict(zip(SIX_CURVES, masks))
+            by_curve = _curve_masks(200, 2000, 40, SIX_CURVES, rng)
             # p-nesting at fixed q (nested thinning of one uniform draw).
             for q in (2, 3):
                 assert _subset(by_curve[(q, 0.2)], by_curve[(q, 0.5)])
@@ -93,92 +119,56 @@ class TestCouplingInvariant:
     def test_channel_marginal_rate(self):
         # Thinning at p keeps ~p of the q-filtered candidates.
         rng = np.random.default_rng(5)
-        cand, masks = sweep_curve_masks(300, 1000, 30, [(2, 1.0), (2, 0.5)], rng)
-        full = int(masks[0].sum())
-        kept = int(masks[1].sum())
+        by_curve = _curve_masks(300, 1000, 30, [(2, 1.0), (2, 0.5)], rng)
+        full = int(by_curve[(2, 1.0)].sum())
+        kept = int(by_curve[(2, 0.5)].sum())
         assert full > 500  # sanity: the point is non-degenerate
         assert abs(kept / full - 0.5) < 0.05
 
     def test_outcomes_monotone_across_curves(self):
         # Connectivity is monotone in the edge set, so within one
         # deployment outcome(p small) implies outcome(p large).
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            out = sweep_deployment_outcomes(
-                120, 2000, 30, [(2, 1.0), (2, 0.5), (2, 0.2)], rng
-            )
-            assert (not out[1]) or out[0]
-            assert (not out[2]) or out[1]
+        values = Study((_sweep(trials=10, curves=((2, 1.0), (2, 0.5), (2, 0.2))),)).run(
+            workers=1
+        )["sweep"].values[..., 0]
+        assert (values[..., 1] <= values[..., 0]).all()
+        assert (values[..., 2] <= values[..., 1]).all()
 
 
 class TestSweepDeterminism:
     def test_bit_exact_repeat_and_worker_invariance(self):
-        spec = SweepSpec(
-            num_nodes=100,
-            pool_size=1500,
-            ring_sizes=(25, 35),
-            curves=((2, 1.0), (2, 0.5)),
-            trials=8,
-            seed=99,
-        )
-        a = run_sweep_trials(spec, workers=1)
-        b = run_sweep_trials(spec, workers=1)
-        c = run_sweep_trials(spec, workers=2)
+        study = Study((_sweep(trials=8, curves=((2, 1.0), (2, 0.5)), seed=99),))
+        a = study.run(workers=1)["sweep"].values
+        b = study.run(workers=1)["sweep"].values
+        c = study.run(workers=2)["sweep"].values
         assert np.array_equal(a, b)
         assert np.array_equal(a, c)
-        assert a.shape == (2, 2)
+        assert a.shape == (2, 8, 2, 1)
 
     def test_estimates_shape_and_counts(self):
-        spec = SweepSpec(
-            num_nodes=80,
-            pool_size=1000,
-            ring_sizes=(20,),
-            curves=((2, 1.0), (3, 1.0)),
-            trials=5,
-            seed=7,
+        scenario = _sweep(
+            num_nodes=80, pool_size=1000, ring_sizes=(20,),
+            curves=((2, 1.0), (3, 1.0)), seed=7,
         )
-        estimates = sweep_connectivity_estimates(spec, workers=1)
-        assert set(estimates) == {(2, 1.0), (3, 1.0)}
-        for per_ring in estimates.values():
-            assert set(per_ring) == {20}
-            assert per_ring[20].trials == 5
+        result = Study((scenario,)).run(workers=1)["sweep"]
+        for curve in scenario.curves:
+            assert result.bernoulli("connectivity", curve, 20).trials == 5
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ParameterError):
-            SweepSpec(
-                num_nodes=10, pool_size=100, ring_sizes=(), curves=((2, 1.0),),
-                trials=3,
-            )
+            _sweep(ring_sizes=())
         with pytest.raises(ParameterError):
-            SweepSpec(
-                num_nodes=10, pool_size=100, ring_sizes=(5,), curves=(),
-                trials=3,
-            )
+            _sweep(curves=())
         with pytest.raises(ParameterError):
             # q exceeds the ring size.
-            SweepSpec(
-                num_nodes=10, pool_size=100, ring_sizes=(2,),
-                curves=((3, 1.0),), trials=3,
-            )
+            _sweep(ring_sizes=(2,), curves=((3, 1.0),))
 
 
 class TestBackendConsistency:
-    def test_legacy_backend_bit_exact(self):
-        kwargs = dict(
-            trials=6, ring_sizes=[28, 34], curves=[(2, 0.5)],
-            num_nodes=120, pool_size=2000, workers=1, backend="legacy",
-        )
-        a = run_figure1(**kwargs)
-        b = run_figure1(**kwargs)
-        assert [p.estimate.successes for p in a.points] == [
-            p.estimate.successes for p in b.points
-        ]
-        assert a.config["backend"] == "legacy"
-
     def test_sweep_backend_bit_exact(self):
         kwargs = dict(
             trials=6, ring_sizes=[28, 34], curves=[(2, 0.5), (2, 1.0)],
-            num_nodes=120, pool_size=2000, workers=1, backend="sweep",
+            num_nodes=120, pool_size=2000, workers=1,
         )
         a = run_figure1(**kwargs)
         b = run_figure1(**kwargs)
@@ -186,33 +176,17 @@ class TestBackendConsistency:
             p.estimate.successes for p in b.points
         ]
 
-    def test_point_layout_matches_legacy(self):
-        common = dict(
-            trials=4, ring_sizes=[26, 32], curves=[(2, 1.0), (2, 0.5)],
+    def test_point_layout_is_curve_major(self):
+        result = run_figure1(
+            trials=2, ring_sizes=[26, 32], curves=[(2, 1.0), (2, 0.5)],
             num_nodes=100, pool_size=1500, workers=1,
         )
-        sweep = run_figure1(backend="sweep", **common)
-        legacy = run_figure1(backend="legacy", **common)
-        assert [p.point for p in sweep.points] == [p.point for p in legacy.points]
-        assert [p.prediction for p in sweep.points] == [
-            p.prediction for p in legacy.points
+        assert [p.point for p in result.points] == [
+            {"q": 2, "p": 1.0, "K": 26},
+            {"q": 2, "p": 1.0, "K": 32},
+            {"q": 2, "p": 0.5, "K": 26},
+            {"q": 2, "p": 0.5, "K": 32},
         ]
-
-    def test_sweep_statistically_consistent_with_legacy(self):
-        # Same model, matched trial counts: every sweep CI must overlap
-        # the legacy CI at the same point (deterministic under the
-        # fixed seeds; trial counts keep the CIs wide enough that a
-        # correct implementation passes with large margin).
-        common = dict(
-            trials=120, ring_sizes=[26, 30], curves=[(2, 1.0), (2, 0.5)],
-            num_nodes=150, pool_size=2000, workers=1,
-        )
-        sweep = run_figure1(backend="sweep", **common)
-        legacy = run_figure1(backend="legacy", **common)
-        for ps, pl in zip(sweep.points, legacy.points):
-            assert ps.point == pl.point
-            assert ps.estimate.ci_low <= pl.estimate.ci_high
-            assert pl.estimate.ci_low <= ps.estimate.ci_high
 
     def test_zero_one_runs_on_sweep_engine(self):
         result = run_zero_one(
@@ -228,20 +202,24 @@ class TestBackendConsistency:
 
 
 class TestKernelBackendConsistency:
-    """Every available kernel backend is bit-identical on the Figure-1
-    fixture — the registry-wide extension of the PR 1 sweep/legacy
-    backend-consistency pattern, run with the warm pool on and off.
-    (The numba CI leg runs this file with numba installed, so the
-    parametrization covers the jitted backend there.)
+    """Every available kernel backend is bit-identical on one corpus.
+
+    The corpus spans the plain Figure-1 grid, a sized growth grid and a
+    class mix, and runs through ``Study.run`` end to end, with the warm
+    pool on and off.
     """
 
-    FIXTURE = dict(
-        num_nodes=120,
-        pool_size=2000,
-        ring_sizes=(28, 34),
-        curves=tuple(SIX_CURVES),
-        trials=5,
-        seed=2017,
+    CORPUS = (
+        _sweep(),
+        _sweep(
+            name="grown", num_nodes=None, num_nodes_grid=(60, 90),
+            ring_sizes=(24, 30), curves=((2, 1.0), (2, 0.5)), seed=31,
+        ),
+        _sweep(
+            name="mixed", num_nodes=80, ring_sizes=((20, 30),),
+            curves=((1, 0.5), (1, 1.0)), seed=37,
+            classes=ClassMix(mu=(0.5, 0.5), channel_probs=((0.8, 0.5), (0.5, 0.3))),
+        ),
     )
 
     def _available(self):
@@ -249,22 +227,23 @@ class TestKernelBackendConsistency:
 
         return [b["name"] for b in available_backends() if b["available"]]
 
+    def _values(self, backend, workers):
+        pinned = [dataclasses.replace(s, kernel_backend=backend) for s in self.CORPUS]
+        result = Study(tuple(pinned)).run(workers=workers)
+        return [r.values for r in result.results]
+
     def test_all_backends_identical_sweep_counts(self):
-        baseline = run_sweep_trials(SweepSpec(**self.FIXTURE), workers=1)
+        baseline = self._values(None, 1)
         for name in self._available():
-            spec = SweepSpec(kernel_backend=name, **self.FIXTURE)
-            assert np.array_equal(
-                run_sweep_trials(spec, workers=1), baseline
-            ), name
+            for got, want in zip(self._values(name, 1), baseline):
+                assert np.array_equal(got, want), name
 
     @pytest.mark.parametrize("persistent_pool", ["0", "1"])
     def test_backends_worker_invariant_pool_on_and_off(
         self, persistent_pool, monkeypatch
     ):
         monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent_pool)
-        baseline = run_sweep_trials(SweepSpec(**self.FIXTURE), workers=1)
+        baseline = self._values(None, 1)
         for name in self._available():
-            spec = SweepSpec(kernel_backend=name, **self.FIXTURE)
-            assert np.array_equal(
-                run_sweep_trials(spec, workers=2), baseline
-            ), (name, persistent_pool)
+            for got, want in zip(self._values(name, 2), baseline):
+                assert np.array_equal(got, want), (name, persistent_pool)
