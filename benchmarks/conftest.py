@@ -30,6 +30,35 @@ def run_once(benchmark, fn, *args, **kwargs):
     )
 
 
+def run_per_point(study, workers: int = 1):
+    """Run every ``(scenario, curve, metric)`` point of *study* on its own.
+
+    The per-point loop the shared-deployment compiler replaces: each
+    point is a one-curve, one-metric scenario run separately, so it
+    samples fresh rings and recounts key overlaps instead of sharing
+    one deployment per ``(K, trial)``.  Returns ``{(scenario name,
+    curve, metric label): ScenarioResult}``.
+    """
+    import dataclasses
+
+    from repro.study import run_scenario
+
+    out = {}
+    for scenario in study.scenarios:
+        for ci, curve in enumerate(scenario.curves):
+            for mi, metric in enumerate(scenario.metrics):
+                point = dataclasses.replace(
+                    scenario,
+                    name=f"{scenario.name}_c{ci}_m{mi}",
+                    curves=(curve,),
+                    metrics=(metric,),
+                )
+                out[scenario.name, curve, metric.label] = run_scenario(
+                    point, workers=workers
+                )
+    return out
+
+
 def kconn_fixture(dense: bool = False):
     """The shared k-connectivity bench fixture: ``(num_nodes, edges)``.
 

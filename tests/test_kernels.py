@@ -43,7 +43,7 @@ from repro.kernels import (
 from repro.kernels.probe import probe_backends
 from repro.kernels.reference import ReferenceBackend, scan_first_certificate
 from repro.keygraphs.uniform_graph import uniform_intersection_edges
-from repro.study import MetricSpec, Scenario, Study
+from repro.study import MetricSpec, Scenario, Study, run_scenario
 
 AVAILABLE = [info["name"] for info in available_backends() if info["available"]]
 
@@ -279,6 +279,25 @@ class TestBackendConsistency:
         )
 
     @pytest.mark.parametrize("backend", AVAILABLE)
+    def test_sweep_engine_identical_across_backends(self, backend):
+        import dataclasses
+
+        scenario = Scenario(
+            name="sweep",
+            num_nodes=80,
+            pool_size=900,
+            ring_sizes=(16, 20),
+            curves=((2, 1.0), (2, 0.5)),
+            metrics=(MetricSpec("connectivity"),),
+            trials=6,
+            seed=31,
+        )
+        baseline = run_scenario(scenario, workers=1)
+        pinned = dataclasses.replace(scenario, kernel_backend=backend)
+        result = run_scenario(pinned, workers=1)
+        assert np.array_equal(result.values, baseline.values)
+
+    @pytest.mark.parametrize("backend", AVAILABLE)
     def test_probe_passes(self, backend):
         (probe,) = probe_backends(backend)
         assert probe["available"]
@@ -299,6 +318,20 @@ class TestConfigThreading:
     def test_scenario_rejects_unknown_backend(self):
         with pytest.raises(ParameterError, match="unknown kernel backend"):
             _fixture_study(kernel_backend="bogus")
+
+    def test_sweep_spec_rejects_unknown_backend(self):
+        spec = {
+            "name": "sweep",
+            "num_nodes": 10,
+            "pool_size": 100,
+            "ring_sizes": [5],
+            "curves": [[2, 1.0]],
+            "metrics": [{"kind": "connectivity"}],
+            "trials": 2,
+            "kernel_backend": "bogus",
+        }
+        with pytest.raises(ParameterError, match="unknown kernel backend"):
+            Scenario.from_dict(spec)
 
     def test_protocol_scenario_rejects_backend(self):
         with pytest.raises(ParameterError, match="protocol"):

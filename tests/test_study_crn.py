@@ -10,11 +10,16 @@ block assembly.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.experiments.degree_poisson import run_degree_poisson
+from repro.experiments.degree_poisson import (
+    build_degree_poisson_study,
+    run_degree_poisson,
+)
 from repro.experiments.mindegree_equiv import run_mindegree_equiv
 from repro.experiments.theorem1_check import run_theorem1_check
+from tests.oracle import oracle_values
 
 SMALL = dict(num_nodes=100, key_ring_size=40, pool_size=2000, workers=None)
 
@@ -103,3 +108,24 @@ class TestSharedDeployments:
             result.series(f"degree_count[h={h}]") for h in (0, 1, 2)
         )
         assert (total <= 100).all()
+
+
+class TestBackendCrossCheck:
+    """The study path against the per-trial reference of ``tests.oracle``,
+    which re-samples every point the way the retired legacy backend did."""
+
+    def test_degree_poisson_study_vs_legacy_means_close(self):
+        kwargs = dict(
+            trials=40, degrees=(0,), num_nodes=150, key_ring_size=40,
+            pool_size=2000,
+        )
+        study = run_degree_poisson(workers=1, **kwargs)
+        (scenario,) = build_degree_poisson_study(**kwargs).scenarios
+        lam = study.points[0].point["lambda_exact"]
+        for mean in (
+            study.points[0].point["empirical_mean"],
+            oracle_values(scenario, seed=3).mean(),
+        ):
+            # Poisson-ish counts: means from 40 trials stay within a few
+            # standard errors of the analytic mean.
+            assert abs(mean - lam) < 4.0 * np.sqrt(lam / 40) + 1.0

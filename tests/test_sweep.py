@@ -12,8 +12,9 @@ Covers the properties the study compiler's exactness rests on:
    warm pool on and off.  The numba CI leg runs this file with numba
    installed, so the corpus covers the jitted backend there.
 
-Statistical agreement with independent per-trial sampling lives in
-``tests/test_oracle.py``.
+A Figure 1 slice is also checked against independent per-trial
+sampling (:mod:`tests.oracle`); every other sweep experiment is checked
+against it in ``tests/test_oracle.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
-from repro.experiments.figure1 import run_figure1
+from repro.experiments.figure1 import build_figure1_study, run_figure1
 from repro.experiments.zero_one import run_zero_one
 from repro.graphs.generators import erdos_renyi_edges
 from repro.graphs.graph import Graph
@@ -34,8 +35,10 @@ from repro.graphs.unionfind import (
     count_components_pair_keys,
     is_connected_pair_keys,
 )
+from repro.simulation.estimators import wilson_interval
 from repro.study import ClassMix, MetricSpec, Scenario, Study
 from repro.study.metrics import DeploymentEvaluator, sample_deployment
+from tests.oracle import oracle_values
 
 SIX_CURVES = ((2, 1.0), (2, 0.5), (2, 0.2), (3, 1.0), (3, 0.5), (3, 0.2))
 
@@ -165,6 +168,44 @@ class TestSweepDeterminism:
 
 
 class TestBackendConsistency:
+    """The study path against the per-trial reference of ``tests.oracle``.
+
+    The oracle re-samples every ``(K, curve)`` cell on its own, the way
+    the retired legacy per-point backend did.
+    """
+
+    FIGURE1 = dict(
+        trials=6, ring_sizes=[28, 34], curves=[(2, 0.5)], num_nodes=120,
+        pool_size=2000,
+    )
+
+    def test_legacy_backend_bit_exact(self):
+        (scenario,) = build_figure1_study(**self.FIGURE1).scenarios
+        a = oracle_values(scenario, seed=5)
+        b = oracle_values(scenario, seed=5)
+        assert np.array_equal(a, b)
+        assert "backend" not in run_figure1(workers=1, **self.FIGURE1).config
+
+    def test_sweep_statistically_consistent_with_legacy(self):
+        # Same model, matched trial counts: every study CI must overlap
+        # the per-trial reference CI at the same point (deterministic
+        # under the fixed seeds; trial counts keep the CIs wide enough
+        # that a correct implementation passes with large margin).
+        common = dict(
+            trials=120, ring_sizes=[26, 30], curves=[(2, 1.0), (2, 0.5)],
+            num_nodes=150, pool_size=2000,
+        )
+        sweep = run_figure1(workers=1, **common)
+        (scenario,) = build_figure1_study(**common).scenarios
+        reference = oracle_values(scenario, seed=11)
+        for ps in sweep.points:
+            ri = scenario.ring_sizes.index(ps.point["K"])
+            ci = scenario.curves.index((ps.point["q"], ps.point["p"]))
+            cell = reference[ri, :, ci, 0]
+            low, high = wilson_interval(int(cell.sum()), cell.size)
+            assert ps.estimate.ci_low <= high
+            assert low <= ps.estimate.ci_high
+
     def test_sweep_backend_bit_exact(self):
         kwargs = dict(
             trials=6, ring_sizes=[28, 34], curves=[(2, 0.5), (2, 1.0)],

@@ -1,134 +1,114 @@
-"""Tests for trial protocols and estimation runners."""
+"""Tests for per-deployment trial protocols and the scenario runner.
+
+A trial protocol is the evaluation of one sampled deployment
+(:func:`~repro.study.metrics.sample_deployment` plus
+:class:`~repro.study.metrics.DeploymentEvaluator`); the runner is
+:func:`~repro.study.run_scenario`, which draws ``trials`` deployments
+per ``(K, trial)`` seed address.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.params import QCompositeParams
-from repro.simulation.runners import (
-    estimate_agreement,
-    estimate_connectivity,
-    estimate_k_connectivity,
-    estimate_min_degree,
-    sample_degree_counts,
-)
-from repro.simulation.trials import (
-    connectivity_trial,
-    degree_count_trial,
-    k_connectivity_trial,
-    min_degree_trial,
-    min_degree_vs_kconn_trial,
-    sample_secure_edges,
-)
+from repro.study import MetricSpec, Scenario, run_scenario
+from repro.study.metrics import DeploymentEvaluator, evaluate_scenario, sample_deployment
+
+N, K, P, Q, CHANNEL = 80, 14, 600, 2, 0.7
 
 
-@pytest.fixture
-def mid_params() -> QCompositeParams:
-    """Near-threshold point at small n: outcomes vary across trials."""
-    return QCompositeParams(
-        num_nodes=80, key_ring_size=14, pool_size=600, overlap=2, channel_prob=0.7
+def _trial(seed: int) -> DeploymentEvaluator:
+    """One near-threshold deployment at small n: outcomes vary by seed."""
+    return DeploymentEvaluator(sample_deployment(N, P, K, Q, np.random.default_rng(seed)))
+
+
+def _scenario(*metrics: MetricSpec, trials: int, seed: int) -> Scenario:
+    return Scenario(
+        name="mid",
+        num_nodes=N,
+        pool_size=P,
+        ring_sizes=(K,),
+        curves=((Q, CHANNEL),),
+        metrics=metrics,
+        trials=trials,
+        seed=seed,
     )
 
 
-class TestSampleSecureEdges:
-    def test_deterministic_per_generator_state(self, mid_params):
-        a = sample_secure_edges(mid_params, np.random.default_rng(1))
-        b = sample_secure_edges(mid_params, np.random.default_rng(1))
-        assert np.array_equal(a, b)
-
-    def test_channel_thins_edges(self, mid_params):
-        full = mid_params.with_updates(channel_prob=1.0)
-        thin = mid_params.with_updates(channel_prob=0.3)
-        e_full = sample_secure_edges(full, np.random.default_rng(2))
-        e_thin = sample_secure_edges(thin, np.random.default_rng(2))
-        assert e_thin.shape[0] < e_full.shape[0]
-
-    def test_p_one_equals_key_graph(self, mid_params):
-        from repro.keygraphs.rings import sample_uniform_rings
-        from repro.keygraphs.uniform_graph import edges_from_rings
-
-        params = mid_params.with_updates(channel_prob=1.0)
-        rng = np.random.default_rng(3)
-        ours = sample_secure_edges(params, rng)
-        rng2 = np.random.default_rng(3)
-        rings = sample_uniform_rings(80, 14, 600, rng2)
-        expect = edges_from_rings(rings, 2)
-        assert np.array_equal(ours, expect)
-
-
 class TestTrialProtocols:
-    def test_connectivity_trial_bool(self, mid_params):
-        assert isinstance(connectivity_trial(mid_params, np.random.default_rng(1)), bool)
+    def test_connectivity_trial_bool(self):
+        value = _trial(1).evaluate("onoff", Q, CHANNEL, MetricSpec("connectivity"))
+        assert value in (0.0, 1.0)
 
-    def test_k1_trial_matches_connectivity_trial(self, mid_params):
+    def test_k1_trial_matches_connectivity_trial(self):
         for seed in range(5):
-            a = connectivity_trial(mid_params, np.random.default_rng(seed))
-            b = k_connectivity_trial(mid_params, 1, np.random.default_rng(seed))
+            a = _trial(seed).evaluate("onoff", Q, CHANNEL, MetricSpec("connectivity"))
+            b = _trial(seed).evaluate(
+                "onoff", Q, CHANNEL, MetricSpec("k_connectivity", k=1)
+            )
             assert a == b
 
-    def test_kconn_implies_mindegree(self, mid_params):
-        for seed in range(10):
-            deg_ok, conn_ok = min_degree_vs_kconn_trial(
-                mid_params, 2, np.random.default_rng(seed)
-            )
-            if conn_ok:
-                assert deg_ok
-
-    def test_min_degree_trial_matches_joint(self, mid_params):
-        for seed in range(5):
-            solo = min_degree_trial(mid_params, 2, np.random.default_rng(seed))
-            joint, _ = min_degree_vs_kconn_trial(
-                mid_params, 2, np.random.default_rng(seed)
-            )
-            assert solo == joint
-
-    def test_degree_count_consistent(self, mid_params):
-        # Sum of counts over all h equals n for any single sample.
-        rng_master = np.random.default_rng(4)
-        edges = sample_secure_edges(mid_params, rng_master)
-        from repro.graphs.properties import degrees_from_edges
-
-        degs = degrees_from_edges(80, edges)
-        total = sum(
-            int((degs == h).sum()) for h in range(int(degs.max()) + 1)
+    def test_min_degree_trial_matches_joint(self):
+        # The joint evaluation deduces cells from a shared ledger; the
+        # min-degree value must equal the one evaluated on its own.
+        joint = _scenario(
+            MetricSpec("min_degree", k=2), MetricSpec("k_connectivity", k=2),
+            trials=1, seed=0,
         )
-        assert total == 80
+        for seed in range(5):
+            solo = _trial(seed).evaluate("onoff", Q, CHANNEL, MetricSpec("min_degree", k=2))
+            values = evaluate_scenario(_trial(seed), joint)
+            assert solo == values[0, 0]
 
-    def test_degree_count_trial_nonnegative(self, mid_params):
-        v = degree_count_trial(mid_params, 1, np.random.default_rng(5))
-        assert isinstance(v, int) and v >= 0
+    def test_degree_count_trial_nonnegative(self):
+        v = _trial(5).evaluate("onoff", Q, CHANNEL, MetricSpec("degree_count", h=1))
+        assert v == int(v) and v >= 0
 
 
 class TestRunners:
-    def test_connectivity_estimate_fields(self, mid_params):
-        est = estimate_connectivity(mid_params, 20, seed=1, workers=1)
+    def test_connectivity_estimate_fields(self):
+        result = run_scenario(_scenario(MetricSpec("connectivity"), trials=20, seed=1), workers=1)
+        est = result.bernoulli("connectivity")
         assert est.trials == 20
         assert est.successes == round(est.estimate * 20)
 
-    def test_k1_dispatches_to_connectivity(self, mid_params):
-        a = estimate_connectivity(mid_params, 15, seed=2, workers=1)
-        b = estimate_k_connectivity(mid_params, 1, 15, seed=2, workers=1)
-        assert a == b
-
-    def test_parallel_equals_serial(self, mid_params):
-        a = estimate_connectivity(mid_params, 12, seed=3, workers=1)
-        b = estimate_connectivity(mid_params, 12, seed=3, workers=4)
-        assert a == b
-
-    def test_min_degree_at_least_kconn(self, mid_params):
-        # P[min deg >= k] >= P[k-connected] on identical seeds.
-        deg, conn, agreement = estimate_agreement(
-            mid_params, 2, 30, seed=4, workers=1
+    def test_k1_dispatches_to_connectivity(self):
+        a = run_scenario(_scenario(MetricSpec("connectivity"), trials=15, seed=2), workers=1)
+        b = run_scenario(
+            _scenario(MetricSpec("k_connectivity", k=1), trials=15, seed=2), workers=1
         )
+        assert np.array_equal(a.values, b.values)
+
+    def test_parallel_equals_serial(self):
+        scenario = _scenario(MetricSpec("connectivity"), trials=12, seed=3)
+        a = run_scenario(scenario, workers=1)
+        b = run_scenario(scenario, workers=4)
+        assert np.array_equal(a.values, b.values)
+
+    def test_min_degree_at_least_kconn(self):
+        # P[min deg >= k] >= P[k-connected] on identical deployments.
+        scenario = _scenario(
+            MetricSpec("min_degree", k=2), MetricSpec("k_connectivity", k=2),
+            trials=30, seed=4,
+        )
+        result = run_scenario(scenario, workers=1)
+        deg = result.bernoulli("min_degree[k=2]")
+        conn = result.bernoulli("k_connectivity[k=2]")
         assert deg.estimate >= conn.estimate
+        agreement = result.agreement("min_degree[k=2]", "k_connectivity[k=2]")
         assert 0.0 <= agreement <= 1.0
 
-    def test_degree_counts_array(self, mid_params):
-        counts = sample_degree_counts(mid_params, 0, 25, seed=5, workers=1)
+    def test_degree_counts_array(self):
+        result = run_scenario(
+            _scenario(MetricSpec("degree_count", h=0), trials=25, seed=5), workers=1
+        )
+        counts = result.series("degree_count[h=0]")
         assert counts.shape == (25,)
         assert (counts >= 0).all()
 
-    def test_min_degree_estimate(self, mid_params):
-        est = estimate_min_degree(mid_params, 1, 20, seed=6, workers=1)
+    def test_min_degree_estimate(self):
+        result = run_scenario(
+            _scenario(MetricSpec("min_degree", k=1), trials=20, seed=6), workers=1
+        )
+        est = result.bernoulli("min_degree[k=1]")
         assert 0.0 <= est.estimate <= 1.0
