@@ -1,8 +1,9 @@
 """Ablation bench: generator backend throughput.
 
 Compares the two exact ``G_q`` generation strategies (inverted-index
-pair counting vs dense Gram matrix) and the two exact ER samplers
-(dense Bernoulli sweep vs sparse Floyd sampling) at the Figure 1 scale.
+pair counting vs the test oracle's dense Gram matrix) and the two exact
+ER samplers (dense Bernoulli sweep vs sparse Floyd sampling) at the
+Figure 1 scale.
 DESIGN.md §6 predicts the inverted index wins at the paper's density;
 this bench verifies the numbers behind that design choice.
 """
@@ -15,6 +16,7 @@ import pytest
 from repro.graphs.generators import erdos_renyi_edges
 from repro.keygraphs.rings import sample_uniform_rings
 from repro.keygraphs.uniform_graph import edges_from_rings
+from tests.oracle import edges_dense
 
 N, K, P, Q = 1000, 60, 10000, 2
 
@@ -25,11 +27,11 @@ def rings() -> np.ndarray:
 
 
 def test_bench_keygraph_inverted_backend(benchmark, rings):
-    benchmark(edges_from_rings, rings, Q, backend="inverted")
+    benchmark(edges_from_rings, rings, Q)
 
 
 def test_bench_keygraph_dense_backend(benchmark, rings):
-    benchmark(edges_from_rings, rings, Q, backend="dense")
+    benchmark(edges_dense, rings, Q)
 
 
 def test_bench_ring_sampling(benchmark):
@@ -52,12 +54,7 @@ def test_bench_er_sparse(benchmark):
 
 
 def test_backends_agree_at_bench_scale(benchmark, rings):
-    """Correctness rider: both backends, one timing, identical output."""
-
-    def both():
-        inv = edges_from_rings(rings, Q, backend="inverted")
-        return inv
-
-    inv = benchmark(both)
-    dense = edges_from_rings(rings, Q, backend="dense")
+    """Correctness rider: both strategies, one timing, identical output."""
+    inv = benchmark(edges_from_rings, rings, Q)
+    dense = edges_dense(rings, Q)
     assert np.array_equal(inv, dense)

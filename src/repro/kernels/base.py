@@ -67,12 +67,14 @@ class KernelBackend(abc.ABC):
         """Shared-key count per co-holding node pair.
 
         Input is the flattened incidence (``node_ids[i]`` holds
-        ``key_ids[i]``; both int64, non-empty; rows are unique — a node
-        holds a key at most once, as key rings are subsets).  Returns
-        ``(pair_keys, counts)`` where ``pair_keys`` encodes each
-        unordered pair ``(a, b), a < b`` sharing at least one key as
-        ``a * num_nodes + b``, sorted ascending, and ``counts`` is the
-        number of shared keys.  Pairs sharing zero keys are absent.
+        ``key_ids[i]``; both int64, non-empty; ``0 <= node_ids <
+        num_nodes`` and ``key_ids >= 0``, as key ids are pool indices;
+        rows are unique — a node holds a key at most once, as key rings
+        are subsets).  Returns ``(pair_keys, counts)`` where
+        ``pair_keys`` encodes each unordered pair ``(a, b), a < b``
+        sharing at least one key as ``a * num_nodes + b``, sorted
+        ascending, and ``counts`` is the number of shared keys; both
+        outputs are int64.  Pairs sharing zero keys are absent.
         """
 
     # -- kernel 3: the exact k-connectivity decision -------------------

@@ -6,9 +6,9 @@ ran on before the backend layer existed, moved behind the
 
 * :func:`min_label_components` is the PR 1 pointer-jumping min-label
   propagation (formerly ``repro.graphs.unionfind._min_label_components``);
-* :func:`overlap_counts` is the group-size-batched ``np.unique``
-  inverted-index counter (formerly the body of
-  ``repro.keygraphs.uniform_graph.overlap_counts_from_rings``);
+* :func:`overlap_counts` is the inverted-index counter: one sort of
+  combined ``key * n + node`` codes, group-size-batched pair-event
+  expansion, and a pair-code sort plus run-length count;
 * :func:`scan_first_certificate` is new in PR 5: the Nagamochi–Ibaraki
   sparse certificate via k rounds of scan-first (BFS) spanning forests.
 
@@ -70,14 +70,30 @@ def overlap_counts(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Shared-key count per co-holding pair via the inverted key index.
 
-    Emits one pair event per co-holding pair per key and counts pair
-    multiplicities with ``np.unique``.  Keys are processed in batches of
-    equal holder count, so each batch is one ``(num_keys, m)`` gather
-    plus one ``triu``-index expansion — no per-key Python iteration.
+    One in-place sort of the combined codes ``key * n + node`` groups
+    the incidence by key with each key's holders node-ascending, so the
+    ``triu`` expansion of a group emits canonical pair codes
+    ``a * n + b`` (``a < b``) directly.  Keys are processed in batches
+    of equal holder count, so each batch is one ``(num_keys, m)``
+    gather plus one ``triu``-index expansion — no per-key Python
+    iteration.  Pair multiplicities are a second in-place sort plus a
+    run-length count.  Both sorts run on int32 when every code fits
+    (the common case), on int64 otherwise; the outputs are int64.
     """
-    order = np.argsort(key_ids, kind="stable")
-    sorted_keys = key_ids[order]
-    sorted_nodes = node_ids[order]
+    n = int(num_nodes)
+    narrow = (
+        int(key_ids.min()) >= 0
+        and (int(key_ids.max()) + 1) * n < 2**31
+        and n * n < 2**31
+    )
+    width = np.int32 if narrow else np.int64
+
+    codes = key_ids.astype(width)
+    codes *= n
+    codes += node_ids.astype(width, copy=False)
+    codes.sort()
+    sorted_keys = codes // n
+    sorted_nodes = codes - sorted_keys * n
 
     # Group boundaries: starts[i] .. starts[i+1] hold one key's holders.
     change = np.flatnonzero(np.diff(sorted_keys)) + 1
@@ -94,17 +110,18 @@ def overlap_counts(
         gather = starts[sel][:, None] + np.arange(m, dtype=np.int64)[None, :]
         holders = sorted_nodes[gather]
         ia, ib = np.triu_indices(m, k=1)
-        a = holders[:, ia].ravel()
-        b = holders[:, ib].ravel()
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        pair_chunks.append(lo * np.int64(num_nodes) + hi)
+        pair_chunks.append((holders[:, ia] * n + holders[:, ib]).ravel())
 
     if not pair_chunks:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    all_pairs = np.concatenate(pair_chunks)
-    pair_keys, counts = np.unique(all_pairs, return_counts=True)
-    return pair_keys, counts.astype(np.int64)
+    pairs = np.concatenate(pair_chunks)
+    pairs.sort()
+    first = np.empty(pairs.size, dtype=bool)
+    first[0] = True
+    np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+    run_starts = np.flatnonzero(first)
+    counts = np.diff(run_starts, append=pairs.size)
+    return pairs[run_starts].astype(np.int64), counts.astype(np.int64)
 
 
 def scan_first_certificate(

@@ -7,9 +7,9 @@ instead, with a fresh deployment for every ``(size, K, curve, trial)``,
 and shares nothing with the engine's hot path:
 
 * key rings are drawn here with ``Generator.choice``;
-* overlaps come from the dense Gram path
-  (``edges_from_rings(..., backend="dense")``), never from the
-  ``repro.kernels`` overlap kernel;
+* overlaps come from the dense Gram matrix of ring membership
+  (:func:`edges_dense`), never from the ``repro.kernels`` overlap
+  kernel;
 * decisions come from networkx: ``is_connected``, ``node_connectivity``,
   degrees and the largest-component fraction;
 * capture metrics come from the ``repro.wsn`` object model
@@ -32,8 +32,8 @@ import numpy as np
 
 from repro.channels.disk import DiskChannel
 from repro.channels.onoff import OnOffChannel
+from repro.keygraphs.rings import rings_to_incidence
 from repro.keygraphs.schemes import QCompositeScheme
-from repro.keygraphs.uniform_graph import edges_from_rings
 from repro.study.scenario import ClassMix, MetricSpec, Scenario
 from repro.wsn.attacks import capture_attack
 from repro.wsn.network import SecureWSN
@@ -59,6 +59,28 @@ def sample_rings(
     return rings, labels
 
 
+def edges_dense(rings, q: int) -> np.ndarray:
+    """Canonical edge array of the q-intersection graph of *rings*.
+
+    Gram matrix of the ``(n, P)`` membership matrix: ``O(n^2 P)`` flops
+    but BLAS-bound, and independent of the inverted-index overlap
+    kernel it cross-checks.  *rings* is an ``(n, K)`` array or a ragged
+    list of key arrays.
+    """
+    if isinstance(rings, np.ndarray):
+        pool_size = int(rings.max()) + 1 if rings.size else 1
+    else:
+        pool_size = int(max((int(r.max()) for r in rings if r.size), default=0)) + 1
+    incidence = rings_to_incidence(rings, pool_size).astype(np.float32)
+    gram = incidence @ incidence.T  # exact: counts <= K < 2**24
+    iu, ju = np.triu_indices(gram.shape[0], k=1)
+    mask = gram[iu, ju] >= q
+    out = np.empty((int(mask.sum()), 2), dtype=np.int64)
+    out[:, 0] = iu[mask]
+    out[:, 1] = ju[mask]
+    return out
+
+
 def to_graph(num_nodes: int, edges: np.ndarray) -> nx.Graph:
     graph = nx.Graph()
     graph.add_nodes_from(range(num_nodes))
@@ -79,7 +101,7 @@ def sample_graph(
     rings, labels = sample_rings(
         n, ring_size, scenario.pool_size_at(size_index), rng, scenario.classes
     )
-    edges = edges_from_rings(rings, q, backend="dense")
+    edges = edges_dense(rings, q)
     u, v = edges[:, 0], edges[:, 1]
     if scenario.channel == "disk":
         positions = rng.random((n, 2))

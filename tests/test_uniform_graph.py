@@ -1,17 +1,23 @@
 """Tests for the uniform q-intersection graph generator.
 
-The strongest check: the vectorized inverted-index backend and the
-dense Gram-matrix backend must produce *identical* edge sets on the
-same rings, and the realized edge frequency must match the exact
+The strongest checks: the inverted-index overlap kernel must give the
+same edge sets as the dense Gram matrix of :mod:`tests.oracle` and the
+same counts as brute-force pairwise intersections on adversarial ragged
+incidences, and the realized edge frequency must match the exact
 hypergeometric ``s(K, P, q)``.
 """
 
 from __future__ import annotations
 
+from typing import Dict, List
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ParameterError
+from repro.kernels import reference
 from repro.keygraphs.rings import sample_binomial_rings, sample_uniform_rings
 from repro.keygraphs.uniform_graph import (
     edges_from_rings,
@@ -20,6 +26,7 @@ from repro.keygraphs.uniform_graph import (
     uniform_intersection_graph,
 )
 from repro.probability.hypergeometric import overlap_survival
+from tests.oracle import edges_dense
 
 
 def _edge_set(arr: np.ndarray) -> set:
@@ -27,25 +34,22 @@ def _edge_set(arr: np.ndarray) -> set:
 
 
 class TestBackendsAgree:
+    """The inverted-index edges equal the oracle's dense Gram edges."""
+
     def test_uniform_rings_many_seeds(self):
         for seed in range(15):
             rings = sample_uniform_rings(40, 12, 120, seed=seed)
             for q in (1, 2, 3):
-                inv = edges_from_rings(rings, q, backend="inverted")
-                dense = edges_from_rings(rings, q, backend="dense")
+                inv = edges_from_rings(rings, q)
+                dense = edges_dense(rings, q)
                 assert _edge_set(inv) == _edge_set(dense), (seed, q)
 
     def test_ragged_rings(self):
         rings = sample_binomial_rings(30, 0.1, 100, seed=3)
         for q in (1, 2):
-            inv = edges_from_rings(rings, q, backend="inverted")
-            dense = edges_from_rings(rings, q, backend="dense")
+            inv = edges_from_rings(rings, q)
+            dense = edges_dense(rings, q)
             assert _edge_set(inv) == _edge_set(dense)
-
-    def test_unknown_backend_raises(self):
-        rings = sample_uniform_rings(5, 2, 10, seed=0)
-        with pytest.raises(ParameterError):
-            edges_from_rings(rings, 1, backend="magic")
 
 
 class TestOverlapCounts:
@@ -69,6 +73,57 @@ class TestOverlapCounts:
     def test_no_nodes_raises(self):
         with pytest.raises(ParameterError):
             overlap_counts_from_rings([])
+
+    def test_negative_key_id_raises(self):
+        with pytest.raises(ParameterError, match="non-negative"):
+            overlap_counts_from_rings([np.array([0, -1]), np.array([2])])
+        with pytest.raises(ParameterError, match="non-negative"):
+            overlap_counts_from_rings(np.array([[0, 1], [-3, 1]]))
+
+
+def _check_kernel(rings: List[List[int]]) -> None:
+    """``reference.overlap_counts`` equals brute-force pairwise counts."""
+    n = len(rings)
+    node_ids = np.array([i for i, r in enumerate(rings) for _ in r], dtype=np.int64)
+    key_ids = np.array([k for r in rings for k in r], dtype=np.int64)
+    pair_keys, counts = reference.overlap_counts(node_ids, key_ids, n)
+    assert pair_keys.dtype == np.int64 and counts.dtype == np.int64
+    assert (np.diff(pair_keys) > 0).all()
+    expect: Dict[int, int] = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            shared = np.intersect1d(rings[u], rings[v]).size
+            if shared:
+                expect[u * n + v] = shared
+    assert dict(zip(pair_keys.tolist(), counts.tolist())) == expect
+
+
+# Offsets of 2**31 push ``(max_key + 1) * n`` past int32, so the kernel
+# must sort on int64 — a width no benchmark or golden fixture reaches.
+ragged_incidences = st.tuples(
+    st.lists(st.sets(st.integers(0, 30), max_size=8), min_size=1, max_size=12),
+    st.sampled_from([0, 2**31]),
+).map(lambda t: [sorted(k + t[1] for k in ring) for ring in t[0]])
+
+
+class TestOverlapKernel:
+    @given(ragged_incidences)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pairwise_intersections(self, rings):
+        assume(any(rings))  # the kernel contract takes a non-empty incidence
+        _check_kernel(rings)
+
+    def test_no_key_co_held_gives_empty_int64(self):
+        _check_kernel([[0, 1], [2], [3, 4, 5]])
+
+    def test_one_key_held_by_every_node(self):
+        _check_kernel([[7, 10 + i] for i in range(9)])
+
+    def test_int64_width_for_large_key_ids(self):
+        base = 2**31 // 3
+        rings = [[base + 1, base + 2], [base + 2, base + 5], [base + 1, base + 2, base + 5]]
+        assert (base + 5 + 1) * len(rings) >= 2**31
+        _check_kernel(rings)
 
 
 class TestEdgeSemantics:
