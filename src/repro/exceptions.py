@@ -140,9 +140,11 @@ class AnalysisError(ReproError):
 
 
 class DeadUnitError(SchedulerError):
-    """Work units exhausted their retry budget and were quarantined.
+    """A work unit exhausted its retry budget and was quarantined.
 
-    Raised only when a caller demands complete results
-    (``allow_partial=False``); the default scheduling path degrades to a
-    partial result plus a structured fault report instead.
+    Raised when the policy demands complete results
+    (``allow_partial=False``, as the default policy of a run without
+    one does), chained to the unit's last exception; a policy with
+    ``allow_partial`` degrades to a partial result plus a structured
+    fault report instead.
     """

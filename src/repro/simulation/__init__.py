@@ -14,19 +14,23 @@ and ring sizes everything stays independent.
 
 What lives here:
 
-* :func:`run_batches` / :func:`run_trials` — deterministic fan-out of
-  work units and per-trial protocols over the warm worker pool
+* :func:`run_units` — the one dispatcher: every study work unit and
+  every protocol trial chunk runs under this per-unit supervisor,
+  inline for one worker and on the warm worker pool otherwise
   (:mod:`repro.simulation.pool`; ``REPRO_PERSISTENT_POOL=0`` disables
-  reuse), bit-identical for any worker count;
-* :func:`run_units` — the fault-tolerant per-unit supervisor with its
-  seeded chaos harness (:mod:`repro.simulation.faults`);
+  reuse), bit-identical for any worker count.  Without a policy it
+  retries a failed unit once and then fails fast
+  (:data:`DEFAULT_POLICY`); a :class:`SchedulerPolicy` adds backoff,
+  timeouts, speculation, partial results and the seeded chaos harness
+  (:mod:`repro.simulation.faults`);
+* :func:`run_trials` — per-trial protocols as interleaved chunks of
+  :func:`run_units`;
 * :class:`BernoulliEstimate` and the :class:`ExperimentResult`
   containers the experiments return.
 """
 
 from repro.simulation.engine import (
     default_workers,
-    run_batches,
     run_trials,
     trials_from_env,
 )
@@ -36,7 +40,6 @@ from repro.simulation.pool import (
     get_executor,
     persistent_pools_enabled,
     shutdown_pools,
-    submit_batches,
 )
 from repro.simulation.faults import (
     ChaosSpec,
@@ -46,6 +49,7 @@ from repro.simulation.faults import (
     load_chaos,
 )
 from repro.simulation.scheduler import (
+    DEFAULT_POLICY,
     FaultReport,
     SchedulerPolicy,
     combine_fault_reports,
@@ -63,19 +67,18 @@ from repro.simulation.results import (
 __all__ = [
     "default_workers",
     "run_trials",
-    "run_batches",
     "trials_from_env",
     "get_executor",
     "discard_executor",
     "executor_lease",
     "persistent_pools_enabled",
     "shutdown_pools",
-    "submit_batches",
     "ChaosSpec",
     "FaultStrategy",
     "FailureInjector",
     "chaos_from_env",
     "load_chaos",
+    "DEFAULT_POLICY",
     "FaultReport",
     "SchedulerPolicy",
     "combine_fault_reports",

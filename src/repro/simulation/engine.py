@@ -6,6 +6,12 @@ always receives the generator derived from
 ``SeedSequence(s, spawn_key=(i,))`` — regardless of worker count or
 scheduling.  Serial and process-parallel execution therefore produce
 bit-identical outcome sequences, which the test suite asserts.
+
+Trials run as interleaved index chunks under the per-unit supervisor
+(:func:`repro.simulation.scheduler.run_units`) with its default
+fail-fast policy: one retry per chunk, then
+:class:`~repro.exceptions.DeadUnitError` chained to the chunk's last
+exception.
 """
 
 from __future__ import annotations
@@ -17,28 +23,14 @@ from typing import Callable, List, Optional, Sequence, TypeVar
 import numpy as np
 
 from repro.exceptions import SimulationError
-from repro.simulation.pool import submit_batches
+from repro.simulation.pool import default_workers
+from repro.simulation.scheduler import run_units
 from repro.utils.rng import trial_seed_sequence
 
-__all__ = ["run_trials", "run_batches", "default_workers", "trials_from_env"]
+__all__ = ["run_trials", "default_workers", "trials_from_env"]
 
 T = TypeVar("T")
 TrialFn = Callable[[np.random.Generator], T]
-
-
-def default_workers() -> int:
-    """Worker count: ``REPRO_WORKERS`` env var, else ``min(cpu, 8)``.
-
-    Eight processes saturate the Figure 1 workload on typical hosts
-    while keeping fork/IPC overhead negligible for smaller runs.
-    """
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        value = int(env)
-        if value < 1:
-            raise SimulationError(f"REPRO_WORKERS must be >= 1, got {value}")
-        return value
-    return max(1, min(os.cpu_count() or 1, 8))
 
 
 def trials_from_env(default: int, *, full: Optional[int] = None) -> int:
@@ -49,7 +41,12 @@ def trials_from_env(default: int, *, full: Optional[int] = None) -> int:
     """
     env = os.environ.get("REPRO_TRIALS")
     if env:
-        value = int(env)
+        try:
+            value = int(env)
+        except ValueError:
+            raise SimulationError(
+                f"REPRO_TRIALS must be an integer, got {env!r}"
+            ) from None
         if value < 1:
             raise SimulationError(f"REPRO_TRIALS must be >= 1, got {value}")
         return value
@@ -88,7 +85,7 @@ def run_trials(
         for independent replications).
     workers:
         Process count; ``1`` runs inline (no pool), ``None`` uses
-        :func:`default_workers`.
+        :func:`default_workers`; one chunk per worker.
     """
     if num_trials < 1:
         raise SimulationError(f"num_trials must be >= 1, got {num_trials}")
@@ -97,43 +94,14 @@ def run_trials(
         raise SimulationError(f"workers must be >= 1, got {workers}")
     workers = min(workers, num_trials)
 
-    if workers == 1:
-        return _run_indices(trial, seed, range(num_trials))
-
     # Interleaved index blocks keep chunk runtimes balanced even when
-    # difficulty drifts with the trial index.
+    # difficulty drifts with the trial index; one worker gets one chunk.
     chunks = [list(range(w, num_trials, workers)) for w in range(workers)]
     results: List = [None] * num_trials
-    outcomes = submit_batches(
+    outcomes, _ = run_units(
         functools.partial(_run_indices, trial, seed), chunks, workers
     )
     for chunk, chunk_outcomes in zip(chunks, outcomes):
         for index, outcome in zip(chunk, chunk_outcomes):
             results[index] = outcome
     return results
-
-
-def run_batches(
-    fn: Callable[[T], object],
-    batches: Sequence[T],
-    workers: Optional[int] = None,
-) -> List:
-    """Run ``fn(batch)`` for every work unit; return results in order.
-
-    The coarse-grained sibling of :func:`run_trials`: each batch is a
-    self-contained column of work (e.g. a block of trials of one
-    ``(size, K)`` column in the study compiler), so process fan-out and
-    IPC are amortized over the whole column instead of paid per trial.  *fn* must be picklable
-    for ``workers > 1``; batches carry their own deterministic seeds, so
-    results do not depend on worker count.
-    """
-    batches = list(batches)
-    if not batches:
-        return []
-    workers = default_workers() if workers is None else int(workers)
-    if workers < 1:
-        raise SimulationError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, len(batches))
-    if workers == 1:
-        return [fn(batch) for batch in batches]
-    return submit_batches(fn, batches, workers)

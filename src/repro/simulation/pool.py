@@ -1,16 +1,17 @@
 """Persistent (warm) worker pools.
 
-``run_batches``/``run_trials`` used to fork a fresh
-``ProcessPoolExecutor`` per sweep, so every experiment invocation paid
-interpreter startup and module import for each worker.  This module
-keeps one executor alive and hands it back on the next call,
-amortizing that cost across every study, experiment, and benchmark in
-the process.  The pool is sized to the largest worker count requested
-so far (growing recreates it); calls requesting fewer workers reuse
-the big pool but cap their in-flight submissions with a sliding
-window, so concurrency never exceeds the request and the process
-never accumulates one resident pool per distinct worker count.  The
-pool is shut down at interpreter exit.
+The scheduler (:func:`repro.simulation.scheduler.run_units`) runs every
+multi-worker sweep and protocol fan-out on this module's executor.
+Forking a fresh ``ProcessPoolExecutor`` per sweep would make every
+experiment invocation pay interpreter startup and module import for
+each worker, so this module keeps one executor alive and hands it back
+on the next call, amortizing that cost across every study, experiment,
+and benchmark in the process.  The pool is sized to the largest worker
+count requested so far (growing recreates it); calls requesting fewer
+workers reuse the big pool but cap their in-flight submissions at
+their own worker count, so concurrency never exceeds the request and
+the process never accumulates one resident pool per distinct worker
+count.  The pool is shut down at interpreter exit.
 
 Callers with work in flight hold a *lease* on their executor
 (:func:`acquire_lease`/:func:`release_lease` or the
@@ -32,16 +33,17 @@ from __future__ import annotations
 import atexit
 import contextlib
 import os
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
+from concurrent.futures import ProcessPoolExecutor
+from typing import Dict, Iterator, Optional
+
+from repro.exceptions import SimulationError
 
 __all__ = [
     "persistent_pools_enabled",
     "get_executor",
     "discard_executor",
     "shutdown_pools",
-    "submit_batches",
+    "default_workers",
     "acquire_lease",
     "release_lease",
     "executor_lease",
@@ -56,6 +58,26 @@ _LEASES: Dict[int, int] = {}  # id(executor) -> outstanding lease count
 def persistent_pools_enabled() -> bool:
     """Whether warm pool reuse is active (``REPRO_PERSISTENT_POOL`` != 0)."""
     return os.environ.get("REPRO_PERSISTENT_POOL", "1") != "0"
+
+
+def default_workers() -> int:
+    """Worker count: ``REPRO_WORKERS`` env var, else ``min(cpu, 8)``.
+
+    Eight processes saturate the Figure 1 workload on typical hosts
+    while keeping fork/IPC overhead negligible for smaller runs.
+    """
+    env = os.environ.get("REPRO_WORKERS")
+    if env:
+        try:
+            value = int(env)
+        except ValueError:
+            raise SimulationError(
+                f"REPRO_WORKERS must be an integer, got {env!r}"
+            ) from None
+        if value < 1:
+            raise SimulationError(f"REPRO_WORKERS must be >= 1, got {value}")
+        return value
+    return max(1, min(os.cpu_count() or 1, 8))
 
 
 def acquire_lease(executor: ProcessPoolExecutor) -> None:
@@ -132,70 +154,3 @@ def shutdown_pools() -> None:
 
 
 atexit.register(shutdown_pools)
-
-
-def _windowed(
-    pool: ProcessPoolExecutor, fn: Callable, batches: Sequence, workers: int
-) -> List:
-    """Submit with at most *workers* futures in flight; results in order.
-
-    The window waits with ``FIRST_COMPLETED``, so a slow batch never
-    gates the submission of new work behind it (the old implementation
-    blocked on the *oldest* pending future — head-of-line blocking that
-    idled workers whenever early batches ran long).  Completion order
-    is decoupled from result order: results are assigned by submission
-    index, so the returned list is identical for any completion order.
-    On failure, every not-yet-started future is cancelled before the
-    error propagates — a raising batch must not leak queued work into
-    the warm pool for the next caller to trip over.
-    """
-    results: List = [None] * len(batches)
-    index_of: Dict[Future, int] = {}
-    pending: Set[Future] = set()
-
-    def collect(done: Set[Future]) -> None:
-        for future in done:
-            results[index_of.pop(future)] = future.result()
-
-    try:
-        for index, batch in enumerate(batches):
-            future = pool.submit(fn, batch)
-            index_of[future] = index
-            pending.add(future)
-            if len(pending) >= workers:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                collect(done)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            collect(done)
-    except BaseException:
-        for future in pending:
-            future.cancel()
-        raise
-    return results
-
-
-def submit_batches(fn: Callable, batches: Sequence, workers: int) -> List:
-    """Run ``fn(batch)`` for every batch on *workers* processes, in order.
-
-    Uses the warm pool when enabled, an ephemeral pool otherwise; both
-    paths share :func:`_windowed`, so window capping and
-    cancel-on-failure behave identically regardless of
-    ``REPRO_PERSISTENT_POOL``.  If the warm pool turns out to be broken
-    (a worker died since last use), it is discarded and the whole batch
-    list is retried once on a fresh pool — work units are idempotent by
-    the engine's determinism contract, so the retry is safe.
-    """
-    if not persistent_pools_enabled():
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _windowed(pool, fn, batches, workers)
-    for attempt in (0, 1):
-        pool = get_executor(workers)
-        try:
-            with executor_lease(pool):
-                return _windowed(pool, fn, batches, workers)
-        except BrokenProcessPool:
-            discard_executor()
-            if attempt:
-                raise
-    raise AssertionError("unreachable")  # pragma: no cover

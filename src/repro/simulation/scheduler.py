@@ -1,12 +1,11 @@
 """Fault-tolerant per-unit work scheduling on the warm pool.
 
-:func:`repro.simulation.pool.submit_batches` treats a batch list as
-all-or-nothing: one raising batch cancels the rest and the only
-recovery is a single whole-list retry on :class:`BrokenProcessPool`.
-That is the wrong unit of failure for a sharded study service — losing
-one ``(group, size, K-column, trial-block)`` work unit must not throw
-away every other unit's completed work.  This module supervises units
-*individually*:
+:func:`run_units` is the one dispatcher of the library: every study
+work unit (a ``(group, size, K-column, trial-block)`` tuple) and every
+protocol trial chunk runs through it, inline for one worker and on the
+warm pool (:mod:`repro.simulation.pool`) otherwise.  It supervises
+units *individually*, so losing one unit never throws away another
+unit's completed work:
 
 * **bounded retries with jittered backoff** — a failed attempt (crash,
   drop, corrupt result, timeout, pool break) is re-queued up to
@@ -28,8 +27,13 @@ away every other unit's completed work.  This module supervises units
   is dead-lettered into the :class:`FaultReport`; the run returns
   partial results (``None`` per dead unit → ``NaN`` cells in the merge
   substrate) instead of discarding completed shards, unless the caller
-  demands completeness (``allow_partial=False`` →
-  :class:`~repro.exceptions.DeadUnitError`).
+  demands completeness (``allow_partial=False``): then the first
+  quarantined unit stops the run with
+  :class:`~repro.exceptions.DeadUnitError`, chained to its last
+  exception.
+
+Without an explicit policy, units run under :data:`DEFAULT_POLICY` —
+one retry, then fail fast — which is what a plain ``Study.run`` uses.
 
 Determinism is unchanged: work units carry their own absolute-trial
 seeds, so any retry or speculative duplicate computes bit-identical
@@ -67,12 +71,12 @@ from repro.exceptions import (
     UnitTimeoutError,
 )
 from repro.simulation import pool as pool_mod
-from repro.simulation.engine import default_workers
 from repro.simulation.faults import ChaosSpec, FailureInjector, chaos_from_env
 from repro.utils.rng import grid_seed_sequence
 
 __all__ = [
     "SchedulerPolicy",
+    "DEFAULT_POLICY",
     "FaultReport",
     "run_units",
     "resolve_scheduler_policy",
@@ -158,13 +162,20 @@ class SchedulerPolicy:
         }
 
 
+#: The policy of a run that names none: one retry per unit (enough to
+#: survive a single worker death), then fail fast with
+#: :class:`~repro.exceptions.DeadUnitError`.
+DEFAULT_POLICY = SchedulerPolicy(max_retries=1, allow_partial=False)
+
+
 def resolve_scheduler_policy(
     policy: Optional[SchedulerPolicy],
 ) -> Optional[SchedulerPolicy]:
     """An explicit policy wins; else ``REPRO_CHAOS`` implies a default one.
 
-    Returns ``None`` when scheduling should stay on the plain
-    ``run_batches`` path — the zero-overhead default.
+    Returns ``None`` when the caller named no policy: :func:`run_units`
+    then applies :data:`DEFAULT_POLICY`, and the study compiler writes
+    no ``"scheduler"``/``"faults"`` provenance.
     """
     if policy is not None:
         return policy
@@ -415,7 +426,11 @@ def _backoff_delay(policy: SchedulerPolicy, unit: int, failure_count: int) -> fl
 
 
 class _Supervisor:
-    """Event loop driving one supervised run over a process pool."""
+    """One supervised run: inline for one worker, else a pool event loop.
+
+    Both modes share the outcome bookkeeping (retry, backoff,
+    quarantine, integrity checks, completion events).
+    """
 
     def __init__(
         self,
@@ -440,28 +455,32 @@ class _Supervisor:
         self.failures = [0] * n
         self.launches = [0] * n
         self.last_error: List[Optional[str]] = [None] * n
-        self.ready: List[Tuple[float, int]] = [(0.0, i) for i in range(n)]
-        heapq.heapify(self.ready)
+        self.ready: List[Tuple[float, int]] = []  # (ready_at, unit) heap
         self.inflight: Dict[Future, Tuple[int, int, float]] = {}
         self.zombies: Dict[Future, Tuple[int, int, float]] = {}
         self.inflight_per_unit: Dict[int, int] = {}
 
-        self.warm = pool_mod.persistent_pools_enabled()
-        if self.warm:
-            self.executor = pool_mod.get_executor(workers)
-            pool_mod.acquire_lease(self.executor)
-        else:
-            self.executor = ProcessPoolExecutor(max_workers=workers)
-
     # -- lifecycle -----------------------------------------------------
 
-    def close(self) -> None:
+    def _open(self) -> None:
+        self.warm = pool_mod.persistent_pools_enabled()
+        if self.warm:
+            self.executor = pool_mod.get_executor(self.workers)
+            pool_mod.acquire_lease(self.executor)
+        else:
+            self.executor = ProcessPoolExecutor(max_workers=self.workers)
+
+    def _close(self) -> None:
+        # A fail-fast stop leaves attempts in flight: queued ones are
+        # cancelled, running ones finish in their worker uncollected.
+        for future in self.inflight:
+            future.cancel()
         if self.warm:
             pool_mod.release_lease(self.executor)
         else:
             # Zombie attempts (timed out, still running) must not block
             # the caller; the executor reaps them asynchronously.
-            self.executor.shutdown(wait=not self.zombies)
+            self.executor.shutdown(wait=not (self.zombies or self.inflight))
 
     def _fresh_executor(self) -> None:
         if self.warm:
@@ -519,7 +538,9 @@ class _Supervisor:
 
     # -- outcomes ------------------------------------------------------
 
-    def _schedule_retry_or_quarantine(self, unit: int, attempt: int, error: str) -> None:
+    def _schedule_retry_or_quarantine(
+        self, unit: int, attempt: int, error: str, exc: Optional[BaseException]
+    ) -> None:
         self.failures[unit] += 1
         self.last_error[unit] = error
         if self.done[unit]:
@@ -528,6 +549,11 @@ class _Supervisor:
             # Quarantined: nothing further is scheduled; the unit is
             # dead unless an attempt still in flight lands a result.
             self.report.record(unit, attempt, "quarantine", error)
+            if not self.policy.allow_partial:
+                raise DeadUnitError(
+                    f"work unit exhausted its retry budget (max_retries="
+                    f"{self.policy.max_retries}): units [{unit}]; last error: {error}"
+                ) from exc
             return
         self.report.retries += 1
         ready_at = time.monotonic() + _backoff_delay(
@@ -547,13 +573,13 @@ class _Supervisor:
             kind = "error"
         detail = f"{type(exc).__name__}: {exc}"
         self.report.record(unit, attempt, kind, detail)
-        self._schedule_retry_or_quarantine(unit, attempt, detail)
+        self._schedule_retry_or_quarantine(unit, attempt, detail, exc)
 
     def _accept(self, unit: int, attempt: int, envelope: _Envelope) -> None:
         if envelope.dropped:
             self.report.drops += 1
             self.report.record(unit, attempt, "drop")
-            self._schedule_retry_or_quarantine(unit, attempt, "result dropped")
+            self._schedule_retry_or_quarantine(unit, attempt, "result dropped", None)
             return
         checksum = payload_checksum(envelope.payload)
         if checksum != envelope.checksum:
@@ -565,7 +591,7 @@ class _Supervisor:
                 attempt,
             )
             self.report.record(unit, attempt, "corrupt", str(exc))
-            self._schedule_retry_or_quarantine(unit, attempt, str(exc))
+            self._schedule_retry_or_quarantine(unit, attempt, str(exc), exc)
             return
         if "delay" in envelope.injected:
             self.report.delays += 1
@@ -599,6 +625,7 @@ class _Supervisor:
         # BrokenProcessPool (popped in the completion loop); everything
         # still tracked in flight died with the same pool.
         self.report.pool_breaks += 1
+        exc = BrokenProcessPool("worker pool broke")
         victims = sorted(
             {
                 unit
@@ -615,7 +642,7 @@ class _Supervisor:
         for unit in victims:
             self.report.record(unit, self.launches[unit] - 1, "pool_break")
             self._schedule_retry_or_quarantine(
-                unit, self.launches[unit] - 1, "worker pool broke"
+                unit, self.launches[unit] - 1, "worker pool broke", exc
             )
 
     def _expire_timeouts(self, now: float) -> None:
@@ -667,6 +694,40 @@ class _Supervisor:
         return max(0.005, min(candidates) - now)
 
     def run(self) -> None:
+        if self.workers == 1:
+            self._run_inline()
+            return
+        self._open()
+        try:
+            self._run_pooled()
+        finally:
+            self._close()
+
+    def _run_inline(self) -> None:
+        """No pool: each unit runs to completion or quarantine in turn.
+
+        Timeouts and speculation need concurrency and are inert here;
+        the chaos middleware still applies (``broken_pool`` degrades to
+        a crash so it cannot kill the calling process).
+        """
+        for unit in range(len(self.units)):
+            self.ready = [(0.0, unit)]
+            while self.ready:  # a failure re-queues the unit after backoff
+                ready_at, _ = heapq.heappop(self.ready)
+                time.sleep(max(0.0, ready_at - time.monotonic()))
+                attempt = self.launches[unit]
+                self.launches[unit] += 1
+                self.report.attempts += 1
+                task = (unit, attempt, self.units[unit], True)
+                try:
+                    envelope = _execute_unit(self.fn, self.chaos_dict, task)
+                except Exception as exc:
+                    self._record_exception(unit, attempt, exc)
+                else:
+                    self._accept(unit, attempt, envelope)
+
+    def _run_pooled(self) -> None:
+        self.ready = [(0.0, i) for i in range(len(self.units))]  # sorted: a heap
         while self.num_done < len(self.units):
             now = time.monotonic()
             self._drain_ready(now)
@@ -701,7 +762,7 @@ class _Supervisor:
                     broken.append(entry)
                 except CancelledError:
                     pass  # a timed-out attempt cancelled while queued
-                except BaseException as exc:
+                except Exception as exc:
                     self._record_exception(unit, attempt, exc)
                 else:
                     self._accept(unit, attempt, envelope)
@@ -709,74 +770,6 @@ class _Supervisor:
                 self._handle_pool_break(broken)
                 continue
             self._expire_timeouts(time.monotonic())
-
-
-def _run_inline(
-    fn: Callable,
-    units: List,
-    policy: SchedulerPolicy,
-    report: FaultReport,
-) -> List[Optional[object]]:
-    """Single-worker path: same retry/quarantine semantics, no pool.
-
-    Timeouts and speculation need concurrency and are inert here; the
-    chaos middleware still applies (``broken_pool`` degrades to a
-    crash so it cannot kill the calling process).
-    """
-    chaos_dict = policy.chaos.to_dict() if policy.chaos else None
-    results: List[Optional[object]] = [None] * len(units)
-    for index, unit in enumerate(units):
-        failures = 0
-        while True:
-            attempt = failures  # inline launches are strictly sequential
-            report.attempts += 1
-            outcome: Optional[str] = None
-            try:
-                envelope = _execute_unit(fn, chaos_dict, (index, attempt, unit, True))
-            except InjectedFailure as exc:
-                report.crashes += 1
-                outcome = f"{type(exc).__name__}: {exc}"
-                report.record(index, attempt, "crash", outcome)
-            except BaseException as exc:
-                report.errors += 1
-                outcome = f"{type(exc).__name__}: {exc}"
-                report.record(index, attempt, "error", outcome)
-            else:
-                if envelope.dropped:
-                    report.drops += 1
-                    outcome = "result dropped"
-                    report.record(index, attempt, "drop")
-                elif payload_checksum(envelope.payload) != envelope.checksum:
-                    report.corrupt += 1
-                    outcome = "corrupt result (checksum mismatch)"
-                    report.record(index, attempt, "corrupt")
-                else:
-                    if "delay" in envelope.injected:
-                        report.delays += 1
-                    results[index] = envelope.payload
-                    report.completed += 1
-                    _emit(
-                        "unit_completed",
-                        unit=index,
-                        attempt=attempt,
-                        completed=report.completed,
-                        units=len(units),
-                    )
-                    break
-            failures += 1
-            if failures > policy.max_retries:
-                report.record(index, attempt, "quarantine", outcome or "")
-                report.dead_units.append(
-                    {
-                        "unit_index": index,
-                        "failures": failures,
-                        "last_error": outcome,
-                    }
-                )
-                break
-            report.retries += 1
-            time.sleep(_backoff_delay(policy, index, failures))
-    return results
 
 
 def run_units(
@@ -790,46 +783,30 @@ def run_units(
     Returns ``(results, report)`` where ``results`` holds one entry per
     unit in submission order — the unit's payload, or ``None`` for a
     quarantined (dead) unit when ``policy.allow_partial`` — and
-    ``report`` is the structured :class:`FaultReport`.
-
-    The drop-in fault-tolerant sibling of
-    :func:`repro.simulation.engine.run_batches`: same call shape, same
-    in-order results, but per-unit failure domains instead of
-    all-or-nothing.
+    ``report`` is the structured :class:`FaultReport`.  *policy*
+    defaults to :data:`DEFAULT_POLICY`.  Units carry their own seeds,
+    so results do not depend on *workers*; ``1`` runs inline, and *fn*
+    must be picklable otherwise.
     """
-    policy = policy if policy is not None else SchedulerPolicy()
+    policy = policy if policy is not None else DEFAULT_POLICY
     units = list(units)
     report = FaultReport(units=len(units))
     if not units:
         return [], report
-    workers = default_workers() if workers is None else int(workers)
+    workers = pool_mod.default_workers() if workers is None else int(workers)
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     workers = min(workers, len(units))
 
-    if workers == 1:
-        results = _run_inline(fn, units, policy, report)
-    else:
-        supervisor = _Supervisor(fn, units, workers, policy, report)
-        try:
-            supervisor.run()
-        finally:
-            supervisor.close()
-        results = supervisor.results
-        for index in range(len(units)):
-            if not supervisor.done[index]:
-                report.dead_units.append(
-                    {
-                        "unit_index": index,
-                        "failures": supervisor.failures[index],
-                        "last_error": supervisor.last_error[index],
-                    }
-                )
-
-    if report.dead_units and not policy.allow_partial:
-        dead = [d["unit_index"] for d in report.dead_units]
-        raise DeadUnitError(
-            f"{len(dead)} work unit(s) exhausted their retry budget "
-            f"(max_retries={policy.max_retries}): units {dead}"
-        )
-    return results, report
+    supervisor = _Supervisor(fn, units, workers, policy, report)
+    supervisor.run()
+    for index in range(len(units)):
+        if not supervisor.done[index]:
+            report.dead_units.append(
+                {
+                    "unit_index": index,
+                    "failures": supervisor.failures[index],
+                    "last_error": supervisor.last_error[index],
+                }
+            )
+    return supervisor.results, report

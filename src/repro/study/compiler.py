@@ -25,7 +25,10 @@ arbitrary starting trial index — the incremental rounds of adaptive
 trial allocation (:mod:`repro.study.adaptive`) and the shard unit of
 multi-host execution.  Extension shards merge into accumulated results
 via :meth:`~repro.study.result.ScenarioResult.merge`, bit-for-bit
-equal to a one-shot run at the total trial count.
+equal to a one-shot run at the total trial count.  :meth:`Study.run`
+is the same emitter over each group's full window ``[0, trials)``;
+both send every unit to the per-unit supervisor
+(:func:`~repro.simulation.scheduler.run_units`) in one call.
 
 Protocol scenarios run through the ordinary per-trial engine with the
 same determinism contract.
@@ -42,12 +45,12 @@ import numpy as np
 
 from repro.exceptions import ParameterError
 from repro.kernels import get_backend, resolve_backend_name, use_backend
-from repro.simulation.engine import default_workers, run_batches, run_trials
-from repro.simulation.scheduler import (
-    SchedulerPolicy,
-    resolve_scheduler_policy,
-    run_units,
-)
+from repro.simulation.engine import default_workers, run_trials
+from repro.simulation.scheduler import SchedulerPolicy, resolve_scheduler_policy
+
+# The one dispatcher, bound under the name the benchmark's tracer wraps
+# (``perfbench/tracing.py`` looks up ``compiler.run_batches``).
+from repro.simulation.scheduler import run_units as run_batches
 from repro.study.metrics import (
     DeploymentEvaluator,
     evaluate_scenario,
@@ -284,18 +287,18 @@ def _group_block(
 def _slice_scenario_results(
     plans: Tuple[GroupPlan, ...],
     tensors: Sequence[np.ndarray],
-    trial_offset: int,
-    trials: Optional[int] = None,
+    windows: Sequence[Tuple[int, int]],
 ) -> Dict[str, ScenarioResult]:
     """Slice each scenario's columns out of its group tensor.
 
-    *trials* overrides the scenario's declared trial count in the
-    embedded scenario (extension shards cover a window, not the full
-    axis); the tensors' trial extent must match it.
+    Group *g*'s tensor covers trials ``windows[g] = [start, stop)``.  A
+    window other than the scenario's full ``[0, trials)`` (an extension
+    shard) embeds the scenario at ``trials == stop - start``, with
+    ``trial_offset == start``.
     """
     by_name: Dict[str, ScenarioResult] = {}
-    for plan, tensor in zip(plans, tensors):
-        span = plan.trials if trials is None else trials
+    for plan, tensor, (start, stop) in zip(plans, tensors, windows):
+        span = stop - start
         for scenario, offset in zip(plan.scenarios, plan.column_offsets()):
             width = scenario.num_curves * len(scenario.metrics)
             values = tensor[:, :, :, offset : offset + width].reshape(
@@ -307,12 +310,12 @@ def _slice_scenario_results(
             )
             if not scenario.sized:
                 values = values[0]
-            embedded = scenario if trials is None else scenario.with_trials(span)
+            full = (start, stop) == (0, scenario.trials)
             by_name[scenario.name] = ScenarioResult(
-                scenario=embedded,
+                scenario=scenario if full else scenario.with_trials(span),
                 values=np.ascontiguousarray(values),
                 metric_labels=scenario.metric_labels(),
-                trial_offset=trial_offset,
+                trial_offset=start,
             )
     return by_name
 
@@ -367,83 +370,28 @@ class Study:
         workers: Optional[int] = None,
         scheduler: Optional[SchedulerPolicy] = None,
     ) -> StudyResult:
-        """Run every scenario; *scheduler* opts into per-unit supervision.
+        """Run every scenario over its full trial axis.
 
-        With a :class:`~repro.simulation.scheduler.SchedulerPolicy`
-        (explicit, or implied by ``REPRO_CHAOS``), work units run under
-        the fault-tolerant supervisor: failed units retry with backoff,
-        stragglers may be speculatively re-executed, and units dead
-        after exhausting retries degrade to ``NaN`` cells plus a
-        ``"faults"`` provenance entry instead of failing the run.
-        Determinism makes the supervised result bit-identical to the
-        plain path whenever every unit completes.  Protocol scenarios
-        run through the ordinary per-trial engine either way.
+        Every work unit runs under the per-unit supervisor
+        (:func:`~repro.simulation.scheduler.run_units`).  With no
+        *scheduler* policy (and no ``REPRO_CHAOS``) a failed unit is
+        retried once, then the run stops with
+        :class:`~repro.exceptions.DeadUnitError`.  A
+        :class:`~repro.simulation.scheduler.SchedulerPolicy` (explicit,
+        or implied by ``REPRO_CHAOS``) sets retries, timeouts and
+        speculation, may degrade dead units to ``NaN`` cells, and is
+        recorded with its fault report under ``provenance["scheduler"]``
+        and ``provenance["faults"]``.  Completed runs are bit-identical
+        whatever the policy.
         """
-        effective = default_workers() if workers is None else max(1, int(workers))
         plans = tuple(self.compile())
-        policy = resolve_scheduler_policy(scheduler)
-
-        total_columns = sum(p.num_sizes * p.num_rings for p in plans)
-        blocks: List[Tuple[int, int, int, int, int]] = []
-        for gi, plan in enumerate(plans):
-            n_rings = plan.num_rings
-            for column, start, stop in split_trial_blocks(
-                plan.num_sizes * n_rings, plan.trials, effective, total_columns
-            ):
-                blocks.append(
-                    (gi, column // n_rings, column % n_rings, start, stop)
-                )
-
-        block_fn = functools.partial(_group_block, plans, None)
-        if policy is None:
-            block_values = run_batches(block_fn, blocks, effective)
-            report = None
-        else:
-            block_values, report = run_units(
-                block_fn, blocks, workers=effective, policy=policy
-            )
-
-        # Assemble the per-group value tensors (sizes, rings, trials,
-        # columns).  Supervised runs seed with NaN so dead units leave
-        # unevaluated cells the merge substrate understands.
-        tensors: List[np.ndarray] = [
-            np.empty((p.num_sizes, p.num_rings, p.trials, p.num_columns))
-            if policy is None
-            else np.full((p.num_sizes, p.num_rings, p.trials, p.num_columns), np.nan)
-            for p in plans
-        ]
-        for (gi, si, ri, start, stop), values in zip(blocks, block_values):
-            if values is None:
-                continue  # dead-lettered unit: cells stay NaN
-            tensors[gi][si, ri, start:stop, :] = values
-
-        by_name = _slice_scenario_results(plans, tensors, trial_offset=0)
-
-        for scenario in self.scenarios:
-            if scenario.kind == "protocol":
-                by_name[scenario.name] = _run_protocol(scenario, effective)
-
-        provenance: Dict[str, object] = {
-            "engine": "study/v1",
-            "workers": effective,
-            "kernel_backends": sorted({p.kernel_backend for p in plans}),
-            "groups": [self._group_provenance(plan) for plan in plans],
-            "units": len(blocks),
-            "deployments": int(
-                sum(p.num_sizes * p.num_rings * p.trials for p in plans)
-            ),
-        }
-        if policy is not None and report is not None:
-            provenance["scheduler"] = policy.to_dict()
-            # The window stamp qualifies per-round positional unit
-            # indices when reports from several rounds/shards are folded
-            # (see combine_fault_reports).
-            faults = report.to_dict()
-            faults["window"] = [0, max((p.trials for p in plans), default=0)]
-            provenance["faults"] = faults
-        return StudyResult(
-            results=tuple(by_name[s.name] for s in self.scenarios),
-            provenance=provenance,
+        return self._run_windows(
+            plans,
+            [(0, plan.trials) for plan in plans],
+            None,
+            workers,
+            scheduler,
+            {"groups": [self._group_provenance(plan) for plan in plans]},
         )
 
     def run_extension(
@@ -470,7 +418,8 @@ class Study:
         curve tuples evaluate only those curves (the rest of the
         column's cells hold ``NaN``).  The returned shard's scenarios
         carry ``trials == trial_stop - trial_start`` and its results
-        ``trial_offset == trial_start``.
+        ``trial_offset == trial_start``.  Scheduling follows
+        :meth:`run`.
         """
         for scenario in self.scenarios:
             if scenario.kind == "protocol":
@@ -485,10 +434,37 @@ class Study:
                 f"empty extension window [{trial_start}, {trial_stop}); "
                 "trial_stop must exceed trial_start"
             )
-        effective = default_workers() if workers is None else max(1, int(workers))
         plans = tuple(self.compile())
-        span = trial_stop - trial_start
+        return self._run_windows(
+            plans,
+            [(trial_start, trial_stop)] * len(plans),
+            active,
+            workers,
+            scheduler,
+            {"trial_window": [trial_start, trial_stop]},
+        )
 
+    def _run_windows(
+        self,
+        plans: Tuple[GroupPlan, ...],
+        windows: Sequence[Tuple[int, int]],
+        active: Optional[ActiveMap],
+        workers: Optional[int],
+        scheduler: Optional[SchedulerPolicy],
+        window_provenance: Dict[str, object],
+    ) -> StudyResult:
+        """Run trials ``windows[g]`` of each group *g*, plus any protocols.
+
+        Every ``(group, size, K-column)`` is scheduled, or with an
+        *active* map only the listed ones.  Each splits its window
+        into contiguous trial blocks (:func:`split_trial_blocks`,
+        divided over every scheduled column), and all blocks go to the
+        supervisor in one call.  The value tensors are seeded with
+        ``NaN``, so dead units and inactive curves leave unevaluated
+        cells the merge substrate understands.  *window_provenance*
+        follows the engine fields in provenance.
+        """
+        workers = default_workers() if workers is None else max(1, int(workers))
         scheduled: List[Tuple[int, int, int]] = []
         for gi, plan in enumerate(plans):
             for si in range(plan.num_sizes):
@@ -514,54 +490,58 @@ class Study:
                                 f"range for scenario {scenario.name!r}"
                             )
                     scheduled.append(key)
-
         spans = [
-            (start, stop)
-            for _, start, stop in split_trial_blocks(
-                1, trial_stop, effective, max(len(scheduled), 1), start=trial_start
-            )
+            split_trial_blocks(1, stop, workers, max(len(scheduled), 1), start=start)
+            for start, stop in windows
         ]
         blocks: List[Tuple[int, int, int, int, int]] = [
             (gi, si, ri, start, stop)
             for gi, si, ri in scheduled
-            for start, stop in spans
+            for _, start, stop in spans[gi]
         ]
-
-        block_fn = functools.partial(_group_block, plans, active)
         policy = resolve_scheduler_policy(scheduler)
-        if policy is None:
-            block_values = run_batches(block_fn, blocks, effective)
-            report = None
-        else:
-            block_values, report = run_units(
-                block_fn, blocks, workers=effective, policy=policy
-            )
+        block_values, report = run_batches(
+            functools.partial(_group_block, plans, active), blocks, workers, policy
+        )
 
         tensors = [
-            np.full((p.num_sizes, p.num_rings, span, p.num_columns), np.nan)
-            for p in plans
+            np.full(
+                (plan.num_sizes, plan.num_rings, stop - start, plan.num_columns),
+                np.nan,
+            )
+            for plan, (start, stop) in zip(plans, windows)
         ]
         for (gi, si, ri, start, stop), values in zip(blocks, block_values):
-            if values is None:
-                continue  # dead-lettered unit: cells stay NaN
-            tensors[gi][si, ri, start - trial_start : stop - trial_start, :] = values
+            if not isinstance(values, np.ndarray):
+                continue  # dead-lettered unit (None): cells stay NaN
+            offset = windows[gi][0]
+            tensors[gi][si, ri, start - offset : stop - offset, :] = values
 
-        by_name = _slice_scenario_results(
-            plans, tensors, trial_offset=trial_start, trials=span
-        )
         provenance: Dict[str, object] = {
             "engine": "study/v1",
-            "workers": effective,
-            "kernel_backends": sorted({p.kernel_backend for p in plans}),
-            "trial_window": [trial_start, trial_stop],
+            "workers": workers,
+            "kernel_backends": sorted({plan.kernel_backend for plan in plans}),
+            **window_provenance,
             "units": len(blocks),
-            "deployments": int(len(scheduled) * span),
+            "deployments": int(
+                sum(windows[gi][1] - windows[gi][0] for gi, _, _ in scheduled)
+            ),
         }
-        if policy is not None and report is not None:
+        if policy is not None:
             provenance["scheduler"] = policy.to_dict()
+            # The window stamp qualifies per-round positional unit
+            # indices when reports from several rounds/shards are folded
+            # (see combine_fault_reports).
             faults = report.to_dict()
-            faults["window"] = [trial_start, trial_stop]
+            faults["window"] = [
+                min((start for start, _ in windows), default=0),
+                max((stop for _, stop in windows), default=0),
+            ]
             provenance["faults"] = faults
+        by_name = _slice_scenario_results(plans, tensors, windows)
+        for scenario in self.scenarios:
+            if scenario.kind == "protocol":
+                by_name[scenario.name] = _run_protocol(scenario, workers)
         return StudyResult(
             results=tuple(by_name[s.name] for s in self.scenarios),
             provenance=provenance,

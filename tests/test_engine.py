@@ -73,6 +73,11 @@ class TestEnvKnobs:
         with pytest.raises(SimulationError):
             default_workers()
 
+    def test_default_workers_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "four")
+        with pytest.raises(SimulationError, match="REPRO_WORKERS"):
+            default_workers()
+
     def test_trials_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRIALS", raising=False)
         monkeypatch.delenv("REPRO_FULL", raising=False)
@@ -95,4 +100,9 @@ class TestEnvKnobs:
     def test_trials_invalid(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRIALS", "0")
         with pytest.raises(SimulationError):
+            trials_from_env(60)
+
+    def test_trials_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRIALS", "1e3")
+        with pytest.raises(SimulationError, match="REPRO_TRIALS"):
             trials_from_env(60)

@@ -11,6 +11,7 @@ import pytest
 from repro.exceptions import DeadUnitError, ExperimentError, ParameterError
 from repro.simulation.faults import ChaosSpec, FaultStrategy
 from repro.simulation.scheduler import (
+    DEFAULT_POLICY,
     FaultReport,
     SchedulerPolicy,
     combine_fault_reports,
@@ -131,6 +132,41 @@ class TestRunUnits:
                     max_retries=1, backoff_base=0.01, allow_partial=False
                 ),
             )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dead_unit_error_chains_last_exception(self, workers):
+        with pytest.raises(DeadUnitError) as caught:
+            run_units(
+                _fail_on_three,
+                list(range(5)),
+                workers=workers,
+                policy=SchedulerPolicy(
+                    max_retries=1, backoff_base=0.01, allow_partial=False
+                ),
+            )
+        cause = caught.value.__cause__
+        assert isinstance(cause, ValueError) and "cursed" in str(cause)
+
+    def test_default_policy_fails_fast(self):
+        assert DEFAULT_POLICY.max_retries == 1 and not DEFAULT_POLICY.allow_partial
+        with pytest.raises(DeadUnitError, match=r"units \[3\]"):
+            run_units(_fail_on_three, list(range(5)), workers=1)
+
+    def test_keyboard_interrupt_is_not_a_unit_failure(self):
+        attempts = []
+
+        def interrupted(x):
+            attempts.append(x)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_units(
+                interrupted,
+                [0, 1],
+                workers=1,
+                policy=SchedulerPolicy(max_retries=3, backoff_base=0.0),
+            )
+        assert attempts == [0]
 
     def test_inline_and_pool_paths_agree_under_chaos(self):
         spec = ChaosSpec(

@@ -1,10 +1,12 @@
 """Execution engine satellites: trial-block splitting and warm pools.
 
-Pins the ``run_batches`` under-utilization fix (columns splitting into
-trial blocks when there are fewer K columns than workers), the
-persistent-pool plumbing, and the ``_windowed`` scheduling fixes: no
-head-of-line blocking (completion order decoupled from result order)
-and no leaked futures when a batch raises.
+Pins the under-utilization fix (columns splitting into trial blocks
+when there are fewer K columns than workers), the persistent-pool
+plumbing, and the scheduling guarantees of the one dispatcher
+(:func:`run_units` under its default policy): no head-of-line
+blocking (completion order decoupled from result order), no leaked
+futures when a unit fails, one retry after a worker death, fail-fast
+on a failing study, and one ``unit_completed`` event per unit.
 """
 
 from __future__ import annotations
@@ -14,9 +16,20 @@ import time
 import numpy as np
 import pytest
 
-from repro.simulation import pool
+from repro.exceptions import DeadUnitError
+from repro.service import events
+from repro.simulation import pool, scheduler
+from repro.simulation.scheduler import run_units
 from repro.study import MetricSpec, Scenario, Study
+from repro.study import compiler
 from repro.study.compiler import split_trial_blocks
+
+
+def _map(fn, units, workers):
+    """In-order results of *units* under the default policy."""
+    results, report = run_units(fn, units, workers=workers)
+    assert report.completed == len(units)
+    return results
 
 
 class TestSplitTrialBlocks:
@@ -175,23 +188,23 @@ class TestPersistentPool:
         assert grown is not big
 
     def test_submit_batches_ordered(self):
-        assert pool.submit_batches(_double, [3, 1, 2], workers=2) == [6, 2, 4]
+        assert _map(_double, [3, 1, 2], workers=2) == [6, 2, 4]
 
     def test_submit_more_batches_than_window(self):
-        assert pool.submit_batches(_double, list(range(9)), workers=2) == [
+        assert _map(_double, list(range(9)), workers=2) == [
             2 * x for x in range(9)
         ]
 
     def test_disabled_pool_still_works(self, monkeypatch):
         monkeypatch.setenv("REPRO_PERSISTENT_POOL", "0")
         assert not pool.persistent_pools_enabled()
-        assert pool.submit_batches(_double, [5, 6], workers=2) == [10, 12]
+        assert _map(_double, [5, 6], workers=2) == [10, 12]
 
     def test_shutdown_and_recreate(self):
         pool.get_executor(2)
         pool.shutdown_pools()
         again = pool.get_executor(2)
-        assert pool.submit_batches(_double, [4], workers=2) == [8]
+        assert _map(_double, [4], workers=2) == [8]
         assert pool.get_executor(2) is again
 
 
@@ -203,7 +216,7 @@ class TestWindowScheduling:
         # fixed window must still hand results back in submission
         # order, bit-identical to a serial map.
         batches = [(0, 0.30), (1, 0.15)] + [(i, 0.0) for i in range(2, 10)]
-        results = pool.submit_batches(_sleep_then_return, batches, workers=3)
+        results = _map(_sleep_then_return, batches, workers=3)
         assert results == [_sleep_then_return(b) for b in batches]
         assert results == list(range(10))
 
@@ -214,10 +227,10 @@ class TestWindowScheduling:
         # The old oldest-future window serialized roughly ceil(8/2)
         # windows behind the sleeper.  Generous bound to stay un-flaky.
         pool.get_executor(3)  # warm first so spawn cost is excluded
-        pool.submit_batches(_sleep_then_return, [(9, 0.0)], workers=3)
+        _map(_sleep_then_return, [(9, 0.0)], workers=3)
         start = time.monotonic()
         batches = [(0, 0.5)] + [(i, 0.0) for i in range(1, 9)]
-        results = pool.submit_batches(_sleep_then_return, batches, workers=3)
+        results = _map(_sleep_then_return, batches, workers=3)
         elapsed = time.monotonic() - start
         assert results == list(range(9))
         assert elapsed < 1.5
@@ -226,34 +239,41 @@ class TestWindowScheduling:
         if not pool.persistent_pools_enabled():  # pragma: no cover
             return
         batches = [1, 2, -1] + list(range(3, 12))
-        with pytest.raises(ValueError, match="poison batch"):
-            pool.submit_batches(_raise_on_negative, batches, workers=2)
+        with pytest.raises(DeadUnitError, match=r"units \[2\]") as caught:
+            _map(_raise_on_negative, batches, workers=2)
+        assert isinstance(caught.value.__cause__, ValueError)
+        assert "poison batch" in str(caught.value.__cause__)
         # Pending futures were cancelled, not leaked: the warm pool
         # immediately serves the next caller with correct results.
-        assert pool.submit_batches(_raise_on_negative, [5, 6, 7], workers=2) == [
+        assert _map(_raise_on_negative, [5, 6, 7], workers=2) == [
             15, 18, 21,
         ]
 
     def test_ephemeral_path_routes_through_windowed(self, monkeypatch):
-        # The ephemeral path used to submit everything at once with no
-        # window and no cancel-on-failure; both paths must share
-        # _windowed now.
+        # With warm pools disabled, the supervisor runs the same
+        # windowed loop on a per-call executor sized to the request and
+        # never touches the warm pool.
         monkeypatch.setenv("REPRO_PERSISTENT_POOL", "0")
-        seen = {}
-        real = pool._windowed
+        sizes = []
+        real = scheduler.ProcessPoolExecutor
 
-        def spy(executor, fn, batches, workers):
-            seen["batches"], seen["workers"] = len(batches), workers
-            return real(executor, fn, batches, workers)
+        def spy(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers=max_workers)
 
-        monkeypatch.setattr(pool, "_windowed", spy)
-        assert pool.submit_batches(_double, [1, 2, 3], workers=2) == [2, 4, 6]
-        assert seen == {"batches": 3, "workers": 2}
+        def no_warm_pool(workers):
+            raise AssertionError("the warm pool was used")
+
+        monkeypatch.setattr(scheduler, "ProcessPoolExecutor", spy)
+        monkeypatch.setattr(pool, "get_executor", no_warm_pool)
+        assert _map(_double, [1, 2, 3], workers=2) == [2, 4, 6]
+        assert sizes == [2]
 
     def test_ephemeral_path_propagates_failures(self, monkeypatch):
         monkeypatch.setenv("REPRO_PERSISTENT_POOL", "0")
-        with pytest.raises(ValueError, match="poison batch"):
-            pool.submit_batches(_raise_on_negative, [1, -1] + list(range(2, 10)), workers=2)
+        with pytest.raises(DeadUnitError) as caught:
+            _map(_raise_on_negative, [1, -1] + list(range(2, 10)), workers=2)
+        assert isinstance(caught.value.__cause__, ValueError)
 
 
 class TestExecutorLeases:
@@ -305,15 +325,82 @@ class TestExecutorLeases:
 class TestBrokenPoolRetry:
     def test_whole_batch_retry_after_worker_death(self, tmp_path):
         # A worker killed mid-run (the crash mode behind the chaos
-        # harness's broken_pool strategy) breaks the executor;
-        # submit_batches must discard it and retry the whole batch list
-        # once on a fresh pool.
+        # harness's broken_pool strategy) breaks the executor; the
+        # default policy's one retry reruns every unit that died with
+        # it on a fresh pool.
         if not pool.persistent_pools_enabled():  # pragma: no cover
             pytest.skip("whole-batch retry is the warm-pool path")
         pool.shutdown_pools()
         flag = str(tmp_path / "killed_once")
         batches = [(flag, x) for x in range(5)]
-        assert pool.submit_batches(_exit_once, batches, workers=2) == [
+        assert _map(_exit_once, batches, workers=2) == [
             7 * x for x in range(5)
         ]
         pool.shutdown_pools()
+
+
+def _small_study(rings=(12, 15, 18), trials=4):
+    return Study(
+        (
+            Scenario(
+                name="plain",
+                num_nodes=40,
+                pool_size=300,
+                ring_sizes=rings,
+                curves=((2, 0.6), (2, 1.0)),
+                metrics=(MetricSpec("connectivity"),),
+                trials=trials,
+                seed=11,
+            ),
+        )
+    )
+
+
+class _CountingFailure:
+    """Stands in for ``compiler._group_block``: logs each call, raises.
+
+    Each execution appends one byte to a file, so calls are counted
+    across worker processes.
+    """
+
+    def __init__(self, path):
+        self.path = path
+
+    def __call__(self, plans, active, block):
+        with open(self.path, "ab") as handle:
+            handle.write(b"x")
+        raise ValueError(f"unit {block} is broken")
+
+
+class TestPlainStudyDispatch:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_plain_run_emits_one_event_per_unit(self, workers):
+        study = _small_study()
+        with events.capture_events(kinds=("unit_completed",)) as captured:
+            result = study.run(workers=workers)
+        units = result.provenance["units"]
+        assert units > 0
+        assert len(captured) == units
+        assert sorted(e.fields["unit"] for e in captured) == list(range(units))
+        # No policy was named: provenance stays clean.
+        assert "faults" not in result.provenance
+        assert "scheduler" not in result.provenance
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_study_stops_after_first_unit(self, workers, tmp_path, monkeypatch):
+        counter = tmp_path / "executions"
+        monkeypatch.setattr(compiler, "_group_block", _CountingFailure(str(counter)))
+        study = _small_study(rings=(10, 12, 14, 16, 18, 20), trials=2)
+        with pytest.raises(DeadUnitError) as caught:
+            study.run(workers=workers)
+        assert isinstance(caught.value.__cause__, ValueError)
+        executions = counter.stat().st_size
+        units = 6  # one block per K column at these worker counts
+        if workers == 1:
+            # The first unit's two attempts, nothing else.
+            assert executions == 2
+        else:
+            # At most one failed attempt per unit, plus the attempts in
+            # flight when the first unit's retry failed.  Running every
+            # unit to quarantine would take 2 * units.
+            assert executions <= units + workers < 2 * units
