@@ -213,7 +213,7 @@ def main(argv: List[str]) -> int:
     #   degree, which is the whole point of the preprocessing pass
     #   (``kconn_certificate_vs_plain_dense``).
     from benchmarks.conftest import kconn_fixture
-    from repro.graphs.vertex_connectivity import is_k_connected_edges
+    from repro.graphs.vertex_connectivity import _pivot_scan_edges, is_k_connected_edges
     from repro.kernels import get_backend, resolve_backend_name
 
     kconn_n, kconn_sparse = kconn_fixture()
@@ -221,8 +221,10 @@ def main(argv: List[str]) -> int:
     kconn_reps = 10
 
     def kconn_case(edges: "np.ndarray", reps: int, certificate: bool) -> None:
+        # "plain" is the uncertified pivot scan on the full edge array.
+        decide = is_k_connected_edges if certificate else _pivot_scan_edges
         for _ in range(reps):
-            is_k_connected_edges(kconn_n, edges, 3, certificate=certificate)
+            decide(kconn_n, edges, 3)
 
     sparse_cert_s = _timed(lambda: kconn_case(kconn_sparse, kconn_reps, True))
     sparse_plain_s = _timed(lambda: kconn_case(kconn_sparse, kconn_reps, False))

@@ -1,9 +1,11 @@
 """Ablation bench: connectivity-decision algorithms.
 
 Times the per-sample cost of each k-connectivity decision path at the
-scales the experiments use — union-find (k=1), Tarjan (k=2), and the
-Dinic/Even decision (k=3) — on near-threshold topologies where the
-decisions are hardest.
+scales the experiments use — union-find (k=1), array-first Tarjan
+(k=2), and the certificate + Even-style ISAP pivot scan (k=3) — on
+near-threshold topologies where the decisions are hardest.  All three
+deciders take the edge array; ``test_bench_graph_construction`` times
+the ``Graph`` build they skip.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ import numpy as np
 import pytest
 
 from repro.core.scaling import channel_prob_for_alpha
+from repro.graphs.biconnectivity import is_biconnected_edges
 from repro.graphs.graph import Graph
-from repro.graphs.biconnectivity import is_biconnected
 from repro.graphs.unionfind import is_connected_edges
-from repro.graphs.vertex_connectivity import is_k_connected
+from repro.graphs.vertex_connectivity import is_k_connected_edges
 from repro.keygraphs.uniform_graph import uniform_intersection_edges
 
 
@@ -44,14 +46,16 @@ def test_bench_unionfind_k1(benchmark, big_sample):
 
 def test_bench_tarjan_k2(benchmark, big_sample):
     n, edges = big_sample
-    graph = Graph.from_edge_array(n, edges)
-    benchmark(is_biconnected, graph)
+    benchmark(is_biconnected_edges, n, edges)
 
 
 def test_bench_even_dinic_k3(benchmark, mid_sample):
+    """The k = 3 decision: certificate, then the Even-style ISAP pivot scan.
+
+    The name predates the move from Dinic to ISAP queries.
+    """
     n, edges = mid_sample
-    graph = Graph.from_edge_array(n, edges)
-    benchmark(is_k_connected, graph, 3)
+    benchmark(is_k_connected_edges, n, edges, 3)
 
 
 def test_bench_graph_construction(benchmark, big_sample):
@@ -62,9 +66,8 @@ def test_bench_graph_construction(benchmark, big_sample):
 def test_decisions_consistent(mid_sample):
     """Correctness rider: the three deciders agree on nesting."""
     n, edges = mid_sample
-    graph = Graph.from_edge_array(n, edges)
-    k3 = is_k_connected(graph, 3)
-    k2 = is_biconnected(graph)
+    k3 = is_k_connected_edges(n, edges, 3)
+    k2 = is_biconnected_edges(n, edges)
     k1 = is_connected_edges(n, edges)
     if k3:
         assert k2

@@ -2,10 +2,11 @@
 
 Parametrized over every *available* registered backend (the default
 container runs reference only; the CI numba leg adds the jitted
-backend).  The k-connectivity bench also pins the PR 5 acceptance
-angle: the exact decision with the Nagamochi–Ibaraki certificate must
-agree with the plain Dinic decision while the sparse-certificate +
-ISAP scan keeps the per-decision cost low.
+backend).  The k-connectivity bench also pins the certificate's
+acceptance angle: the exact decision (Nagamochi–Ibaraki certificate,
+then the ISAP pivot scan) must agree with the uncertified pivot scan on
+the full edge array while the certificate keeps the per-decision cost
+low.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 from benchmarks.conftest import emit, kconn_fixture
 from repro.graphs.generators import erdos_renyi_edges
+from repro.graphs.vertex_connectivity import _pivot_scan_edges
 from repro.kernels import available_backends, get_backend
 from repro.keygraphs.rings import sample_uniform_rings
 
@@ -62,14 +64,14 @@ def test_bench_kconn_certificate_decision(benchmark, backend_name):
     n, edges = kconn_fixture()
     cert = backend.sparse_certificate(n, edges, 3)
     assert cert.shape[0] <= 3 * (n - 1)
-    with_cert = backend.k_connected(n, edges, 3, certificate=True)  # warm
+    with_cert = backend.k_connected(n, edges, 3)  # warm
 
     def run():
         for _ in range(3):
-            backend.k_connected(n, edges, 3, certificate=True)
+            backend.k_connected(n, edges, 3)
 
     benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=0)
-    plain = backend.k_connected(n, edges, 3, certificate=False)
+    plain = _pivot_scan_edges(n, edges, 3)
     assert with_cert == plain
     emit(
         f"kernels[{backend_name}]: exact k=3 decision",
@@ -79,12 +81,11 @@ def test_bench_kconn_certificate_decision(benchmark, backend_name):
 
 
 def test_bench_kconn_plain_baseline(benchmark):
-    """Certificate-off baseline for the decision bench above."""
-    backend = get_backend("reference")
+    """Certificate-off baseline: the uncertified pivot scan on the full array."""
     n, edges = kconn_fixture()
 
     def run():
         for _ in range(3):
-            backend.k_connected(n, edges, 3, certificate=False)
+            _pivot_scan_edges(n, edges, 3)
 
     benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=0)

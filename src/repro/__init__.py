@@ -14,7 +14,7 @@ The package layers:
   min-label union, overlap counting, and the exact k-connectivity
   decision with its Nagamochi–Ibaraki sparse certificate;
 * :mod:`repro.graphs` — from-scratch graph algorithms (union-find, Tarjan,
-  Dinic/Even k-connectivity) and the Erdős–Rényi generator;
+  Even-style ISAP k-connectivity) and the Erdős–Rényi generator;
 * :mod:`repro.keygraphs` — key pools, rings, uniform/binomial
   q-intersection graphs, scheme objects;
 * :mod:`repro.channels` — on/off and disk channel models;

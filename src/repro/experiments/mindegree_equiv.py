@@ -80,7 +80,7 @@ def run_mindegree_equiv(
 ) -> ExperimentResult:
     """Joint min-degree / k-connectivity sweep over (k, α).
 
-    ``n = 300`` keeps the exact ``k = 3`` decision (Dinic/Even) cheap
+    ``n = 300`` keeps the exact ``k = 3`` decision (Even-style pivot scan) cheap
     enough for hundreds of trials.
     """
     trials = trials if trials is not None else trials_from_env(60, full=300)

@@ -1,6 +1,6 @@
 """Graph substrate: containers, algorithms, and random generators."""
 
-from repro.graphs.biconnectivity import articulation_points, is_biconnected
+from repro.graphs.biconnectivity import articulation_points_edges, is_biconnected_edges
 from repro.graphs.generators import (
     edge_to_pair_index,
     erdos_renyi_edges,
@@ -34,16 +34,11 @@ from repro.graphs.unionfind import (
     is_connected_edges,
     is_connected_pair_keys,
 )
-from repro.graphs.vertex_connectivity import (
-    is_k_connected,
-    local_node_connectivity,
-    vertex_connectivity,
-)
-from repro.graphs.maxflow import FlowNetwork
+from repro.graphs.vertex_connectivity import is_k_connected_edges
 
 __all__ = [
-    "articulation_points",
-    "is_biconnected",
+    "articulation_points_edges",
+    "is_biconnected_edges",
     "edge_to_pair_index",
     "erdos_renyi_edges",
     "erdos_renyi_graph",
@@ -69,8 +64,5 @@ __all__ = [
     "count_components_pair_keys",
     "is_connected_edges",
     "is_connected_pair_keys",
-    "is_k_connected",
-    "local_node_connectivity",
-    "vertex_connectivity",
-    "FlowNetwork",
+    "is_k_connected_edges",
 ]

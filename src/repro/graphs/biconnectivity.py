@@ -1,77 +1,101 @@
-"""Articulation points and biconnectivity (Tarjan, iterative).
+"""Articulation points and biconnectivity (Tarjan, iterative, array-first).
 
 ``k = 2`` connectivity checks run inside Monte Carlo loops, so the
 classical recursive Hopcroft–Tarjan DFS is implemented iteratively to
 avoid Python's recursion limit at ``n = 1000+`` and to keep constant
-factors low.
+factors low.  Like :func:`~repro.graphs.unionfind.is_connected_edges`,
+both entry points take ``(num_nodes, edges)`` straight from an
+``(m, 2)`` edge array: the adjacency is a CSR built from one
+``argsort`` plus one ``bincount``, and no ``Graph`` is constructed.
 """
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Iterable, List, Set, Tuple
 
-from repro.graphs.graph import Graph
-from repro.graphs.traversal import is_connected
+import numpy as np
 
-__all__ = ["articulation_points", "is_biconnected"]
+from repro.graphs.unionfind import _validate_edges
+
+__all__ = ["articulation_points_edges", "is_biconnected_edges"]
 
 
-def articulation_points(graph: Graph) -> Set[int]:
-    """Return the set of articulation (cut) vertices of the graph.
+def _lowlink(
+    num_nodes: int, edges: np.ndarray, roots: Iterable[int]
+) -> Tuple[Set[int], List[int]]:
+    """Low-link DFS from every still-unvisited node of *roots*.
+
+    Returns ``(cut vertices found, discovery times)``; a discovery time
+    of ``-1`` marks a node no root reached.  The tree edge back to a
+    node's parent is not skipped: it only lowers ``low[u]`` to
+    ``disc[parent]``, which leaves the ``low[u] >= disc[parent]`` cut
+    test (and parallel edges) unaffected.
+    """
+    n = num_nodes
+    edges = _validate_edges(n, edges)
+    heads = edges.ravel()
+    order = np.argsort(heads, kind="stable")
+    nbrs = edges[:, ::-1].ravel()[order].tolist()
+    start = [0] + np.cumsum(np.bincount(heads, minlength=n)).tolist()
+    nxt = start[:-1]  # next unscanned CSR slot per node
+    disc = [-1] * n
+    low = [0] * n
+    parent = [-1] * n
+    cuts: Set[int] = set()
+    timer = 0
+    for root in roots:
+        if disc[root] != -1:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        root_children = 0
+        stack = [root]
+        while stack:
+            u = stack[-1]
+            for i in range(nxt[u], start[u + 1]):
+                v = nbrs[i]
+                if disc[v] == -1:
+                    nxt[u] = i + 1
+                    parent[v] = u
+                    disc[v] = low[v] = timer
+                    timer += 1
+                    stack.append(v)
+                    break
+                if disc[v] < low[u]:
+                    low[u] = disc[v]
+            else:
+                stack.pop()
+                p = parent[u]
+                if p == -1:
+                    continue
+                if low[u] < low[p]:
+                    low[p] = low[u]
+                if p == root:
+                    root_children += 1
+                elif low[u] >= disc[p]:
+                    cuts.add(p)
+        if root_children >= 2:
+            cuts.add(root)
+    return cuts, disc
+
+
+def articulation_points_edges(num_nodes: int, edges: np.ndarray) -> Set[int]:
+    """Return the articulation (cut) vertices of the edge array's graph.
 
     Works per connected component; an articulation point of any
     component is reported.  Runs in ``O(n + m)``.
     """
-    n = graph.num_nodes
-    disc = [-1] * n  # discovery times; -1 = unvisited
-    low = [0] * n
-    parent = [-1] * n
-    child_count = [0] * n
-    result: Set[int] = set()
-    timer = 0
-
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        # Iterative DFS with explicit neighbor iterators.
-        stack = [(root, iter(graph.adjacency(root)))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if disc[v] == -1:
-                    parent[v] = u
-                    child_count[u] += 1
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    stack.append((v, iter(graph.adjacency(v))))
-                    advanced = True
-                    break
-                if v != parent[u]:
-                    low[u] = min(low[u], disc[v])
-            if not advanced:
-                stack.pop()
-                p = parent[u]
-                if p != -1:
-                    low[p] = min(low[p], low[u])
-                    if p != root and low[u] >= disc[p]:
-                        result.add(p)
-        if child_count[root] >= 2:
-            result.add(root)
-    return result
+    return _lowlink(num_nodes, edges, range(num_nodes))[0]
 
 
-def is_biconnected(graph: Graph) -> bool:
-    """Return whether the graph is 2-connected (``κ(G) >= 2``).
+def is_biconnected_edges(num_nodes: int, edges: np.ndarray) -> bool:
+    """Return whether the edge array's graph is 2-connected (``κ >= 2``).
 
     Follows the standard convention requiring ``n >= 3``: ``K_2`` is
-    1-connected only.  Equivalent to "connected and no articulation
-    points" for ``n >= 3``.
+    1-connected only.  Equivalent to "one DFS from node 0 reaches every
+    node and finds no articulation point" for ``n >= 3``.
     """
-    if graph.num_nodes < 3:
+    if num_nodes < 3:
         return False
-    if not is_connected(graph):
-        return False
-    return not articulation_points(graph)
+    cuts, disc = _lowlink(num_nodes, edges, (0,))
+    return not cuts and -1 not in disc

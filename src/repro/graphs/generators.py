@@ -176,9 +176,3 @@ def expected_edge_count(num_nodes: int, prob: float) -> float:
     prob = check_probability(prob, "prob")
     return prob * num_nodes * (num_nodes - 1) / 2.0
 
-
-def critical_probability(num_nodes: int, k: int = 1) -> float:
-    """ER k-connectivity threshold ``(ln n + (k-1) ln ln n)/n`` (Lemma 7)."""
-    from repro.probability.limits import critical_edge_probability
-
-    return critical_edge_probability(num_nodes, k)

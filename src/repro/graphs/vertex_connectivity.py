@@ -1,13 +1,15 @@
-"""Vertex connectivity: local κ(s,t), the κ(G) >= k decision, exact κ(G).
+"""The exact κ(G) >= k decision on an edge array.
 
 k-connectivity is the property Theorem 1 is about, so the decision
-procedure here is *exact*, not heuristic:
+procedure here is *exact*, not heuristic.  :func:`is_k_connected_edges`
+is the one entry point (``KernelBackend.k_connected`` delegates here):
 
-* ``k = 1`` → union-find / BFS connectivity,
-* ``k = 2`` → linear-time Tarjan biconnectivity,
-* general ``k`` → Even-style decision built on Menger's theorem and
-  Dinic max-flow over the node-split digraph, with flows truncated at
-  ``k`` augmenting paths.
+* ``k = 1`` → the backend's min-label connectivity union,
+* ``k = 2`` → iterative Tarjan biconnectivity
+  (:func:`~repro.graphs.biconnectivity.is_biconnected_edges`),
+* ``k >= 3`` → an Even-style pivot scan built on Menger's theorem: one
+  truncated ISAP max-flow query per candidate pair over the node-split
+  digraph, each stopping at ``k`` augmenting paths.
 
 Correctness of the general case rests on the minimal-separator argument:
 if ``κ(G) < k`` there is an inclusion-minimal separator ``S`` with
@@ -19,86 +21,25 @@ then ``v`` has neighbors in two different components of ``G - S``
 ``< k``.  Hence checking ``κ(v, u)`` for all ``u`` non-adjacent to ``v``
 plus ``κ(u, w)`` for all non-adjacent ``u, w ∈ N(v)`` is sufficient.
 
-Since PR 5 the decision runs on a **Nagamochi–Ibaraki sparse
-certificate** by default: a scan-first forest decomposition (computed by
-the active kernel backend, :mod:`repro.kernels`) reduces the edge set to
-at most ``k·(n-1)`` edges while preserving the κ >= k decision exactly,
-so every truncated Dinic query runs on the certificate instead of the
-full graph.  ``certificate=False`` keeps the plain path (the
-equivalence test corpus pins both paths bit-for-bit identical).
+Every ``k >= 2`` decision runs on a **Nagamochi–Ibaraki sparse
+certificate**: a scan-first forest decomposition (computed by the
+active kernel backend, :mod:`repro.kernels`) reduces the edge set to at
+most ``k·(n-1)`` edges while preserving the κ >= k decision exactly.
+The uncertified deciders (:func:`_pivot_scan_edges`,
+``is_biconnected_edges``) called on the full edge array are the
+reference the certificate-equivalence corpus checks against.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 import numpy as np
 
-from repro.exceptions import GraphError
-from repro.graphs.biconnectivity import is_biconnected
-from repro.graphs.graph import Graph
-from repro.graphs.maxflow import FlowNetwork
-from repro.graphs.traversal import is_connected
+from repro.graphs.biconnectivity import is_biconnected_edges
+from repro.graphs.unionfind import _validate_edges
 
-__all__ = [
-    "local_node_connectivity",
-    "is_k_connected",
-    "is_k_connected_edges",
-    "vertex_connectivity",
-]
-
-
-def _split_network(graph: Graph) -> FlowNetwork:
-    """Build the node-split digraph: ``in(v) = v``, ``out(v) = v + n``.
-
-    Internal arcs ``in(v) -> out(v)`` carry capacity 1; each undirected
-    edge ``{u, v}`` becomes ``out(u) -> in(v)`` and ``out(v) -> in(u)``
-    with capacity 1 (unit is enough because flow through any vertex is
-    already capped at 1 by its internal arc).
-    """
-    n = graph.num_nodes
-    net = FlowNetwork(2 * n)
-    for v in range(n):
-        net.add_arc(v, v + n, 1)
-    for u, v in graph.edges():
-        net.add_arc(u + n, v, 1)
-        net.add_arc(v + n, u, 1)
-    return net
-
-
-def local_node_connectivity(
-    graph: Graph, s: int, t: int, *, limit: Optional[int] = None
-) -> int:
-    """Return local vertex connectivity κ(s, t), optionally capped at *limit*.
-
-    κ(s, t) is the maximum number of internally node-disjoint s–t paths
-    (equivalently, by Menger, the minimum size of a vertex cut separating
-    non-adjacent ``s`` and ``t``).  For adjacent pairs the direct edge
-    contributes one path that no vertex cut can break, so we remove the
-    edge, compute the flow, and add 1.
-
-    When *limit* is given the computation stops once *limit* disjoint
-    paths are found, returning *limit* — the decision-procedure fast path.
-    """
-    if s == t:
-        raise GraphError("local connectivity requires s != t")
-    n = graph.num_nodes
-    if not (0 <= s < n and 0 <= t < n):
-        raise GraphError("s or t outside graph")
-    cap = n - 1 if limit is None else min(limit, n - 1)
-    if cap <= 0:
-        return 0
-
-    if graph.has_edge(s, t):
-        reduced = Graph(n)
-        for u, v in graph.edges():
-            if {u, v} != {s, t}:
-                reduced.add_edge(u, v)
-        return 1 + local_node_connectivity(reduced, s, t, limit=cap - 1)
-
-    net = _split_network(graph)
-    return net.max_flow(s + n, t, limit=cap)
+__all__ = ["is_k_connected_edges"]
 
 
 class _ScanNetwork:
@@ -108,9 +49,8 @@ class _ScanNetwork:
     *one* fixed graph, almost all of them sharing one endpoint (the
     pivot).  This class specializes for exactly that access pattern:
 
-    * CSR arc storage (``start[u] .. start[u+1]``) instead of the
-      generic :class:`FlowNetwork` linked lists — tight ``a += 1``
-      inner loops, no ``next`` indirection;
+    * CSR arc storage (``start[u] .. start[u+1]``) — tight ``a += 1``
+      inner loops, no linked-list ``next`` indirection;
     * undo-log capacity reset — unit capacities mean an augmentation
       flips a handful of arcs, so resetting replays the touched list
       instead of copying all ``2(n + 2m)`` capacities per query;
@@ -120,8 +60,7 @@ class _ScanNetwork:
       exact distance-to-sink labels once by reverse BFS on the pristine
       residual.  Every query then augments along admissible arcs
       (``d[x] == d[y] + 1``) with local relabeling on retreat — no
-      per-phase BFS at all, which is where the old Dinic scan spent
-      ~90% of its time.  A relabel budget triggers a *global relabel*
+      per-phase BFS at all.  A relabel budget triggers a *global relabel*
       (exact reverse BFS on the current residual), so worst-case
       behavior degrades to Dinic's phase structure instead of ISAP's
       pathological label creep; exactness is unaffected (flow is
@@ -326,25 +265,26 @@ def is_k_connected_edges(
     edges: np.ndarray,
     k: int,
     *,
-    certificate: bool = True,
     backend=None,
 ) -> bool:
     """Exact ``κ(G) >= k`` decision straight from an edge array.
 
-    The kernel-layer entry point (``backend.k_connected`` delegates
-    here): the study compiler's metric cascade already holds candidate
-    edges as arrays, so this path never builds a full-size
-    :class:`Graph`.  *certificate* applies the backend's
-    Nagamochi–Ibaraki sparse certificate before any flow network is
-    built; *backend* pins a kernel backend (ambient resolution
-    otherwise).  Follows the standard convention that a k-connected
-    graph needs at least ``k + 1`` nodes; ``k <= 0`` is vacuously true.
+    The study compiler's metric cascade already holds candidate edges
+    as arrays, so no :class:`~repro.graphs.graph.Graph` is built on
+    this path.  For ``k >= 2`` the backend's Nagamochi–Ibaraki sparse
+    certificate is applied before Tarjan or any flow network runs;
+    *backend* pins a kernel backend (ambient resolution otherwise).
+    Follows the standard convention that a k-connected graph needs at
+    least ``k + 1`` nodes; ``k <= 0`` is vacuously true.
+
+    Raises :class:`~repro.exceptions.GraphError` if *edges* is not an
+    ``(m, 2)`` array with endpoints in ``[0, num_nodes)``.
     """
+    edges = _validate_edges(num_nodes, edges)
     if k <= 0:
         return True
     if num_nodes < k + 1:
         return False
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if backend is None:
         from repro.kernels import get_backend
 
@@ -363,68 +303,7 @@ def is_k_connected_edges(
     if int(degrees.min()) < k:
         return False
 
-    work = edges
-    if certificate:
-        work = backend.sparse_certificate(num_nodes, edges, k)
+    work = backend.sparse_certificate(num_nodes, edges, k)
     if k == 2:
-        return is_biconnected(Graph.from_edge_array(num_nodes, work))
+        return is_biconnected_edges(num_nodes, work)
     return _pivot_scan_edges(num_nodes, work, k)
-
-
-def is_k_connected(graph: Graph, k: int, *, certificate: bool = True) -> bool:
-    """Exact decision: is ``κ(G) >= k``?
-
-    Follows the standard convention that a k-connected graph needs at
-    least ``k + 1`` nodes; ``k <= 0`` is vacuously true.  *certificate*
-    (default on) routes ``k >= 2`` decisions through the
-    Nagamochi–Ibaraki sparse-certificate pass of the active kernel
-    backend; both settings are decision-identical (pinned by the
-    certificate-equivalence test corpus), the certificate is just
-    faster on dense inputs.
-    """
-    if k <= 0:
-        return True
-    n = graph.num_nodes
-    if n < k + 1:
-        return False
-    if k == 1:
-        return is_connected(graph)
-    if k == 2:
-        # Tarjan runs on the Graph directly; the certificate pass only
-        # pays when it actually shrinks the edge set (rebuilding an
-        # identical Graph from an unshrunk certificate is pure waste).
-        if not certificate or graph.num_edges <= 2 * (n - 1):
-            return is_biconnected(graph)
-    return is_k_connected_edges(
-        n, graph.to_edge_array(), k, certificate=certificate
-    )
-
-
-def vertex_connectivity(graph: Graph) -> int:
-    """Exact vertex connectivity ``κ(G)``.
-
-    Conventions match networkx: a single node or a disconnected graph has
-    κ = 0; the complete graph ``K_n`` has κ = n - 1.
-    """
-    n = graph.num_nodes
-    if n == 1:
-        return 0
-    if graph.num_edges == n * (n - 1) // 2:
-        return n - 1  # complete graph: no non-adjacent pair exists
-    if not is_connected(graph):
-        return 0
-
-    degrees = graph.degrees()
-    best = int(degrees.min())
-    pivot = int(degrees.argmin())
-
-    neighbors = graph.adjacency(pivot)
-    for u in range(n):
-        if u != pivot and u not in neighbors:
-            best = min(best, local_node_connectivity(graph, pivot, u, limit=best))
-            if best == 0:  # pragma: no cover - connected graphs never hit 0
-                return 0
-    for u, w in itertools.combinations(sorted(neighbors), 2):
-        if not graph.has_edge(u, w):
-            best = min(best, local_node_connectivity(graph, u, w, limit=best))
-    return best

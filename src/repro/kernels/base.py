@@ -8,9 +8,10 @@ Monte Carlo workload in this repository:
 2. **candidate-pair overlap counting** — shared-key multiplicities per
    co-holding node pair from the key → holders incidence (the sampling
    cost of every deployment);
-3. **the exact k-connectivity decision** — the Even-style Dinic scan
-   with a Nagamochi–Ibaraki sparse-certificate preprocessing pass (the
-   decision cost of every ``k >= 2`` sweep).
+3. **the exact k-connectivity decision** — Tarjan biconnectivity for
+   ``k = 2`` and the Even-style truncated-ISAP pivot scan for ``k >= 3``,
+   each after a Nagamochi–Ibaraki sparse-certificate preprocessing pass
+   (the decision cost of every ``k >= 2`` sweep).
 
 A backend supplies implementations of exactly these entry points and
 nothing else; everything above (study compiler, experiments, WSN
@@ -95,29 +96,20 @@ class KernelBackend(abc.ABC):
         may be returned unchanged.
         """
 
-    def k_connected(
-        self,
-        num_nodes: int,
-        edges: np.ndarray,
-        k: int,
-        *,
-        certificate: bool = True,
-    ) -> bool:
+    def k_connected(self, num_nodes: int, edges: np.ndarray, k: int) -> bool:
         """Exact decision: is the edge array's graph k-vertex-connected?
 
         The default composes the shared decision engine
         (:func:`repro.graphs.vertex_connectivity.is_k_connected_edges`)
-        with this backend's kernels: min-label union for ``k = 1``,
-        Tarjan biconnectivity for ``k = 2``, and the truncated-Dinic
-        pivot scan for general ``k`` — each running on this backend's
-        :meth:`sparse_certificate` when *certificate* is enabled.
-        Backends with a fully compiled decision path may override.
+        with this backend's kernels: min-label union for ``k = 1``, and
+        for ``k >= 2`` this backend's :meth:`sparse_certificate`
+        followed by Tarjan biconnectivity (``k = 2``) or the
+        truncated-ISAP pivot scan (``k >= 3``).  Backends with a fully
+        compiled decision path may override.
         """
         from repro.graphs.vertex_connectivity import is_k_connected_edges
 
-        return is_k_connected_edges(
-            num_nodes, edges, k, certificate=certificate, backend=self
-        )
+        return is_k_connected_edges(num_nodes, edges, k, backend=self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<KernelBackend {self.name}>"

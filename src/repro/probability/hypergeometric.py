@@ -17,7 +17,6 @@ they are exact to double precision even for pool sizes in the millions.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -216,13 +215,3 @@ def cross_overlap_survival(
         return 0.0
     ls = logsumexp(terms)
     return min(math.exp(ls), 1.0) if ls > float("-inf") else 0.0
-
-
-def overlap_survival_batch(
-    key_ring_sizes: Sequence[int], pool_size: int, q: int
-) -> np.ndarray:
-    """Vectorized ``s(K, P, q)`` over several ring sizes (design sweeps)."""
-    return np.array(
-        [overlap_survival(int(k), pool_size, q) for k in key_ring_sizes],
-        dtype=np.float64,
-    )

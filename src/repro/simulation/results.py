@@ -17,11 +17,26 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Mapping, Optional, Union
 
+from repro.exceptions import ExperimentError
 from repro.simulation.estimators import BernoulliEstimate
 
 __all__ = ["CurvePoint", "ExperimentResult", "save_result", "load_result"]
+
+_ESTIMATE_FIELDS = frozenset(f.name for f in dataclasses.fields(BernoulliEstimate))
+
+
+def _mapping(value: object, what: str) -> Mapping[str, object]:
+    if not isinstance(value, Mapping):
+        raise ExperimentError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _field(data: Mapping[str, object], key: str, what: str) -> object:
+    if key not in data:
+        raise ExperimentError(f"{what} is missing field {key!r}")
+    return data[key]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,10 +61,18 @@ class CurvePoint:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CurvePoint":
-        est = data["estimate"]
+    def from_dict(cls, data: Mapping[str, object]) -> "CurvePoint":
+        """Rebuild a point; malformed payloads raise :class:`ExperimentError`."""
+        data = _mapping(data, "curve point")
+        point = _mapping(_field(data, "point", "curve point"), "curve point 'point'")
+        est = _mapping(_field(data, "estimate", "curve point"), "curve point 'estimate'")
+        if set(est) != _ESTIMATE_FIELDS:
+            raise ExperimentError(
+                f"curve point 'estimate' needs fields {sorted(_ESTIMATE_FIELDS)}, "
+                f"got {sorted(map(str, est))}"
+            )
         return cls(
-            point=dict(data["point"]),  # type: ignore[arg-type]
+            point=dict(point),  # type: ignore[arg-type]
             estimate=BernoulliEstimate(**est),  # type: ignore[arg-type]
             prediction=data.get("prediction"),  # type: ignore[arg-type]
         )
@@ -71,11 +94,22 @@ class ExperimentResult:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ExperimentResult":
+    def from_dict(cls, data: Mapping[str, object]) -> "ExperimentResult":
+        """Rebuild a result; malformed payloads raise :class:`ExperimentError`."""
+        data = _mapping(data, "experiment result")
+        name = _field(data, "name", "experiment result")
+        config = _mapping(
+            _field(data, "config", "experiment result"), "experiment result 'config'"
+        )
+        points = _field(data, "points", "experiment result")
+        if not isinstance(points, list):
+            raise ExperimentError(
+                f"experiment result 'points' must be a JSON array, got {type(points).__name__}"
+            )
         return cls(
-            name=str(data["name"]),
-            config=dict(data["config"]),  # type: ignore[arg-type]
-            points=[CurvePoint.from_dict(p) for p in data["points"]],  # type: ignore[union-attr]
+            name=str(name),
+            config=dict(config),
+            points=[CurvePoint.from_dict(p) for p in points],
         )
 
     def max_abs_gap(self) -> float:

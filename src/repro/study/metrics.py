@@ -373,8 +373,9 @@ class DeploymentEvaluator:
             if int(self.degrees(channel, q, p).min()) < metric.k:
                 return 0.0  # batched min-degree pre-filter
             # Exact decision on the kernel backend: the Nagamochi–
-            # Ibaraki certificate pass runs before any flow network is
-            # built, and no Graph object is constructed on this path.
+            # Ibaraki certificate pass runs first, then array-first
+            # Tarjan (k = 2) or the ISAP pivot scan (k >= 3); no Graph
+            # object is constructed on this path.
             return float(
                 get_backend().k_connected(
                     dep.num_nodes, self._edges(channel, q, p), metric.k

@@ -13,7 +13,7 @@ in-place node failure, which re-derives the surviving topology.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from repro.channels.onoff import OnOffChannel
 from repro.exceptions import ParameterError
 from repro.graphs.graph import Graph
 from repro.graphs.unionfind import is_connected_edges
-from repro.graphs.vertex_connectivity import is_k_connected as _graph_k_connected
+from repro.graphs.vertex_connectivity import is_k_connected_edges
 from repro.keygraphs.schemes import QCompositeScheme
 from repro.params import QCompositeParams
 from repro.utils.rng import RandomState, spawn_generators
@@ -114,23 +114,30 @@ class SecureWSN:
 
     # -- connectivity -------------------------------------------------------
 
+    def _live_edges(self) -> Tuple[int, np.ndarray]:
+        """Live sensor count and the secure edges relabeled onto ``0..live-1``.
+
+        Relabeling keeps node order, so canonical ``u < v`` rows stay
+        canonical; with every sensor alive the edges are returned as is.
+        """
+        alive = [s.node_id for s in self.sensors if s.alive]
+        edges = self.secure_edges()
+        if len(alive) == self.num_nodes:
+            return self.num_nodes, edges
+        relabel = np.full(self.num_nodes, -1, dtype=np.int64)
+        relabel[alive] = np.arange(len(alive), dtype=np.int64)
+        return len(alive), relabel[edges]
+
     def is_connected(self) -> bool:
         """Can every pair of live sensors communicate securely (k = 1)?
 
         Failed sensors are excluded from the requirement: connectivity is
         evaluated on the subgraph induced by live sensors.
         """
-        alive = [s.node_id for s in self.sensors if s.alive]
-        if len(alive) <= 1:
+        n_live, edges = self._live_edges()
+        if n_live <= 1:
             return True
-        if len(alive) == self.num_nodes:
-            return is_connected_edges(self.num_nodes, self.secure_edges())
-        relabel = {node: idx for idx, node in enumerate(alive)}
-        edges = self.secure_edges()
-        remapped = np.array(
-            [(relabel[int(u)], relabel[int(v)]) for u, v in edges], dtype=np.int64
-        ).reshape(-1, 2)
-        return is_connected_edges(len(alive), remapped)
+        return is_connected_edges(n_live, edges)
 
     def is_k_connected(self, k: int) -> bool:
         """Exact k-connectivity of the current secure topology.
@@ -138,14 +145,8 @@ class SecureWSN:
         Evaluated on the full node set when all sensors are alive, or on
         the live-induced subgraph otherwise.
         """
-        alive = [s.node_id for s in self.sensors if s.alive]
-        if len(alive) == self.num_nodes:
-            return _graph_k_connected(self.graph(), k)
-        relabel = {node: idx for idx, node in enumerate(alive)}
-        sub = Graph(max(len(alive), 1))
-        for u, v in self.secure_edges():
-            sub.add_edge(relabel[int(u)], relabel[int(v)])
-        return _graph_k_connected(sub, k)
+        n_live, edges = self._live_edges()
+        return is_k_connected_edges(n_live, edges, k)
 
     # -- link-level API -------------------------------------------------------
 

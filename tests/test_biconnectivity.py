@@ -1,12 +1,24 @@
-"""Tests for articulation points / biconnectivity vs networkx."""
+"""Tests for array-first articulation points / biconnectivity vs networkx."""
 
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 
-from repro.graphs.biconnectivity import articulation_points, is_biconnected
+import pytest
+
+from repro.exceptions import GraphError
+from repro.graphs.biconnectivity import articulation_points_edges, is_biconnected_edges
 from repro.graphs.graph import Graph
 from tests.conftest import random_gnp_graph
+
+
+def articulation_points(g: Graph):
+    return articulation_points_edges(g.num_nodes, g.to_edge_array())
+
+
+def is_biconnected(g: Graph) -> bool:
+    return is_biconnected_edges(g.num_nodes, g.to_edge_array())
 
 
 def _to_nx(g: Graph) -> nx.Graph:
@@ -79,3 +91,19 @@ class TestIsBiconnected:
             n = int(rng.integers(3, 35))
             g = random_gnp_graph(n, float(rng.uniform(0.1, 0.4)), rng)
             assert is_biconnected(g) == nx.is_biconnected(_to_nx(g))
+
+    def test_edge_order_and_duplicates_irrelevant(self, rng):
+        # Unsorted rows, flipped endpoints and repeated edges describe
+        # the same simple graph.
+        for _ in range(30):
+            n = int(rng.integers(3, 20))
+            edges = random_gnp_graph(n, 0.3, rng).to_edge_array()
+            messy = np.concatenate([edges, edges[:, ::-1]])[rng.permutation(2 * len(edges))]
+            assert is_biconnected_edges(n, messy) == is_biconnected_edges(n, edges)
+            assert articulation_points_edges(n, messy) == articulation_points_edges(n, edges)
+
+    def test_out_of_range_endpoint_raises(self):
+        with pytest.raises(GraphError):
+            is_biconnected_edges(3, [[0, 1], [1, 3]])
+        with pytest.raises(GraphError):
+            articulation_points_edges(3, [[0, -1]])

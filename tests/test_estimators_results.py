@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import SimulationError
+from repro.exceptions import ExperimentError, SimulationError
 from repro.simulation.estimators import BernoulliEstimate, wilson_interval
 from repro.simulation.results import (
     CurvePoint,
@@ -113,3 +114,61 @@ class TestResultContainers:
         loaded = load_result(path)
         assert isinstance(loaded.points[0].estimate, BernoulliEstimate)
         assert loaded.config["trials"] == 10
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+_DROP = object()
+
+
+@st.composite
+def _mangled_payloads(draw):
+    """A saved-result payload with fields kept, dropped or replaced by junk JSON."""
+
+    def obj(fields):
+        out = {}
+        for key, valid in fields.items():
+            choice = draw(st.sampled_from(("keep", "keep", "drop", "junk")))
+            value = valid if choice == "keep" else _DROP if choice == "drop" else draw(_JSON)
+            if value is not _DROP:
+                out[key] = value
+        return out
+
+    estimate = obj(BernoulliEstimate.from_counts(3, 10).to_dict())
+    point = obj({"point": {"K": 30.0}, "estimate": estimate, "prediction": 0.25})
+    payload = obj({"name": "demo", "config": {"trials": 10}, "points": [point]})
+    return draw(st.sampled_from((payload, [payload], draw(_JSON))))
+
+
+class TestMalformedResultPayloads:
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({}, "name"),
+            ([], "JSON object"),
+            ({"name": "x", "config": {}, "points": [{"point": {}}]}, "estimate"),
+            ({"name": "x", "config": {}, "points": {}}, "points"),
+            ({"name": "x", "config": [], "points": []}, "config"),
+        ],
+    )
+    def test_named_field_in_error(self, payload, field):
+        with pytest.raises(ExperimentError, match=field):
+            ExperimentResult.from_dict(payload)
+
+    def test_load_result_raises_experiment_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "x", "config": {}, "points": [{}]}))
+        with pytest.raises(ExperimentError, match="point"):
+            load_result(path)
+
+    @given(_mangled_payloads())
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_payloads_raise_only_experiment_error(self, payload):
+        try:
+            result = ExperimentResult.from_dict(payload)
+        except ExperimentError:
+            return
+        assert isinstance(result, ExperimentResult)

@@ -7,16 +7,29 @@ rather than sampled from a fixed random model.
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.biconnectivity import articulation_points, is_biconnected
+from repro.graphs.biconnectivity import articulation_points_edges, is_biconnected_edges
 from repro.graphs.graph import Graph
 from repro.graphs.properties import degrees_from_edges
 from repro.graphs.traversal import connected_components, is_connected, shortest_path
 from repro.graphs.unionfind import count_components_edges, is_connected_edges
-from repro.graphs.vertex_connectivity import is_k_connected, vertex_connectivity
+from repro.graphs.vertex_connectivity import is_k_connected_edges
+
+
+def _kappa(g: Graph) -> int:
+    """Exact κ from networkx, the reference independent of this package."""
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.num_nodes))
+    ng.add_edges_from(g.edges())
+    return nx.node_connectivity(ng)
+
+
+def is_k_connected(g: Graph, k: int) -> bool:
+    return is_k_connected_edges(g.num_nodes, g.to_edge_array(), k)
 
 
 @st.composite
@@ -36,12 +49,12 @@ class TestConnectivityInvariants:
     @given(graphs())
     @settings(max_examples=120, deadline=None)
     def test_kappa_at_most_min_degree(self, g):
-        assert vertex_connectivity(g) <= int(g.degrees().min())
+        assert not is_k_connected(g, int(g.degrees().min()) + 1)
 
     @given(graphs())
     @settings(max_examples=120, deadline=None)
     def test_is_k_connected_matches_kappa(self, g):
-        kappa = vertex_connectivity(g)
+        kappa = _kappa(g)
         assert is_k_connected(g, kappa)
         assert not is_k_connected(g, kappa + 1)
 
@@ -67,14 +80,14 @@ class TestConnectivityInvariants:
     @given(graphs())
     @settings(max_examples=100, deadline=None)
     def test_biconnected_iff_kappa_two(self, g):
-        assert is_biconnected(g) == (vertex_connectivity(g) >= 2)
+        assert is_biconnected_edges(g.num_nodes, g.to_edge_array()) == (_kappa(g) >= 2)
 
     @given(graphs())
     @settings(max_examples=100, deadline=None)
     def test_removing_articulation_point_disconnects(self, g):
         if not is_connected(g) or g.num_nodes < 3:
             return
-        for ap in articulation_points(g):
+        for ap in articulation_points_edges(g.num_nodes, g.to_edge_array()):
             reduced = g.subgraph_without_node(ap)
             # The removed node stays as an isolated vertex, so the live
             # part must have split: total components > 2 means the
@@ -103,12 +116,13 @@ class TestOperatorInvariants:
     @given(graphs(max_nodes=8), graphs(max_nodes=8))
     @settings(max_examples=60, deadline=None)
     def test_connectivity_monotone_under_supergraph(self, a, b):
-        # Adding edges never disconnects: κ(a ∪ b) >= κ(a ∩ b).
+        # Adding edges never disconnects: κ(a ∪ b) >= κ(a ∩ b), so
+        # every k the intersection passes, the union passes too.
         n = max(a.num_nodes, b.num_nodes)
         edges_a, edges_b = set(a.edges()), set(b.edges())
-        assert vertex_connectivity(Graph(n, edges_a | edges_b)) >= vertex_connectivity(
-            Graph(n, edges_a & edges_b)
-        )
+        union, inter = Graph(n, edges_a | edges_b), Graph(n, edges_a & edges_b)
+        for k in range(n + 1):
+            assert is_k_connected(union, k) or not is_k_connected(inter, k)
 
 
 class TestDegreeInvariants:

@@ -6,9 +6,11 @@ Four pillars:
    precedence (explicit > active > env > reference), context restore;
 2. the Nagamochi–Ibaraki sparse certificate — structural guarantees
    (subset, <= k(n-1) edges) and the certificate-equivalence property:
-   ``is_k_connected`` with the certificate agrees bit-for-bit with the
-   plain Dinic decision on random ER and key-ring graphs across a k
-   grid, including the k <= 2 shortcut paths and n < k + 1 edge cases;
+   ``is_k_connected_edges`` (certificate first) agrees bit-for-bit with
+   the uncertified deciders on the full edge array (Tarjan for k = 2,
+   the pivot scan for k >= 3) on random ER and key-ring graphs across a
+   k grid, including the k <= 2 shortcut paths, n < k + 1 edge cases
+   and malformed edge arrays;
 3. backend consistency — every *available* registered backend produces
    identical study metrics on the shared Figure-1 fixture, warm pool on
    and off (the corpus the numba CI leg runs with numba installed);
@@ -18,18 +20,17 @@ Four pillars:
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.exceptions import KernelError, ParameterError
+from repro.exceptions import GraphError, KernelError, ParameterError
+from repro.graphs.biconnectivity import is_biconnected_edges
 from repro.graphs.generators import erdos_renyi_edges
 from repro.graphs.graph import Graph
-from repro.graphs.vertex_connectivity import (
-    is_k_connected,
-    is_k_connected_edges,
-    vertex_connectivity,
-)
+from repro.graphs.unionfind import is_connected_edges
+from repro.graphs.vertex_connectivity import _pivot_scan_edges, is_k_connected_edges
 from repro.kernels import (
     ENV_VAR,
     available_backends,
@@ -53,6 +54,27 @@ def _reset_active_backend():
     """Never leak set_backend/use_backend state across tests."""
     yield
     set_backend(None)
+
+
+def _kappa(n, edges):
+    """Exact κ from networkx, the reference independent of this package."""
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges.tolist())
+    return nx.node_connectivity(g)
+
+
+def _plain_decision(n, edges, k):
+    """The uncertified decider on the full edge array (no certificate pass)."""
+    if k <= 0:
+        return True
+    if n < k + 1:
+        return False
+    if k == 1:
+        return is_connected_edges(n, edges)
+    if k == 2:
+        return is_biconnected_edges(n, edges)
+    return _pivot_scan_edges(n, edges, k)
 
 
 def _key_ring_graph(n, ring, pool, p, seed):
@@ -160,9 +182,7 @@ class TestSparseCertificate:
             edges = erdos_renyi_edges(24, 0.5, rng)
             k = 4
             cert = scan_first_certificate(24, edges, k)
-            kappa_full = vertex_connectivity(Graph.from_edge_array(24, edges))
-            kappa_cert = vertex_connectivity(Graph.from_edge_array(24, cert))
-            assert min(kappa_cert, k) == min(kappa_full, k)
+            assert min(_kappa(24, cert), k) == min(_kappa(24, edges), k)
 
 
 class TestCertificateEquivalence:
@@ -173,58 +193,65 @@ class TestCertificateEquivalence:
         for n in (8, 15, 30, 60):
             for p in (0.05, 0.15, 0.4, 0.8):
                 edges = erdos_renyi_edges(n, p, rng)
-                g = Graph.from_edge_array(n, edges)
                 for k in range(0, 6):
-                    plain = is_k_connected(g, k, certificate=False)
-                    with_cert = is_k_connected(g, k, certificate=True)
-                    from_edges = is_k_connected_edges(n, edges, k)
-                    assert plain == with_cert == from_edges, (n, p, k)
+                    plain = _plain_decision(n, edges, k)
+                    with_cert = is_k_connected_edges(n, edges, k)
+                    assert plain == with_cert, (n, p, k)
 
     def test_key_ring_graphs_across_k_grid(self):
         for seed, p in ((1, 1.0), (2, 0.6), (3, 0.35)):
             n = 80
             edges = _key_ring_graph(n, 18, 600, p, seed)
-            g = Graph.from_edge_array(n, edges)
             for k in (1, 2, 3, 4):
-                plain = is_k_connected(g, k, certificate=False)
-                with_cert = is_k_connected(g, k, certificate=True)
+                plain = _plain_decision(n, edges, k)
+                with_cert = is_k_connected_edges(n, edges, k)
                 assert plain == with_cert, (seed, p, k)
 
     def test_k_le_2_shortcut_paths(self):
-        # k <= 2 goes through union-find / Tarjan; both certificate
-        # settings must agree with the dedicated implementations.
-        from repro.graphs.biconnectivity import is_biconnected
+        # k <= 2 goes through the min-label union / Tarjan; the decision
+        # must agree with BFS on a Graph and with Tarjan on the full array.
         from repro.graphs.traversal import is_connected
 
         rng = np.random.default_rng(5)
         for n, p in ((12, 0.2), (40, 0.1), (40, 0.3)):
             edges = erdos_renyi_edges(n, p, rng)
             g = Graph.from_edge_array(n, edges)
-            assert is_k_connected(g, 1, certificate=True) == is_connected(g)
-            assert is_k_connected(g, 1, certificate=False) == is_connected(g)
-            assert is_k_connected(g, 2, certificate=True) == is_biconnected(g)
-            assert is_k_connected(g, 2, certificate=False) == is_biconnected(g)
+            assert is_k_connected_edges(n, edges, 1) == is_connected(g)
+            assert is_k_connected_edges(n, edges, 2) == is_biconnected_edges(n, edges)
 
     def test_small_n_edge_cases(self):
-        # n < k + 1 is False for every certificate setting; k <= 0 True.
-        for cert in (True, False):
-            assert is_k_connected(Graph(3), 0, certificate=cert)
-            assert is_k_connected(Graph(1), 0, certificate=cert)
-            assert not is_k_connected(Graph.complete(3), 3, certificate=cert)
-            assert not is_k_connected(Graph.complete(4), 4, certificate=cert)
-            assert is_k_connected(Graph.complete(4), 3, certificate=cert)
-        assert not is_k_connected_edges(3, np.empty((0, 2), dtype=np.int64), 1)
-        assert is_k_connected_edges(1, np.empty((0, 2), dtype=np.int64), 0)
-        assert not is_k_connected_edges(2, np.empty((0, 2), dtype=np.int64), 2)
+        # n < k + 1 is False; k <= 0 is True.
+        def complete(n):
+            return Graph.complete(n).to_edge_array()
+
+        empty = np.empty((0, 2), dtype=np.int64)
+        assert is_k_connected_edges(3, empty, 0)
+        assert is_k_connected_edges(1, empty, 0)
+        assert not is_k_connected_edges(3, complete(3), 3)
+        assert not is_k_connected_edges(4, complete(4), 4)
+        assert is_k_connected_edges(4, complete(4), 3)
+        assert not is_k_connected_edges(3, empty, 1)
+        assert not is_k_connected_edges(2, empty, 2)
+
+    def test_malformed_edge_arrays_raise(self):
+        # A negative id must not wrap onto node n - 1, and an id >= n
+        # must not surface as a bare IndexError/ValueError.
+        negative = [[0, 1], [1, 2], [2, -1]]
+        for k in (1, 2, 3):
+            with pytest.raises(GraphError):
+                is_k_connected_edges(4, negative, k)
+        with pytest.raises(GraphError):
+            is_k_connected_edges(4, [[0, 1], [1, 2], [2, 5]], 1)
+        with pytest.raises(GraphError):
+            is_k_connected_edges(4, [[0, 1, 2]], 1)
 
     def test_matches_exact_kappa(self):
         rng = np.random.default_rng(99)
         for _ in range(8):
             edges = erdos_renyi_edges(14, 0.45, rng)
-            g = Graph.from_edge_array(14, edges)
-            kappa = vertex_connectivity(g)
+            kappa = _kappa(14, edges)
             for k in range(1, 6):
-                assert is_k_connected(g, k, certificate=True) == (kappa >= k)
+                assert is_k_connected_edges(14, edges, k) == (kappa >= k)
 
 
 def _fixture_study(kernel_backend=None, trials=5):

@@ -138,10 +138,28 @@ class TestFailures:
 
 class TestKConnectivity:
     def test_k_connectivity_consistent_with_graph(self, net):
-        from repro.graphs.vertex_connectivity import is_k_connected
+        import networkx as nx
 
-        for k in (1, 2):
-            assert net.is_k_connected(k) == is_k_connected(net.graph(), k)
+        g = net.graph()
+        ng = nx.Graph()
+        ng.add_nodes_from(range(g.num_nodes))
+        ng.add_edges_from(g.edges())
+        kappa = nx.node_connectivity(ng)
+        for k in (1, 2, 3):
+            assert net.is_k_connected(k) == (kappa >= k)
+
+    def test_live_subgraph_k_connectivity_matches_networkx(self):
+        import networkx as nx
+
+        dense = SecureWSN(25, QCompositeScheme(20, 100, 2), OnOffChannel(0.8), seed=5)
+        ng = nx.Graph()
+        ng.add_nodes_from(range(25))
+        ng.add_edges_from(dense.secure_edges().tolist())
+        dense.fail_nodes([0, 3, 7])
+        kappa = nx.node_connectivity(ng.subgraph(set(range(25)) - {0, 3, 7}))
+        assert kappa >= 2  # dense enough that k = 2 and 3 decide something
+        for k in range(1, kappa + 2):
+            assert dense.is_k_connected(k) == (kappa >= k), k
 
     def test_k_connectivity_after_failures(self, net):
         net.fail_nodes([0, 1])

@@ -76,3 +76,17 @@ class TestTopLevelExports:
         ):
             for name in module.__all__:
                 assert getattr(module, name) is not None, (module.__name__, name)
+
+    def test_package_exports_do_not_shadow_submodules(self):
+        # A function exported under its submodule's name would make
+        # ``import repro.graphs.<name> as m`` bind the function.
+        import importlib
+        import pkgutil
+        import types
+
+        import repro.graphs
+
+        for info in pkgutil.iter_modules(repro.graphs.__path__):
+            module = importlib.import_module(f"repro.graphs.{info.name}")
+            assert isinstance(module, types.ModuleType)
+            assert getattr(repro.graphs, info.name) is module, info.name

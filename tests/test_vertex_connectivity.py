@@ -1,9 +1,11 @@
-"""Tests for vertex connectivity — the k-connectivity oracle.
+"""Tests for the exact κ(G) >= k decision — the k-connectivity oracle.
 
-The Even/Dinic decision procedure is the correctness keystone of the
-k-connectivity experiments, so it is cross-validated against networkx
-on hundreds of random graphs, including near-threshold Erdős–Rényi
-graphs where separators are small and plentiful.
+:func:`is_k_connected_edges` (certificate, then Tarjan for k = 2 or the
+ISAP pivot scan for k >= 3) is the correctness keystone of the
+k-connectivity experiments, so it is cross-validated against
+``networkx.node_connectivity`` on hundreds of random graphs, including
+near-threshold Erdős–Rényi graphs where separators are small and
+plentiful.
 """
 
 from __future__ import annotations
@@ -11,15 +13,9 @@ from __future__ import annotations
 import math
 
 import networkx as nx
-import pytest
 
-from repro.exceptions import GraphError
 from repro.graphs.graph import Graph
-from repro.graphs.vertex_connectivity import (
-    is_k_connected,
-    local_node_connectivity,
-    vertex_connectivity,
-)
+from repro.graphs.vertex_connectivity import _ScanNetwork, is_k_connected_edges
 from tests.conftest import random_gnp_graph
 
 
@@ -30,44 +26,69 @@ def _to_nx(g: Graph) -> nx.Graph:
     return ng
 
 
+def local_node_connectivity(g: Graph, s: int, t: int) -> int:
+    """κ(s, t) from the pivot scan's ISAP engine: the largest k it accepts."""
+    net = _ScanNetwork(g.num_nodes, g.to_edge_array().tolist())
+    kappa = 0
+    while net.at_least(s, t, kappa + 1):
+        kappa += 1
+    return kappa
+
+
+def is_k_connected(g: Graph, k: int) -> bool:
+    return is_k_connected_edges(g.num_nodes, g.to_edge_array(), k)
+
+
+def assert_kappa(g: Graph, kappa: int) -> None:
+    """The decision holds at κ and fails at κ + 1."""
+    assert is_k_connected(g, kappa)
+    assert not is_k_connected(g, kappa + 1)
+
+
+def assert_matches_networkx(g: Graph) -> None:
+    kappa = nx.node_connectivity(_to_nx(g))
+    for k in range(1, kappa + 2):
+        assert is_k_connected(g, k) == (kappa >= k), (kappa, k)
+
+
 class TestNamedGraphs:
     def test_complete(self):
         for n in (2, 3, 5, 8):
-            assert vertex_connectivity(Graph.complete(n)) == n - 1
+            assert_kappa(Graph.complete(n), n - 1)
 
     def test_cycle_is_two(self):
-        assert vertex_connectivity(Graph.cycle(7)) == 2
+        assert_kappa(Graph.cycle(7), 2)
 
     def test_path_is_one(self):
-        assert vertex_connectivity(Graph.path(6)) == 1
+        assert_kappa(Graph.path(6), 1)
 
     def test_disconnected_zero(self):
-        assert vertex_connectivity(Graph(4, [(0, 1), (2, 3)])) == 0
+        assert_kappa(Graph(4, [(0, 1), (2, 3)]), 0)
 
     def test_single_node_zero(self):
-        assert vertex_connectivity(Graph(1)) == 0
+        assert_kappa(Graph(1), 0)
 
     def test_diamond(self, diamond_graph):
-        assert vertex_connectivity(diamond_graph) == 2
+        assert_kappa(diamond_graph, 2)
 
     def test_bowtie_one(self, bowtie_graph):
-        assert vertex_connectivity(bowtie_graph) == 1
+        assert_kappa(bowtie_graph, 1)
 
     def test_petersen_is_three(self):
         pg = nx.petersen_graph()
         g = Graph(10, pg.edges())
-        assert vertex_connectivity(g) == 3
+        assert_kappa(g, 3)
 
     def test_hypercube_q4_is_four(self):
         hc = nx.hypercube_graph(4)
         mapping = {node: i for i, node in enumerate(hc.nodes())}
         g = Graph(16, ((mapping[a], mapping[b]) for a, b in hc.edges()))
-        assert vertex_connectivity(g) == 4
+        assert_kappa(g, 4)
 
     def test_complete_bipartite(self):
         kb = nx.complete_bipartite_graph(3, 5)
         g = Graph(8, kb.edges())
-        assert vertex_connectivity(g) == 3
+        assert_kappa(g, 3)
 
 
 class TestIsKConnected:
@@ -95,7 +116,7 @@ class TestIsKConnected:
         for _ in range(40):
             n = int(rng.integers(4, 22))
             g = random_gnp_graph(n, float(rng.uniform(0.2, 0.7)), rng)
-            kappa = vertex_connectivity(g)
+            kappa = nx.node_connectivity(_to_nx(g))
             for k in range(0, min(kappa + 3, n)):
                 assert is_k_connected(g, k) == (kappa >= k)
 
@@ -105,13 +126,13 @@ class TestAgainstNetworkx:
         for _ in range(60):
             n = int(rng.integers(4, 18))
             g = random_gnp_graph(n, float(rng.uniform(0.3, 0.8)), rng)
-            assert vertex_connectivity(g) == nx.node_connectivity(_to_nx(g))
+            assert_matches_networkx(g)
 
     def test_random_sparse(self, rng):
         for _ in range(60):
             n = int(rng.integers(4, 25))
             g = random_gnp_graph(n, float(rng.uniform(0.05, 0.25)), rng)
-            assert vertex_connectivity(g) == nx.node_connectivity(_to_nx(g))
+            assert_matches_networkx(g)
 
     def test_near_threshold_er(self, rng):
         # The regime the experiments live in: p around ln n / n.
@@ -119,30 +140,28 @@ class TestAgainstNetworkx:
             n = 30
             p = float(rng.uniform(0.5, 2.0)) * math.log(n) / n
             g = random_gnp_graph(n, p, rng)
-            assert vertex_connectivity(g) == nx.node_connectivity(_to_nx(g))
+            assert_matches_networkx(g)
 
 
 class TestLocalConnectivity:
-    def test_same_node_raises(self):
-        with pytest.raises(GraphError):
-            local_node_connectivity(Graph(3), 1, 1)
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(GraphError):
-            local_node_connectivity(Graph(3), 0, 9)
+    """The ISAP flow engine behind the k >= 3 pivot scan, pair by pair."""
 
     def test_disconnected_pair_zero(self):
         g = Graph(4, [(0, 1), (2, 3)])
         assert local_node_connectivity(g, 0, 2) == 0
 
     def test_adjacent_pair_complete(self):
-        # In K_n adjacent local connectivity is n - 1.
+        # In K_n adjacent local connectivity is n - 1 (the direct edge
+        # counts as one path).
         g = Graph.complete(5)
         assert local_node_connectivity(g, 0, 1) == 4
 
     def test_limit_caps_value(self):
-        g = Graph.complete(6)
-        assert local_node_connectivity(g, 0, 1, limit=2) == 2
+        # A query stops at k paths, so it accepts every k up to κ(s, t).
+        net = _ScanNetwork(6, Graph.complete(6).to_edge_array().tolist())
+        assert net.at_least(0, 1, 2)
+        assert net.at_least(0, 1, 5)
+        assert not net.at_least(0, 1, 6)
 
     def test_matches_networkx_nonadjacent(self, rng):
         for _ in range(40):
