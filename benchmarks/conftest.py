@@ -67,9 +67,7 @@ def kconn_fixture(dense: bool = False):
     the k = 3 threshold (the graph the mindegree grid actually
     decides); ``dense=True`` keeps the channel fully on (~7x the
     certificate bound — the regime the Nagamochi–Ibaraki pass exists
-    for).  Used by both ``test_bench_kernels.py`` and ``run_all.py``
-    so the pytest-benchmark numbers and the BENCH JSON describe the
-    same workload.
+    for).  Used by ``test_bench_kernels.py``.
     """
     import numpy as np
 

@@ -4,8 +4,7 @@ Times the per-sample cost of each k-connectivity decision path at the
 scales the experiments use — union-find (k=1), array-first Tarjan
 (k=2), and the certificate + Even-style ISAP pivot scan (k=3) — on
 near-threshold topologies where the decisions are hardest.  All three
-deciders take the edge array; ``test_bench_graph_construction`` times
-the ``Graph`` build they skip.
+deciders take the ``(m, 2)`` edge array directly.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import pytest
 
 from repro.core.scaling import channel_prob_for_alpha
 from repro.graphs.biconnectivity import is_biconnected_edges
-from repro.graphs.graph import Graph
 from repro.graphs.unionfind import is_connected_edges
 from repro.graphs.vertex_connectivity import is_k_connected_edges
 from repro.keygraphs.uniform_graph import uniform_intersection_edges
@@ -56,11 +54,6 @@ def test_bench_even_dinic_k3(benchmark, mid_sample):
     """
     n, edges = mid_sample
     benchmark(is_k_connected_edges, n, edges, 3)
-
-
-def test_bench_graph_construction(benchmark, big_sample):
-    n, edges = big_sample
-    benchmark(Graph.from_edge_array, n, edges)
 
 
 def test_decisions_consistent(mid_sample):

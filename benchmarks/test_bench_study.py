@@ -6,8 +6,8 @@ deployment per ``(K, trial)`` cell with exact monotone deduction across
 nested curves.  Each must beat the legacy per-point loop — a fresh
 deployment for every ``(curve, metric)`` point, see
 :func:`benchmarks.conftest.run_per_point` — by a wide margin on the
-sweep-bound grids; the full mindegree grid (exact k = 3 flow scans) is
-tracked without a floor in ``run_all.py``.
+sweep-bound grids.  The full mindegree grid (exact k = 3 flow scans)
+is timed by the ``mindegree_full`` workload of ``perfbench/run.py``.
 """
 
 from __future__ import annotations

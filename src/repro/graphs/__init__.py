@@ -1,31 +1,21 @@
-"""Graph substrate: containers, algorithms, and random generators."""
+"""Graph substrate on ``(m, 2)`` edge arrays: algorithms and random generators."""
 
 from repro.graphs.biconnectivity import articulation_points_edges, is_biconnected_edges
 from repro.graphs.generators import (
     edge_to_pair_index,
     erdos_renyi_edges,
-    erdos_renyi_graph,
     expected_edge_count,
     pair_index_to_edge,
 )
-from repro.graphs.graph import Graph
 from repro.graphs.properties import (
-    average_clustering,
-    degree_histogram,
+    average_clustering_edges,
     degree_histogram_edges,
     degrees_from_edges,
     isolated_node_count,
-    min_degree,
     min_degree_edges,
     nodes_with_degree,
 )
-from repro.graphs.traversal import (
-    bfs_order,
-    connected_components,
-    eccentricity,
-    is_connected,
-    shortest_path,
-)
+from repro.graphs.traversal import csr_adjacency, shortest_path_edges
 from repro.graphs.unionfind import (
     UnionFind,
     connected_components_labels,
@@ -41,23 +31,16 @@ __all__ = [
     "is_biconnected_edges",
     "edge_to_pair_index",
     "erdos_renyi_edges",
-    "erdos_renyi_graph",
     "expected_edge_count",
     "pair_index_to_edge",
-    "Graph",
-    "average_clustering",
-    "degree_histogram",
+    "average_clustering_edges",
     "degree_histogram_edges",
     "degrees_from_edges",
     "isolated_node_count",
-    "min_degree",
     "min_degree_edges",
     "nodes_with_degree",
-    "bfs_order",
-    "connected_components",
-    "eccentricity",
-    "is_connected",
-    "shortest_path",
+    "csr_adjacency",
+    "shortest_path_edges",
     "UnionFind",
     "connected_components_labels",
     "count_components_edges",

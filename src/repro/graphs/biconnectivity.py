@@ -5,8 +5,8 @@ classical recursive Hopcroft–Tarjan DFS is implemented iteratively to
 avoid Python's recursion limit at ``n = 1000+`` and to keep constant
 factors low.  Like :func:`~repro.graphs.unionfind.is_connected_edges`,
 both entry points take ``(num_nodes, edges)`` straight from an
-``(m, 2)`` edge array: the adjacency is a CSR built from one
-``argsort`` plus one ``bincount``, and no ``Graph`` is constructed.
+``(m, 2)`` edge array and walk the CSR of
+:func:`~repro.graphs.traversal.csr_adjacency`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Iterable, List, Set, Tuple
 
 import numpy as np
 
-from repro.graphs.unionfind import _validate_edges
+from repro.graphs.traversal import csr_adjacency
 
 __all__ = ["articulation_points_edges", "is_biconnected_edges"]
 
@@ -32,11 +32,9 @@ def _lowlink(
     test (and parallel edges) unaffected.
     """
     n = num_nodes
-    edges = _validate_edges(n, edges)
-    heads = edges.ravel()
-    order = np.argsort(heads, kind="stable")
-    nbrs = edges[:, ::-1].ravel()[order].tolist()
-    start = [0] + np.cumsum(np.bincount(heads, minlength=n)).tolist()
+    indptr, nbrs_arr = csr_adjacency(n, edges)
+    nbrs = nbrs_arr.tolist()
+    start = indptr.tolist()
     nxt = start[:-1]  # next unscanned CSR slot per node
     disc = [-1] * n
     low = [0] * n

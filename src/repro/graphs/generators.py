@@ -20,13 +20,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ParameterError
-from repro.graphs.graph import Graph
 from repro.utils.rng import RandomState, as_generator, sample_distinct_integers
 from repro.utils.validation import check_positive_int, check_probability
 
 __all__ = [
     "erdos_renyi_edges",
-    "erdos_renyi_graph",
     "pair_index_to_edge",
     "edge_to_pair_index",
 ]
@@ -156,18 +154,6 @@ def erdos_renyi_edges(
     if method == "sparse":
         return _sample_sparse(num_nodes, prob, rng)
     raise ParameterError(f"unknown method {method!r}; use dense/sparse/auto")
-
-
-def erdos_renyi_graph(
-    num_nodes: int,
-    prob: float,
-    seed: RandomState = None,
-    *,
-    method: str = "auto",
-) -> Graph:
-    """Sample ``G(n, p)`` as a :class:`~repro.graphs.graph.Graph`."""
-    edges = erdos_renyi_edges(num_nodes, prob, seed, method=method)
-    return Graph.from_edge_array(num_nodes, edges)
 
 
 def expected_edge_count(num_nodes: int, prob: float) -> float:

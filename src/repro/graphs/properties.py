@@ -1,9 +1,8 @@
 """Scalar and distributional graph properties used by the experiments.
 
 The min-degree law (Lemma 8) and degree-distribution law (Lemma 9) need
-fast access to degree statistics; these helpers work both on
-:class:`~repro.graphs.graph.Graph` objects and directly on numpy edge
-arrays (the Monte Carlo fast path).
+fast access to degree statistics; every helper here takes
+``(num_nodes, edges)`` straight from an ``(m, 2)`` numpy edge array.
 """
 
 from __future__ import annotations
@@ -12,23 +11,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import GraphError
-from repro.graphs.graph import Graph
+from repro.graphs.traversal import csr_adjacency
 from repro.utils.validation import check_nonnegative_int, check_positive_int
 
 __all__ = [
     "degrees_from_edges",
-    "min_degree",
     "min_degree_edges",
     "isolated_node_count",
-    "degree_histogram",
     "degree_histogram_edges",
     "nodes_with_degree",
-    "average_clustering",
+    "average_clustering_edges",
 ]
 
 
 def degrees_from_edges(num_nodes: int, edges: np.ndarray) -> np.ndarray:
-    """Degree vector from an ``(m, 2)`` edge array, without building a Graph."""
+    """Degree vector from an ``(m, 2)`` edge array."""
     num_nodes = check_positive_int(num_nodes, "num_nodes")
     edges = np.asarray(edges, dtype=np.int64)
     degs = np.zeros(num_nodes, dtype=np.int64)
@@ -41,11 +38,6 @@ def degrees_from_edges(num_nodes: int, edges: np.ndarray) -> np.ndarray:
     return degs
 
 
-def min_degree(graph: Graph) -> int:
-    """Minimum degree ``δ(G)``."""
-    return int(graph.degrees().min())
-
-
 def min_degree_edges(num_nodes: int, edges: np.ndarray) -> int:
     """Minimum degree computed straight from an edge array."""
     return int(degrees_from_edges(num_nodes, edges).min())
@@ -56,14 +48,8 @@ def isolated_node_count(num_nodes: int, edges: np.ndarray) -> int:
     return int((degrees_from_edges(num_nodes, edges) == 0).sum())
 
 
-def degree_histogram(graph: Graph) -> np.ndarray:
-    """Histogram ``h[d] = #nodes of degree d`` (length ``max degree + 1``)."""
-    degs = graph.degrees()
-    return np.bincount(degs, minlength=int(degs.max()) + 1 if degs.size else 1)
-
-
 def degree_histogram_edges(num_nodes: int, edges: np.ndarray) -> np.ndarray:
-    """Degree histogram straight from an edge array."""
+    """Histogram ``h[d] = #nodes of degree d`` (length ``max degree + 1``)."""
     degs = degrees_from_edges(num_nodes, edges)
     return np.bincount(degs, minlength=int(degs.max()) + 1)
 
@@ -75,30 +61,22 @@ def nodes_with_degree(num_nodes: int, edges: np.ndarray, h: int) -> int:
     return int((degs == h).sum())
 
 
-def average_clustering(graph: Graph) -> float:
-    """Average local clustering coefficient.
+def average_clustering_edges(num_nodes: int, edges: np.ndarray) -> float:
+    """Average local clustering coefficient of a simple edge array's graph.
 
     Nodes of degree < 2 contribute 0 (the networkx convention), so the
     statistic is defined on every graph.  Random intersection graphs are
     known to cluster much more strongly than Erdős–Rényi graphs at equal
     edge density (Bloznelis 2013) — an effect showcased by one of the
-    examples.
+    examples.  Rows must be distinct edges without self-loops.
     """
-    n = graph.num_nodes
-    if n == 0:  # pragma: no cover - Graph enforces n >= 1
+    num_nodes = check_positive_int(num_nodes, "num_nodes")
+    indptr, neighbors = csr_adjacency(num_nodes, edges)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if edges.shape[0] == 0:
         return 0.0
-    edges = graph.to_edge_array()
-    if edges.size == 0:
-        return 0.0
-    degs = degrees_from_edges(n, edges)
-    # CSR adjacency with sorted neighbor lists, built in one lexsort.
-    heads = np.concatenate([edges[:, 0], edges[:, 1]])
-    tails = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((tails, heads))
-    neighbors = tails[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degs, out=indptr[1:])
-    # Common-neighbor count per edge via sorted-array intersection.
+    degs = np.diff(indptr)
+    # Common-neighbor count per edge via neighbor-list intersection.
     # Summed over the edges incident to u this counts each triangle at u
     # twice, so c(u) = S[u] / (d(d-1)) without a separate halving.
     common = np.empty(edges.shape[0], dtype=np.int64)
@@ -109,11 +87,11 @@ def average_clustering(graph: Graph) -> float:
             neighbors[indptr[v] : indptr[v + 1]],
             assume_unique=True,
         ).size
-    coeff_sum = np.zeros(n, dtype=np.float64)
+    coeff_sum = np.zeros(num_nodes, dtype=np.float64)
     np.add.at(coeff_sum, edges[:, 0], common)
     np.add.at(coeff_sum, edges[:, 1], common)
     mask = degs >= 2
     if not mask.any():
         return 0.0
     local = coeff_sum[mask] / (degs[mask] * (degs[mask] - 1.0))
-    return float(local.sum() / n)
+    return float(local.sum() / num_nodes)

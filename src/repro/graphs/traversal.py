@@ -1,88 +1,71 @@
-"""Breadth/depth-first traversal, components, and shortest paths."""
+"""CSR adjacency from an edge array, and array-first shortest paths.
+
+:func:`csr_adjacency` is the one adjacency builder under
+:mod:`repro.graphs`: Tarjan's low-link DFS, the BFS of
+:func:`shortest_path_edges` and
+:func:`~repro.graphs.properties.average_clustering_edges` all walk the
+``(indptr, nbrs)`` pair it returns.  Connectivity and component
+questions need no adjacency at all; the ``_edges`` functions of
+:mod:`repro.graphs.unionfind` answer them.
+"""
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.exceptions import GraphError
-from repro.graphs.graph import Graph
+from repro.graphs.unionfind import _validate_edges
+from repro.utils.validation import check_positive_int
 
-__all__ = [
-    "bfs_order",
-    "connected_components",
-    "is_connected",
-    "shortest_path",
-    "eccentricity",
-]
+__all__ = ["csr_adjacency", "shortest_path_edges"]
 
 
-def bfs_order(graph: Graph, source: int) -> List[int]:
-    """Return nodes reachable from *source* in BFS visitation order."""
-    if not 0 <= source < graph.num_nodes:
-        raise GraphError(f"source {source} outside graph")
-    seen = [False] * graph.num_nodes
-    seen[source] = True
-    order = [source]
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in graph.adjacency(u):
-            if not seen[v]:
-                seen[v] = True
-                order.append(v)
-                queue.append(v)
-    return order
+def csr_adjacency(num_nodes: int, edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR adjacency ``(indptr, nbrs)`` of an ``(m, 2)`` edge array.
+
+    Node ``u``'s neighbors are ``nbrs[indptr[u]:indptr[u + 1]]``, so
+    ``np.diff(indptr)`` is the degree vector.  One stable ``argsort`` of
+    the flattened endpoints plus one ``bincount`` builds it; for a
+    canonical (``u < v``, sorted) edge array every neighbor list comes
+    out ascending.
+    """
+    edges = _validate_edges(num_nodes, edges)
+    heads = edges.ravel()
+    order = np.argsort(heads, kind="stable")
+    nbrs = edges[:, ::-1].ravel()[order]
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=num_nodes), out=indptr[1:])
+    return indptr, nbrs
 
 
-def connected_components(graph: Graph) -> List[List[int]]:
-    """Return components as node lists, largest first (ties by smallest node)."""
-    seen = [False] * graph.num_nodes
-    components: List[List[int]] = []
-    for start in range(graph.num_nodes):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in graph.adjacency(u):
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        components.append(comp)
-    components.sort(key=lambda c: (-len(c), c[0]))
-    return components
+def shortest_path_edges(
+    num_nodes: int, edges: np.ndarray, source: int, target: int
+) -> Optional[List[int]]:
+    """Shortest source→target node path, or ``None`` if disconnected.
 
-
-def is_connected(graph: Graph) -> bool:
-    """Return whether the graph has a single connected component."""
-    if graph.num_nodes == 1:
-        return True
-    return len(bfs_order(graph, 0)) == graph.num_nodes
-
-
-def shortest_path(graph: Graph, source: int, target: int) -> Optional[List[int]]:
-    """Return a shortest source→target node path, or ``None`` if disconnected.
-
-    BFS predecessor reconstruction; the path includes both endpoints.
+    BFS over :func:`csr_adjacency` with predecessor reconstruction; the
+    path includes both endpoints.  Neighbors are scanned in CSR order,
+    so ties between equally short paths break the same way every call.
     Used by the WSN routing layer to exhibit an actual secure
     communication path between two sensors.
     """
-    if not 0 <= source < graph.num_nodes:
-        raise GraphError(f"source {source} outside graph")
-    if not 0 <= target < graph.num_nodes:
-        raise GraphError(f"target {target} outside graph")
+    num_nodes = check_positive_int(num_nodes, "num_nodes")
+    for name, node in (("source", source), ("target", target)):
+        if not 0 <= node < num_nodes:
+            raise GraphError(f"{name} {node} outside [0, {num_nodes})")
+    indptr, nbrs_arr = csr_adjacency(num_nodes, edges)
     if source == target:
         return [source]
-    prev: Dict[int, int] = {source: source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in graph.adjacency(u):
-            if v not in prev:
+    start = indptr.tolist()
+    nbrs = nbrs_arr.tolist()
+    prev = [-1] * num_nodes
+    prev[source] = source
+    queue = [source]
+    for u in queue:
+        for v in nbrs[start[u] : start[u + 1]]:
+            if prev[v] == -1:
                 prev[v] = u
                 if v == target:
                     path = [v]
@@ -92,20 +75,3 @@ def shortest_path(graph: Graph, source: int, target: int) -> Optional[List[int]]
                     return path
                 queue.append(v)
     return None
-
-
-def eccentricity(graph: Graph, source: int) -> int:
-    """Return the max BFS distance from *source* to any reachable node."""
-    if not 0 <= source < graph.num_nodes:
-        raise GraphError(f"source {source} outside graph")
-    dist = {source: 0}
-    queue = deque([source])
-    far = 0
-    while queue:
-        u = queue.popleft()
-        for v in graph.adjacency(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                far = max(far, dist[v])
-                queue.append(v)
-    return far

@@ -2,8 +2,9 @@
 
 Figure 1's 180k+ Monte Carlo trials each reduce to one question — "is
 this edge list connected on n nodes?" — so this module is the single
-hottest code path in the repository.  It therefore works directly on
-numpy edge arrays without constructing a :class:`~repro.graphs.graph.Graph`.
+hottest code path in the repository.  It works directly on numpy edge
+arrays, and its ``_edges`` functions are the package's one answer to
+connectivity and component questions.
 """
 
 from __future__ import annotations
@@ -107,8 +108,7 @@ def is_connected_pair_keys(num_nodes: int, pair_keys: np.ndarray) -> bool:
     """Connectivity decision straight from int64 pair keys ``u * n + v``.
 
     The Monte Carlo sweep hot path: avoids decoding keys into an
-    ``(m, 2)`` edge array (and a fortiori any Graph construction) before
-    deciding connectivity.
+    ``(m, 2)`` edge array before deciding connectivity.
     """
     num_nodes = check_positive_int(num_nodes, "num_nodes")
     pair_keys = np.asarray(pair_keys, dtype=np.int64)

@@ -219,10 +219,10 @@ class _ScanNetwork:
 def _pivot_scan_edges(num_nodes: int, edges: np.ndarray, k: int) -> bool:
     """Even-style pivot scan on an edge array (``k >= 3``, ``n > k``).
 
-    Works straight from the canonical ``(m, 2)`` array — no ``Graph``
-    construction: degrees come from one ``bincount``, adjacency queries
-    from a pair-key set, and the split flow network is a
-    :class:`_ScanNetwork` filled from the raw edge list.  All queried
+    Works straight from the canonical ``(m, 2)`` array: degrees come
+    from one ``bincount``, adjacency queries from a pair-key set, and
+    the split flow network is a :class:`_ScanNetwork` filled from the
+    raw edge list.  All queried
     pairs are non-adjacent and share the pivot endpoint, so every query
     reuses the one network and the one set of sink-rooted ISAP labels
     (κ is symmetric: κ(pivot, u) runs as a flow from ``out(u)`` into
@@ -270,8 +270,7 @@ def is_k_connected_edges(
     """Exact ``κ(G) >= k`` decision straight from an edge array.
 
     The study compiler's metric cascade already holds candidate edges
-    as arrays, so no :class:`~repro.graphs.graph.Graph` is built on
-    this path.  For ``k >= 2`` the backend's Nagamochi–Ibaraki sparse
+    as arrays, and this decision works on them directly.  For ``k >= 2`` the backend's Nagamochi–Ibaraki sparse
     certificate is applied before Tarjan or any flow network runs;
     *backend* pins a kernel backend (ambient resolution otherwise).
     Follows the standard convention that a k-connected graph needs at

@@ -20,7 +20,7 @@ layer) dispatches through
 value-identical*: swapping one never changes a result, only wall-clock
 — the consistency-test corpus in ``tests/test_kernels.py`` pins this.
 
-The contracts are deliberately array-first (no ``Graph`` objects cross
+The contracts are deliberately array-first (only numpy arrays cross
 the seam), so compiled backends (numba today, cupy in the planned GPU
 exploration) can run without touching Python object graphs.
 """

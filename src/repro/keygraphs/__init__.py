@@ -2,7 +2,6 @@
 
 from repro.keygraphs.binomial_graph import (
     binomial_intersection_edges,
-    binomial_intersection_graph,
     coupled_ring_pair,
 )
 from repro.keygraphs.pool import KeyPool
@@ -22,12 +21,10 @@ from repro.keygraphs.uniform_graph import (
     edges_from_rings,
     overlap_counts_from_rings,
     uniform_intersection_edges,
-    uniform_intersection_graph,
 )
 
 __all__ = [
     "binomial_intersection_edges",
-    "binomial_intersection_graph",
     "coupled_ring_pair",
     "KeyPool",
     "rings_to_incidence",
@@ -41,5 +38,4 @@ __all__ = [
     "edges_from_rings",
     "overlap_counts_from_rings",
     "uniform_intersection_edges",
-    "uniform_intersection_graph",
 ]

@@ -15,7 +15,6 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.exceptions import ParameterError
-from repro.graphs.graph import Graph
 from repro.keygraphs.rings import sample_binomial_rings, sample_uniform_rings
 from repro.keygraphs.uniform_graph import edges_from_rings
 from repro.utils.rng import RandomState, as_generator
@@ -27,7 +26,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "binomial_intersection_edges",
-    "binomial_intersection_graph",
     "coupled_ring_pair",
 ]
 
@@ -42,20 +40,6 @@ def binomial_intersection_edges(
     """Sample ``H_q(n, x, P)`` and return its canonical edge array."""
     rings = sample_binomial_rings(num_nodes, key_probability, pool_size, seed)
     return edges_from_rings(rings, q)
-
-
-def binomial_intersection_graph(
-    num_nodes: int,
-    key_probability: float,
-    pool_size: int,
-    q: int,
-    seed: RandomState = None,
-) -> Graph:
-    """Sample ``H_q(n, x, P)`` as a :class:`~repro.graphs.graph.Graph`."""
-    edges = binomial_intersection_edges(
-        num_nodes, key_probability, pool_size, q, seed
-    )
-    return Graph.from_edge_array(num_nodes, edges)
 
 
 def coupled_ring_pair(

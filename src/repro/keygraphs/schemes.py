@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.exceptions import ParameterError
-from repro.graphs.graph import Graph
 from repro.keygraphs.pool import KeyPool
 from repro.keygraphs.rings import sample_uniform_rings
 from repro.keygraphs.uniform_graph import edges_from_rings
@@ -113,11 +112,6 @@ class QCompositeScheme:
     def key_graph_edges(self, rings: np.ndarray) -> np.ndarray:
         """Edge array of ``G_q`` induced by previously assigned rings."""
         return edges_from_rings(rings, self.q)
-
-    def sample_key_graph(self, num_nodes: int, seed: RandomState = None) -> Graph:
-        """Sample ``G_q(n, K, P)`` in one step."""
-        rings = self.assign_rings(num_nodes, seed)
-        return Graph.from_edge_array(num_nodes, self.key_graph_edges(rings))
 
     def edge_probability(self) -> float:
         """``s(K, P, q)`` — probability two sensors can establish a link."""

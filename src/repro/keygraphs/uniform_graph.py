@@ -19,7 +19,6 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ParameterError
-from repro.graphs.graph import Graph
 from repro.kernels import get_backend
 from repro.keygraphs.rings import sample_uniform_rings
 from repro.utils.rng import RandomState
@@ -29,7 +28,6 @@ __all__ = [
     "edges_from_rings",
     "overlap_counts_from_rings",
     "uniform_intersection_edges",
-    "uniform_intersection_graph",
 ]
 
 Rings = Union[np.ndarray, Sequence[np.ndarray]]
@@ -115,15 +113,3 @@ def uniform_intersection_edges(
     """Sample ``G_q(n, K, P)`` and return its canonical edge array."""
     rings = sample_uniform_rings(num_nodes, key_ring_size, pool_size, seed)
     return edges_from_rings(rings, q)
-
-
-def uniform_intersection_graph(
-    num_nodes: int,
-    key_ring_size: int,
-    pool_size: int,
-    q: int,
-    seed: RandomState = None,
-) -> Graph:
-    """Sample ``G_q(n, K, P)`` as a :class:`~repro.graphs.graph.Graph`."""
-    edges = uniform_intersection_edges(num_nodes, key_ring_size, pool_size, q, seed)
-    return Graph.from_edge_array(num_nodes, edges)

@@ -38,12 +38,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.exceptions import ExperimentError, ShardMismatchError
+from repro.exceptions import ExperimentError, ParameterError, ShardMismatchError
 from repro.simulation.estimators import BernoulliEstimate
+from repro.simulation.results import _field, _mapping
 from repro.study.scenario import Curve, Scenario
 from repro.utils.tables import format_table
 
@@ -492,8 +493,25 @@ class ScenarioResult:
         return out
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ScenarioResult":
-        scenario = Scenario.from_dict(data["scenario"])  # type: ignore[arg-type]
+    def from_dict(cls, data: Mapping[str, object]) -> "ScenarioResult":
+        """Rebuild a result; malformed payloads raise :class:`ExperimentError`."""
+        what = "scenario result"
+        data = _mapping(data, what)
+        raw_scenario = _mapping(_field(data, "scenario", what), f"{what} 'scenario'")
+        try:
+            scenario = Scenario.from_dict(raw_scenario)
+        except ParameterError as exc:
+            raise ExperimentError(f"{what} 'scenario' is invalid: {exc}") from exc
+        labels = _field(data, "metric_labels", what)
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise ExperimentError(f"{what} 'metric_labels' must be a list of strings")
+        offset = data.get("trial_offset", 0)
+        if not isinstance(offset, int):
+            raise ExperimentError(f"{what} 'trial_offset' must be an integer, got {offset!r}")
+        try:
+            values = np.asarray(_field(data, "values", what), dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ExperimentError(f"{what} 'values' is not a numeric array: {exc}") from exc
         embedded = data.get("scenario_hash")
         if embedded is not None and embedded != scenario.content_hash():
             raise ShardMismatchError(
@@ -504,9 +522,9 @@ class ScenarioResult:
             )
         return cls(
             scenario=scenario,
-            values=np.asarray(data["values"], dtype=np.float64),
-            metric_labels=tuple(data["metric_labels"]),  # type: ignore[arg-type]
-            trial_offset=int(data.get("trial_offset", 0)),  # type: ignore[arg-type]
+            values=values,
+            metric_labels=tuple(labels),
+            trial_offset=offset,
         )
 
 
@@ -559,12 +577,18 @@ class StudyResult:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "StudyResult":
+    def from_dict(cls, data: Mapping[str, object]) -> "StudyResult":
+        """Rebuild a result; malformed payloads raise :class:`ExperimentError`."""
+        data = _mapping(data, "study result")
+        scenarios = _field(data, "scenarios", "study result")
+        if not isinstance(scenarios, list):
+            raise ExperimentError(
+                f"study result 'scenarios' must be a JSON array, got {type(scenarios).__name__}"
+            )
+        provenance = _mapping(data.get("provenance", {}), "study result 'provenance'")
         return cls(
-            results=tuple(
-                ScenarioResult.from_dict(r) for r in data["scenarios"]  # type: ignore[union-attr]
-            ),
-            provenance=dict(data.get("provenance", {})),  # type: ignore[arg-type]
+            results=tuple(ScenarioResult.from_dict(r) for r in scenarios),
+            provenance=dict(provenance),
         )
 
     def save(self, path: Union[str, pathlib.Path]) -> None:

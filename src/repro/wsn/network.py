@@ -21,7 +21,6 @@ from repro.channels.base import ChannelModel, ChannelRealization
 from repro.channels.disk import DiskRealization
 from repro.channels.onoff import OnOffChannel
 from repro.exceptions import ParameterError
-from repro.graphs.graph import Graph
 from repro.graphs.unionfind import is_connected_edges
 from repro.graphs.vertex_connectivity import is_k_connected_edges
 from repro.keygraphs.schemes import QCompositeScheme
@@ -80,7 +79,6 @@ class SecureWSN:
         self._key_edges = scheme.key_graph_edges(self.rings)
         self._channel_mask = self.channel_state.edge_mask(self._key_edges)
         self._secure_edges_all = self._key_edges[self._channel_mask]
-        self._graph_cache: Optional[Graph] = None
 
     # -- topology ---------------------------------------------------------
 
@@ -100,17 +98,6 @@ class SecureWSN:
             np.isin(edges[:, 0], dead_arr) | np.isin(edges[:, 1], dead_arr)
         )
         return edges[keep]
-
-    def graph(self) -> Graph:
-        """Secure topology as a :class:`Graph` (cached until failures change)."""
-        if self._graph_cache is None:
-            self._graph_cache = Graph.from_edge_array(
-                self.num_nodes, self.secure_edges()
-            )
-        return self._graph_cache
-
-    def _invalidate(self) -> None:
-        self._graph_cache = None
 
     # -- connectivity -------------------------------------------------------
 
@@ -132,7 +119,10 @@ class SecureWSN:
         """Can every pair of live sensors communicate securely (k = 1)?
 
         Failed sensors are excluded from the requirement: connectivity is
-        evaluated on the subgraph induced by live sensors.
+        evaluated on the subgraph induced by live sensors.  A single live
+        sensor (or none) counts as connected here, whereas
+        :meth:`is_k_connected` follows κ's ``n > k`` convention and
+        returns ``False`` for ``k = 1`` on one live sensor.
         """
         n_live, edges = self._live_edges()
         if n_live <= 1:
@@ -176,13 +166,11 @@ class SecureWSN:
         for node in node_ids:
             self._check_node(int(node))
             self.sensors[int(node)].alive = False
-        self._invalidate()
 
     def restore_all(self) -> None:
         """Revive every sensor (fresh analysis on the same deployment)."""
         for sensor in self.sensors:
             sensor.alive = True
-        self._invalidate()
 
     def live_count(self) -> int:
         """Number of live sensors."""

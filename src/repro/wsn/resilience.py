@@ -21,7 +21,6 @@ from typing import List
 import numpy as np
 
 from repro.exceptions import ParameterError
-from repro.graphs.unionfind import is_connected_edges
 from repro.graphs.vertex_connectivity import is_k_connected_edges
 from repro.utils.rng import RandomState, as_generator
 from repro.wsn.network import SecureWSN
@@ -95,18 +94,11 @@ def evaluate_resilience(
     trusted_arr = np.array(trusted, dtype=np.int64).reshape(-1, 2)
     all_arr = np.array(surviving, dtype=np.int64).reshape(-1, 2)
 
-    if k == 1:
-        resilient = is_connected_edges(n_live, trusted_arr)
-        plain = is_connected_edges(n_live, all_arr)
-    else:
-        resilient = is_k_connected_edges(n_live, trusted_arr, k)
-        plain = is_k_connected_edges(n_live, all_arr, k)
-
     return ResilienceOutcome(
         captured_nodes=sorted(captured),
         survivors=n_live,
         surviving_links=len(trusted),
         compromised_links=compromised,
-        connected_ignoring_compromise=plain,
-        resiliently_connected=resilient,
+        connected_ignoring_compromise=is_k_connected_edges(n_live, all_arr, k),
+        resiliently_connected=is_k_connected_edges(n_live, trusted_arr, k),
     )

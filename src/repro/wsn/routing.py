@@ -14,7 +14,7 @@ import dataclasses
 from typing import List, Optional
 
 from repro.exceptions import ParameterError
-from repro.graphs.traversal import shortest_path
+from repro.graphs.traversal import shortest_path_edges
 from repro.wsn.network import SecureWSN
 
 __all__ = ["SecureRoute", "find_secure_route", "route_stretch"]
@@ -43,8 +43,9 @@ def find_secure_route(
     """Shortest secure route from *source* to *target*, or ``None``.
 
     Routes only traverse live sensors and on-channels (i.e. edges of the
-    current secure topology).  The returned route carries the derived
-    per-hop link keys.
+    current secure topology).  Among equally short routes the hop order
+    is deterministic: the BFS scans neighbors in ascending id order.
+    The returned route carries the derived per-hop link keys.
     """
     if not 0 <= source < network.num_nodes:
         raise ParameterError(f"source {source} outside network")
@@ -53,7 +54,7 @@ def find_secure_route(
     if not network.sensors[source].alive or not network.sensors[target].alive:
         return None
 
-    path = shortest_path(network.graph(), source, target)
+    path = shortest_path_edges(network.num_nodes, network.secure_edges(), source, target)
     if path is None:
         return None
     keys: List[bytes] = []
@@ -75,10 +76,9 @@ def route_stretch(network: SecureWSN, source: int, target: int) -> Optional[floa
     secure = find_secure_route(network, source, target)
     if secure is None:
         return None
-    from repro.graphs.graph import Graph
-
-    key_graph = Graph.from_edge_array(network.num_nodes, network.key_graph_edges)
-    baseline = shortest_path(key_graph, source, target)
+    baseline = shortest_path_edges(
+        network.num_nodes, network.key_graph_edges, source, target
+    )
     if baseline is None or len(baseline) <= 1:
         return None
     return secure.length / (len(baseline) - 1)

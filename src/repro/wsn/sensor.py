@@ -37,11 +37,6 @@ class Sensor:
         """Number of keys held (the memory cost the paper dimensions)."""
         return int(self.ring.size)
 
-    def holds_key(self, key_id: int) -> bool:
-        """Return whether the sensor's ring contains *key_id*."""
-        idx = int(np.searchsorted(self.ring, key_id))
-        return idx < self.ring.size and int(self.ring[idx]) == int(key_id)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         status = "alive" if self.alive else "failed"
         return f"Sensor(id={self.node_id}, |ring|={self.ring_size}, {status})"

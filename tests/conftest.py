@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from repro.graphs.graph import Graph
 from repro.params import QCompositeParams
 
 
@@ -36,23 +36,29 @@ def figure1_params() -> QCompositeParams:
 
 
 @pytest.fixture
-def diamond_graph() -> Graph:
-    """4-cycle plus one chord: 2-connected, not 3-connected."""
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    return g
+def diamond_graph() -> np.ndarray:
+    """4-cycle plus one chord on nodes 0..3: 2-connected, not 3-connected."""
+    return np.array([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], dtype=np.int64)
 
 
 @pytest.fixture
-def bowtie_graph() -> Graph:
-    """Two triangles sharing node 2: connected with articulation point 2."""
-    return Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+def bowtie_graph() -> np.ndarray:
+    """Two triangles sharing node 2 (nodes 0..4): articulation point 2."""
+    return np.array([(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)], dtype=np.int64)
 
 
-def random_gnp_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
-    """Plain-python ER sampler for cross-checks (independent of repro code)."""
-    g = Graph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                g.add_edge(u, v)
-    return g
+def random_gnp_graph(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Plain-python ER sampler for cross-checks (independent of repro code).
+
+    Returns the canonical ``(m, 2)`` edge array (``u < v``, sorted).
+    """
+    edges = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+    ]
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def edges_of(graph: nx.Graph) -> np.ndarray:
+    """Canonical ``(m, 2)`` edge array (``u < v``, sorted) of a networkx graph."""
+    pairs = sorted((min(u, v), max(u, v)) for u, v in graph.edges())
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)

@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.keygraphs.binomial_graph import (
     binomial_intersection_edges,
-    binomial_intersection_graph,
     coupled_ring_pair,
 )
 from repro.keygraphs.uniform_graph import edges_from_rings
@@ -21,10 +20,6 @@ class TestBinomialGraph:
 
     def test_zero_probability_no_edges(self):
         assert binomial_intersection_edges(10, 0.0, 50, 1, seed=2).shape == (0, 2)
-
-    def test_graph_wrapper(self):
-        g = binomial_intersection_graph(20, 0.1, 100, 1, seed=3)
-        assert g.num_nodes == 20
 
     def test_edge_density_increases_with_x(self):
         counts = []

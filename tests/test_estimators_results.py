@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,8 @@ from repro.simulation.results import (
     load_result,
     save_result,
 )
+from repro.study import MetricSpec, Scenario, StudyResult
+from repro.study.result import ScenarioResult
 
 
 class TestWilsonInterval:
@@ -122,6 +125,15 @@ _JSON = st.recursive(
     max_leaves=8,
 )
 _DROP = object()
+_SCENARIO_RESULT = ScenarioResult(
+    Scenario(
+        name="demo", num_nodes=10, pool_size=100, trials=2, ring_sizes=(5,),
+        curves=((1, 1.0),), metrics=(MetricSpec("connectivity"),),
+    ),
+    np.zeros((1, 2, 1, 1)),
+    ("connectivity",),
+    trial_offset=2,
+).to_dict()
 
 
 @st.composite
@@ -139,8 +151,15 @@ def _mangled_payloads(draw):
 
     estimate = obj(BernoulliEstimate.from_counts(3, 10).to_dict())
     point = obj({"point": {"K": 30.0}, "estimate": estimate, "prediction": 0.25})
-    payload = obj({"name": "demo", "config": {"trials": 10}, "points": [point]})
-    return draw(st.sampled_from((payload, [payload], draw(_JSON))))
+    experiment = obj({"name": "demo", "config": {"trials": 10}, "points": [point]})
+    scenario = obj(_SCENARIO_RESULT)
+    study = obj({"provenance": {"deployments": 2}, "scenarios": [scenario]})
+    loader, payload = draw(st.sampled_from((
+        (ExperimentResult, experiment),
+        (ScenarioResult, scenario),
+        (StudyResult, study),
+    )))
+    return loader, draw(st.sampled_from((payload, [payload], draw(_JSON))))
 
 
 class TestMalformedResultPayloads:
@@ -158,6 +177,25 @@ class TestMalformedResultPayloads:
         with pytest.raises(ExperimentError, match=field):
             ExperimentResult.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "loader, payload, field",
+        [
+            (ScenarioResult, {}, "'scenario'"),
+            (ScenarioResult, [], "JSON object"),
+            (ScenarioResult, {**_SCENARIO_RESULT, "scenario": []}, "'scenario'"),
+            (ScenarioResult, {**_SCENARIO_RESULT, "scenario": {}}, "'scenario'"),
+            (ScenarioResult, {**_SCENARIO_RESULT, "metric_labels": 3}, "metric_labels"),
+            (ScenarioResult, {**_SCENARIO_RESULT, "values": [[1], "x"]}, "values"),
+            (StudyResult, {}, "'scenarios'"),
+            (StudyResult, [], "JSON object"),
+            (StudyResult, {"scenarios": {}}, "'scenarios'"),
+            (StudyResult, {"scenarios": [], "provenance": []}, "provenance"),
+        ],
+    )
+    def test_study_result_named_field_in_error(self, loader, payload, field):
+        with pytest.raises(ExperimentError, match=field):
+            loader.from_dict(payload)
+
     def test_load_result_raises_experiment_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x", "config": {}, "points": [{}]}))
@@ -166,9 +204,10 @@ class TestMalformedResultPayloads:
 
     @given(_mangled_payloads())
     @settings(max_examples=300, deadline=None)
-    def test_malformed_payloads_raise_only_experiment_error(self, payload):
+    def test_malformed_payloads_raise_only_experiment_error(self, case):
+        loader, payload = case
         try:
-            result = ExperimentResult.from_dict(payload)
+            result = loader.from_dict(payload)
         except ExperimentError:
             return
-        assert isinstance(result, ExperimentResult)
+        assert isinstance(result, loader)

@@ -20,6 +20,8 @@ Four pillars:
 
 from __future__ import annotations
 
+import itertools
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -28,7 +30,6 @@ from repro.cli import main
 from repro.exceptions import GraphError, KernelError, ParameterError
 from repro.graphs.biconnectivity import is_biconnected_edges
 from repro.graphs.generators import erdos_renyi_edges
-from repro.graphs.graph import Graph
 from repro.graphs.unionfind import is_connected_edges
 from repro.graphs.vertex_connectivity import _pivot_scan_edges, is_k_connected_edges
 from repro.kernels import (
@@ -45,6 +46,7 @@ from repro.kernels.probe import probe_backends
 from repro.kernels.reference import ReferenceBackend, scan_first_certificate
 from repro.keygraphs.uniform_graph import uniform_intersection_edges
 from repro.study import MetricSpec, Scenario, Study, run_scenario
+from tests.oracle import to_graph
 
 AVAILABLE = [info["name"] for info in available_backends() if info["available"]]
 
@@ -58,10 +60,7 @@ def _reset_active_backend():
 
 def _kappa(n, edges):
     """Exact κ from networkx, the reference independent of this package."""
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(edges.tolist())
-    return nx.node_connectivity(g)
+    return nx.node_connectivity(to_graph(n, edges))
 
 
 def _plain_decision(n, edges, k):
@@ -167,13 +166,10 @@ class TestSparseCertificate:
         # k = 1 certificate of a connected graph is a spanning tree.
         rng = np.random.default_rng(3)
         edges = erdos_renyi_edges(40, 0.3, rng)
-        g = Graph.from_edge_array(40, edges)
-        from repro.graphs.traversal import is_connected
-
-        if is_connected(g):
+        if nx.is_connected(to_graph(40, edges)):
             cert = scan_first_certificate(40, edges, 1)
             assert cert.shape[0] == 39
-            assert is_connected(Graph.from_edge_array(40, cert))
+            assert nx.is_connected(to_graph(40, cert))
 
     def test_certificate_preserves_kappa_up_to_k(self):
         # The certificate preserves the decision for every k' <= k.
@@ -209,20 +205,17 @@ class TestCertificateEquivalence:
 
     def test_k_le_2_shortcut_paths(self):
         # k <= 2 goes through the min-label union / Tarjan; the decision
-        # must agree with BFS on a Graph and with Tarjan on the full array.
-        from repro.graphs.traversal import is_connected
-
+        # must agree with networkx and with Tarjan on the full array.
         rng = np.random.default_rng(5)
         for n, p in ((12, 0.2), (40, 0.1), (40, 0.3)):
             edges = erdos_renyi_edges(n, p, rng)
-            g = Graph.from_edge_array(n, edges)
-            assert is_k_connected_edges(n, edges, 1) == is_connected(g)
+            assert is_k_connected_edges(n, edges, 1) == nx.is_connected(to_graph(n, edges))
             assert is_k_connected_edges(n, edges, 2) == is_biconnected_edges(n, edges)
 
     def test_small_n_edge_cases(self):
         # n < k + 1 is False; k <= 0 is True.
         def complete(n):
-            return Graph.complete(n).to_edge_array()
+            return np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64)
 
         empty = np.empty((0, 2), dtype=np.int64)
         assert is_k_connected_edges(3, empty, 0)

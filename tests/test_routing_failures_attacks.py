@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from repro.wsn.failures import (
 from repro.wsn.metrics import summarize
 from repro.wsn.network import SecureWSN
 from repro.wsn.routing import find_secure_route, route_stretch
+from tests.oracle import to_graph
 
 
 @pytest.fixture
@@ -31,10 +33,11 @@ class TestRouting:
         route = find_secure_route(dense_net, 0, 24)
         if route is None:
             pytest.skip("sampled topology disconnected; other seeds cover this")
-        g = dense_net.graph()
+        g = to_graph(25, dense_net.secure_edges())
         for a, b in zip(route.hops, route.hops[1:]):
             assert g.has_edge(a, b)
         assert len(route.link_keys) == route.length
+        assert route.length == nx.shortest_path_length(g, 0, 24)
 
     def test_route_keys_match_link_keys(self, dense_net):
         route = find_secure_route(dense_net, 0, 24)
@@ -62,6 +65,22 @@ class TestRouting:
         if val is None:
             pytest.skip("disconnected sample")
         assert val >= 1.0 - 1e-12
+
+    def test_stretch_is_ratio_of_shortest_lengths(self, dense_net):
+        dense_net.fail_nodes([1, 2])  # lengthen some secure routes
+        secure = to_graph(25, dense_net.secure_edges())
+        key = to_graph(25, dense_net.key_graph_edges)
+        checked = 0
+        for target in range(3, 25):
+            if not nx.has_path(secure, 0, target):
+                assert route_stretch(dense_net, 0, target) is None
+                continue
+            expected = nx.shortest_path_length(secure, 0, target) / (
+                nx.shortest_path_length(key, 0, target)
+            )
+            assert route_stretch(dense_net, 0, target) == pytest.approx(expected)
+            checked += 1
+        assert checked > 0
 
 
 class TestFailures:
@@ -181,6 +200,25 @@ class TestMetrics:
     def test_summary_skip_clustering(self, dense_net):
         s = summarize(dense_net, with_clustering=False)
         assert np.isnan(s.clustering)
+
+    def test_summary_excludes_failed_sensors(self):
+        net = SecureWSN(30, QCompositeScheme(12, 100, 1), OnOffChannel(0.9), seed=1)
+        net.fail_nodes([3])
+        s = summarize(net)
+        live = to_graph(30, net.secure_edges())
+        live.remove_node(3)
+        degrees = [d for _, d in live.degree()]
+        assert s.num_live == 29 and s.connected == nx.is_connected(live)
+        assert s.min_degree == min(degrees) > 0
+        assert s.isolated_nodes == 0
+        assert s.mean_degree == pytest.approx(np.mean(degrees))
+        assert s.clustering == pytest.approx(nx.average_clustering(live), abs=1e-12)
+
+    def test_summary_with_no_live_sensor(self, dense_net):
+        dense_net.fail_nodes(range(25))
+        s = summarize(dense_net)
+        assert (s.num_live, s.num_secure_links, s.min_degree, s.isolated_nodes) == (0, 0, 0, 0)
+        assert s.mean_degree == 0.0 and s.clustering == 0.0
 
     def test_summary_to_dict(self, dense_net):
         d = summarize(dense_net).to_dict()

@@ -108,10 +108,6 @@ class TestQCompositeScheme:
             overlap_survival(12, 300, 2)
         )
 
-    def test_sample_key_graph(self):
-        g = QCompositeScheme(8, 100, 1).sample_key_graph(25, seed=4)
-        assert g.num_nodes == 25
-
     def test_pool_size_mismatch_raises(self):
         with pytest.raises(ValueError):
             QCompositeScheme(5, 100, 1, pool=KeyPool(50))

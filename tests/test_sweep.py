@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -28,8 +29,6 @@ from repro.exceptions import ParameterError
 from repro.experiments.figure1 import build_figure1_study, run_figure1
 from repro.experiments.zero_one import run_zero_one
 from repro.graphs.generators import erdos_renyi_edges
-from repro.graphs.graph import Graph
-from repro.graphs.traversal import connected_components
 from repro.graphs.unionfind import (
     connected_components_labels,
     count_components_pair_keys,
@@ -38,7 +37,7 @@ from repro.graphs.unionfind import (
 from repro.simulation.estimators import wilson_interval
 from repro.study import ClassMix, MetricSpec, Scenario, Study
 from repro.study.metrics import DeploymentEvaluator, sample_deployment
-from tests.oracle import oracle_values
+from tests.oracle import oracle_values, to_graph
 
 SIX_CURVES = ((2, 1.0), (2, 0.5), (2, 0.2), (3, 1.0), (3, 0.5), (3, 0.2))
 
@@ -79,8 +78,7 @@ class TestVectorizedKernel:
         for n in (2, 3, 7, 25, 120):
             for p in (0.0, 0.01, 0.05, 0.2, 0.8):
                 edges = erdos_renyi_edges(n, p, rng)
-                g = Graph.from_edge_array(n, edges)
-                comps = len(connected_components(g))
+                comps = nx.number_connected_components(to_graph(n, edges))
                 labels = connected_components_labels(n, edges)
                 assert np.unique(labels).size == comps
                 keys = (

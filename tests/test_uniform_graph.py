@@ -23,7 +23,6 @@ from repro.keygraphs.uniform_graph import (
     edges_from_rings,
     overlap_counts_from_rings,
     uniform_intersection_edges,
-    uniform_intersection_graph,
 )
 from repro.probability.hypergeometric import overlap_survival
 from tests.oracle import edges_dense
@@ -165,7 +164,3 @@ class TestEdgeProbability:
         s = overlap_survival(K, P, q)
         sd = np.sqrt(s * (1 - s) / (pairs * reps))  # ignores pair dependence
         assert abs(emp - s) < 6 * sd + 0.002
-
-    def test_graph_wrapper(self):
-        g = uniform_intersection_graph(25, 6, 60, 1, seed=2)
-        assert g.num_nodes == 25

@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from repro.exceptions import GraphError
-from repro.graphs.graph import Graph
-from repro.graphs.traversal import connected_components
 from repro.graphs.unionfind import (
     UnionFind,
     count_components_edges,
     is_connected_edges,
 )
+from tests.oracle import to_graph
 
 
 class TestUnionFind:
@@ -84,8 +84,7 @@ class TestIsConnectedEdges:
             m = int(rng.integers(0, n * 2))
             edges = rng.integers(0, n, size=(m, 2))
             edges = edges[edges[:, 0] != edges[:, 1]]
-            g = Graph(n, (tuple(e) for e in edges))
-            expected = len(connected_components(g)) == 1
+            expected = nx.is_connected(to_graph(n, edges))
             assert is_connected_edges(n, edges) == expected
 
 
@@ -99,5 +98,5 @@ class TestCountComponents:
             m = int(rng.integers(0, n * 2))
             edges = rng.integers(0, n, size=(m, 2))
             edges = edges[edges[:, 0] != edges[:, 1]]
-            g = Graph(n, (tuple(e) for e in edges))
-            assert count_components_edges(n, edges) == len(connected_components(g))
+            expected = nx.number_connected_components(to_graph(n, edges))
+            assert count_components_edges(n, edges) == expected
