@@ -2,7 +2,7 @@
 
 Times the per-sample cost of each k-connectivity decision path at the
 scales the experiments use — union-find (k=1), array-first Tarjan
-(k=2), and the certificate + Even-style ISAP pivot scan (k=3) — on
+(k=2), and the certificate + bootstrap-closure ISAP scan (k=3) — on
 near-threshold topologies where the decisions are hardest.  All three
 deciders take the ``(m, 2)`` edge array directly.
 """
@@ -48,9 +48,10 @@ def test_bench_tarjan_k2(benchmark, big_sample):
 
 
 def test_bench_even_dinic_k3(benchmark, mid_sample):
-    """The k = 3 decision: certificate, then the Even-style ISAP pivot scan.
+    """The k = 3 decision: certificate, then the bootstrap-closure ISAP scan.
 
-    The name predates the move from Dinic to ISAP queries.
+    The name predates the move from Dinic to ISAP queries and from the
+    full pivot scan to the closure.
     """
     n, edges = mid_sample
     benchmark(is_k_connected_edges, n, edges, 3)

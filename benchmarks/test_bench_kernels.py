@@ -4,9 +4,9 @@ Parametrized over every *available* registered backend (the default
 container runs reference only; the CI numba leg adds the jitted
 backend).  The k-connectivity bench also pins the certificate's
 acceptance angle: the exact decision (Nagamochi–Ibaraki certificate,
-then the ISAP pivot scan) must agree with the uncertified pivot scan on
-the full edge array while the certificate keeps the per-decision cost
-low.
+then the bootstrap-closure scan) must agree with the same scan run on
+the uncertified edge array while the certificate keeps the
+per-decision cost low.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 
 from benchmarks.conftest import emit, kconn_fixture
 from repro.graphs.generators import erdos_renyi_edges
-from repro.graphs.vertex_connectivity import _pivot_scan_edges
+from repro.graphs.vertex_connectivity import _closure_scan_edges
 from repro.kernels import available_backends, get_backend
 from repro.keygraphs.rings import sample_uniform_rings
 
@@ -71,7 +71,7 @@ def test_bench_kconn_certificate_decision(benchmark, backend_name):
             backend.k_connected(n, edges, 3)
 
     benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=0)
-    plain = _pivot_scan_edges(n, edges, 3)
+    plain = _closure_scan_edges(n, edges, edges, 3)
     assert with_cert == plain
     emit(
         f"kernels[{backend_name}]: exact k=3 decision",
@@ -81,11 +81,11 @@ def test_bench_kconn_certificate_decision(benchmark, backend_name):
 
 
 def test_bench_kconn_plain_baseline(benchmark):
-    """Certificate-off baseline: the uncertified pivot scan on the full array."""
+    """Certificate-off baseline: the closure scan on the full edge array."""
     n, edges = kconn_fixture()
 
     def run():
         for _ in range(3):
-            _pivot_scan_edges(n, edges, 3)
+            _closure_scan_edges(n, edges, edges, 3)
 
     benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=0)

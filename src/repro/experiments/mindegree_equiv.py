@@ -80,8 +80,8 @@ def run_mindegree_equiv(
 ) -> ExperimentResult:
     """Joint min-degree / k-connectivity sweep over (k, α).
 
-    ``n = 300`` keeps the exact ``k = 3`` decision (Even-style pivot scan) cheap
-    enough for hundreds of trials.
+    ``n = 300`` keeps the exact ``k = 3`` decision (bootstrap-closure scan)
+    cheap enough for hundreds of trials.
     """
     trials = trials if trials is not None else trials_from_env(60, full=300)
     study = build_mindegree_study(

@@ -7,109 +7,138 @@ is the one entry point (``KernelBackend.k_connected`` delegates here):
 * ``k = 1`` → the backend's min-label connectivity union,
 * ``k = 2`` → iterative Tarjan biconnectivity
   (:func:`~repro.graphs.biconnectivity.is_biconnected_edges`),
-* ``k >= 3`` → an Even-style pivot scan built on Menger's theorem: one
-  truncated ISAP max-flow query per candidate pair over the node-split
-  digraph, each stopping at ``k`` augmenting paths.
+* ``k >= 3`` → a bootstrap-closure scan around one pivot vertex,
+  backed by truncated ISAP max-flow queries over the node-split
+  digraph, each stopping at ``k`` augmenting paths (Menger).
 
-Correctness of the general case rests on the minimal-separator argument:
-if ``κ(G) < k`` there is an inclusion-minimal separator ``S`` with
-``|S| < k``; fixing any vertex ``v`` (we use one of minimum degree),
-either ``v ∉ S`` — then some vertex ``u`` in another component of
-``G - S`` is non-adjacent to ``v`` and ``κ(v, u) < k`` — or ``v ∈ S`` —
-then ``v`` has neighbors in two different components of ``G - S``
-(minimality), and that non-adjacent neighbor pair has local connectivity
-``< k``.  Hence checking ``κ(v, u)`` for all ``u`` non-adjacent to ``v``
-plus ``κ(u, w)`` for all non-adjacent ``u, w ∈ N(v)`` is sufficient.
+Every ``k >= 2`` decision first collapses the input to distinct
+canonical ``(u < v)`` pairs without self-loops, then applies the
+backend's **Nagamochi–Ibaraki sparse certificate** H: a scan-first
+forest decomposition (:mod:`repro.kernels`) with at most ``k·(n-1)``
+edges.  Scan-first forests keep more than the global decision: for
+every vertex set ``S`` with ``|S| < k``, ``G - S`` and ``H - S`` have
+the same connected components, so ``min(κ(x, y), k)`` is the same in
+G and H for every pair.
 
-Every ``k >= 2`` decision runs on a **Nagamochi–Ibaraki sparse
-certificate**: a scan-first forest decomposition (computed by the
-active kernel backend, :mod:`repro.kernels`) reduces the edge set to at
-most ``k·(n-1)`` edges while preserving the κ >= k decision exactly.
-The uncertified deciders (:func:`_pivot_scan_edges`,
-``is_biconnected_edges``) called on the full edge array are the
-reference the certificate-equivalence corpus checks against.
+**The closure lemma** (``k >= 3``).  Fix a pivot ``v`` and grow a set
+``A`` from ``{v} ∪ N(v)``, absorbing every vertex with at least ``k``
+distinct neighbors in ``A``.  For any separator ``S`` with ``|S| < k``
+and ``v ∉ S``, every vertex of ``A`` lies in ``S`` or in ``v``'s
+component of ``G - S``: true for the seed, and a vertex with ``k``
+neighbors in ``A`` has one outside ``S``, hence in ``v``'s component.
+When absorption stalls, one flow query ``κ(v, x) >= k`` for the
+outside vertex ``x`` with the most neighbors in ``A`` decides the
+round: ``x`` is non-adjacent to ``v``, so a "no" is the exact answer
+``κ < k``; a "yes" means no such ``S`` separates ``x`` from ``v``, so
+``x`` joins ``A``.  Once ``A`` covers every vertex, no separator of
+size ``< k`` avoids ``v``.  A minimal one through ``v`` leaves two
+neighbors of ``v`` in different components, so the scan ends with
+``κ(u, w) >= k`` for every non-adjacent pair ``u, w ∈ N(v)``.  On the
+graphs the studies decide (κ >= 3 just above the degree filter) this
+takes a handful of flow queries where a scan of every non-neighbor of
+the pivot took ~n.
+
+**Why the G/H split is exact.**  The closure walks the pre-certificate
+edges G (more neighbors in ``A``, so fewer stalls); the pivot (minimum
+degree in H), every flow query and the neighbor pairs run on H (fewer
+arcs, fewer pairs).  The closure only ever concludes "no separator of
+size ``< k`` avoids ``v``", which transfers between G and H because
+their components agree after removing any such ``S``; a flow "yes" on
+H is a "yes" on G ⊇ H; a flow "no" on H between non-adjacent vertices
+gives ``κ(H) < k``, and H is a certificate, so ``κ(G) < k``.  The
+uncertified deciders (:func:`_closure_scan_edges` with G as its own
+certificate, ``is_biconnected_edges`` on G) are the reference the
+certificate-equivalence corpus checks against.
+
+**Pristine labels in closed form.**  ISAP needs exact
+distance-to-sink labels on the unused network.  In the split digraph
+(internal arc ``in(x) → out(x)``, edge arcs ``out(x) → in(y)``) they
+follow from one BFS on H: with ``dist`` the hop distance to ``t``,
+``d[in x] = 2·dist(x, t)``, ``d[out x] = 2·dist(x, t) - 1``,
+``d[out t] = 3`` (when ``t`` has a neighbor), and ``2n`` for every
+unreachable node.  The residual walk :meth:`_ScanNetwork.sink_labels`
+remains for ISAP's global relabel, which runs on a used network.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from repro.graphs.biconnectivity import is_biconnected_edges
+from repro.graphs.traversal import csr_adjacency
 from repro.graphs.unionfind import _validate_edges
 
 __all__ = ["is_k_connected_edges"]
 
 
 class _ScanNetwork:
-    """CSR node-split unit-capacity digraph for the pivot scan.
+    """CSR node-split unit-capacity digraph for the closure scan.
 
-    The Even-style scan runs ~n truncated max-flow queries against
-    *one* fixed graph, almost all of them sharing one endpoint (the
-    pivot).  This class specializes for exactly that access pattern:
+    The scan runs a few truncated max-flow queries against *one* fixed
+    graph, most of them sharing one endpoint (the pivot).  This class
+    specializes for exactly that access pattern:
 
-    * CSR arc storage (``start[u] .. start[u+1]``) — tight ``a += 1``
-      inner loops, no linked-list ``next`` indirection;
+    * CSR arc storage (``start[u] .. start[u+1]``), laid out with numpy
+      from the graph's :func:`~repro.graphs.traversal.csr_adjacency` —
+      tight ``a += 1`` inner loops, no linked-list indirection;
     * undo-log capacity reset — unit capacities mean an augmentation
       flips a handful of arcs, so resetting replays the touched list
       instead of copying all ``2(n + 2m)`` capacities per query;
-    * **ISAP with shared sink-rooted labels**: the scan fixes the
-      *sink* at ``in(pivot)`` (κ is symmetric, so κ(pivot, u) is
-      queried as a flow from ``out(u)`` to ``in(pivot)``) and computes
-      exact distance-to-sink labels once by reverse BFS on the pristine
-      residual.  Every query then augments along admissible arcs
-      (``d[x] == d[y] + 1``) with local relabeling on retreat — no
-      per-phase BFS at all.  A relabel budget triggers a *global relabel*
-      (exact reverse BFS on the current residual), so worst-case
-      behavior degrades to Dinic's phase structure instead of ISAP's
+    * **ISAP with shared sink-rooted labels**: κ is symmetric, so a
+      query runs as a flow from ``out(s)`` into ``in(t)`` with ``t``
+      the shared endpoint, and the exact pristine labels of that sink
+      (:meth:`pristine_labels`, one BFS) serve every query into it.
+      Queries augment along admissible arcs (``d[x] == d[y] + 1``) with
+      local relabeling on retreat — no per-phase BFS at all.  A relabel
+      budget triggers a *global relabel* (exact reverse BFS on the
+      current residual, :meth:`sink_labels`), so worst-case behavior
+      degrades to Dinic's phase structure instead of ISAP's
       pathological label creep; exactness is unaffected (flow is
       maximal iff ``d[source]`` reaches the node count).
 
     Arc layout: node ``v`` (the *in*-copy) carries the internal arc
     ``in(v) -> out(v)`` first, then one residual twin per incident
     edge; node ``v + n`` (the *out*-copy) carries the reverse internal
-    arc first, then one forward arc per incident edge.  ``rev[a]`` is
-    the residual twin of arc ``a``.
+    arc first, then one forward arc per incident edge, both in CSR
+    neighbor order.  ``rev[a]`` is the residual twin of arc ``a``.
     """
 
-    __slots__ = ("n", "start", "to", "cap", "rev", "touched")
+    __slots__ = ("n", "indptr", "nbrs", "start", "to", "cap", "rev", "touched")
 
-    def __init__(self, num_nodes: int, edge_list) -> None:
+    def __init__(self, num_nodes: int, edges) -> None:
         n = self.n = num_nodes
-        deg = [0] * n
-        for u, v in edge_list:
-            deg[u] += 1
-            deg[v] += 1
-        start = [0] * (2 * n + 1)
-        for v in range(n):
-            start[v + 1] = start[v] + 1 + deg[v]  # in(v): internal + rev arcs
-        for v in range(n):
-            start[n + v + 1] = start[n + v] + 1 + deg[v]  # out(v)
-        total = start[2 * n]
-        to = [0] * total
-        cap = [0] * total
-        rev = [0] * total
-        fill = list(start[: 2 * n])
-
-        def add(a: int, b: int) -> None:
-            ia = fill[a]
-            fill[a] = ia + 1
-            ib = fill[b]
-            fill[b] = ib + 1
-            to[ia] = b
-            cap[ia] = 1
-            rev[ia] = ib
-            to[ib] = a
-            cap[ib] = 0
-            rev[ib] = ia
-
-        for v in range(n):
-            add(v, v + n)
-        for u, v in edge_list:
-            add(u + n, v)
-            add(v + n, u)
-        self.start, self.to, self.cap, self.rev = start, to, cap, rev
+        indptr, nbrs = csr_adjacency(n, edges)
+        m2 = nbrs.size  # 2m directed slots
+        deg = np.diff(indptr)
+        row = np.repeat(np.arange(n, dtype=np.int64), deg)
+        # Slot s holds row[s] -> nbrs[s] and its twin the reverse pair;
+        # the pair keys are distinct, so the twin is the slot of equal
+        # rank among the reversed keys.
+        twin = np.empty(m2, dtype=np.int64)
+        twin[np.argsort(nbrs * n + row)] = np.argsort(row * n + nbrs)
+        nodes = np.arange(n, dtype=np.int64)
+        in_start = nodes + indptr[:-1]
+        out_start = in_start + (n + m2)
+        total = 2 * (n + m2)
+        in_arc = np.arange(1, m2 + 1, dtype=np.int64) + row  # in(x) -> out(y)
+        out_arc = in_arc + (n + m2)  # out(x) -> in(y), capacity 1
+        to = np.empty(total, dtype=np.int64)
+        cap = np.zeros(total, dtype=np.int64)
+        rev = np.empty(total, dtype=np.int64)
+        to[in_start] = nodes + n
+        cap[in_start] = 1
+        rev[in_start] = out_start
+        to[out_start] = nodes
+        rev[out_start] = in_start
+        to[in_arc] = nbrs + n
+        rev[in_arc] = out_arc[twin]
+        to[out_arc] = nbrs
+        cap[out_arc] = 1
+        rev[out_arc] = in_arc[twin]
+        self.indptr = indptr.tolist()
+        self.nbrs = nbrs.tolist()
+        self.start = np.concatenate((in_start, out_start, [total])).tolist()
+        self.to, self.cap, self.rev = to.tolist(), cap.tolist(), rev.tolist()
         self.touched: list = []  # arcs augmented since the last reset
 
     def reset(self) -> None:
@@ -120,13 +149,39 @@ class _ScanNetwork:
             cap[rev[a]] -= 1
         del self.touched[:]
 
+    def pristine_labels(self, sink: int) -> list:
+        """Exact distance-to-``in(sink)`` labels on pristine capacities.
+
+        The closed form of the module docstring, from one BFS over the
+        undirected adjacency: ``2·dist`` for in-copies, ``2·dist - 1``
+        for out-copies, 3 for ``out(sink)`` and ``2n`` when unreachable.
+        """
+        indptr, nbrs = self.indptr, self.nbrs
+        n = self.n
+        big = 2 * n
+        d = [big] * big
+        d[sink] = 0
+        queue = [sink]
+        qi = 0
+        while qi < len(queue):
+            y = queue[qi]
+            qi += 1
+            dy2 = d[y] + 2
+            for w in nbrs[indptr[y] : indptr[y + 1]]:
+                if d[w] == big:
+                    d[w] = dy2
+                    d[w + n] = dy2 - 1
+                    queue.append(w)
+        if indptr[sink + 1] > indptr[sink]:
+            d[sink + n] = 3
+        return d
+
     def sink_labels(self, sink: int) -> list:
         """Exact distance-to-*sink* labels on the current residual.
 
         Reverse BFS: an arc ``x -> y`` with residual capacity relaxes
         ``d[x]`` from ``d[y] + 1``.  Unreachable nodes get the node
-        count ``2n`` (the ISAP "done" label).  Computed once per scan
-        on pristine capacities for the shared pivot sink, and by the
+        count ``2n`` (the ISAP "done" label).  Used by the
         global-relabel fallback on whatever residual is current.
         """
         start, to, cap, rev = self.start, self.to, self.cap, self.rev
@@ -152,15 +207,15 @@ class _ScanNetwork:
         """Whether κ(s, t) >= k, as a flow ``out(s) -> in(t)``.
 
         Resets the residual (undo log) first.  *shared_labels* must be
-        :meth:`sink_labels` of ``in(t)`` on pristine capacities; without
-        it the labels are computed fresh (the neighbor-pair queries).
+        :meth:`pristine_labels` of *t*; without it they are computed
+        here.
         """
         self.reset()
         start, to, cap, rev = self.start, self.to, self.cap, self.rev
         big = 2 * self.n
         sink = t
         source = s + self.n
-        d = list(shared_labels) if shared_labels is not None else self.sink_labels(t)
+        d = self.pristine_labels(t) if shared_labels is None else list(shared_labels)
         if d[source] >= big:
             return False
         cur = list(start[:big])
@@ -216,48 +271,84 @@ class _ScanNetwork:
         return flow >= k
 
 
-def _pivot_scan_edges(num_nodes: int, edges: np.ndarray, k: int) -> bool:
-    """Even-style pivot scan on an edge array (``k >= 3``, ``n > k``).
+def _closure_scan_edges(
+    num_nodes: int, edges: np.ndarray, cert: np.ndarray, k: int
+) -> bool:
+    """``κ >= k`` by the bootstrap closure (``k >= 3``, ``n > k``).
 
-    Works straight from the canonical ``(m, 2)`` array: degrees come
-    from one ``bincount``, adjacency queries from a pair-key set, and
-    the split flow network is a :class:`_ScanNetwork` filled from the
-    raw edge list.  All queried
-    pairs are non-adjacent and share the pivot endpoint, so every query
-    reuses the one network and the one set of sink-rooted ISAP labels
-    (κ is symmetric: κ(pivot, u) runs as a flow from ``out(u)`` into
-    the fixed sink ``in(pivot)``).
+    *edges* is the simple graph G (no repeated rows, no self-loops) the
+    closure walks and *cert* a sparse certificate H of it that carries
+    the pivot, the flow network and the neighbor pairs (see the module
+    docstring); passing ``edges`` twice decides G without a certificate.
     """
     n = num_nodes
-    eu = edges[:, 0]
-    ev = edges[:, 1]
-    degrees = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
+    degrees = np.bincount(cert.ravel(), minlength=n)
     if int(degrees.min()) < k:
         return False
     pivot = int(degrees.argmin())
+    net = _ScanNetwork(n, cert)
+    h_ptr, h_nbrs = net.indptr, net.nbrs
+    if cert is edges:
+        g_ptr, g_nbrs = h_ptr, h_nbrs
+    else:
+        g_indptr, g_nbrs_arr = csr_adjacency(n, edges)
+        g_ptr, g_nbrs = g_indptr.tolist(), g_nbrs_arr.tolist()
 
-    edge_list = edges.tolist()
-    net = _ScanNetwork(n, edge_list)
-    pivot_labels = net.sink_labels(pivot)
-    pair_set = {u * n + v for u, v in edge_list}
-
-    neighbors = set(
-        np.concatenate((ev[eu == pivot], eu[ev == pivot])).tolist()
-    )
-    # Scan low-degree targets first: when the decision fails, the
-    # deficient pair usually involves a sparsely connected vertex, so
-    # this ordering turns failures into early exits.  (Success still
-    # has to scan everything — Menger gives no shortcut there.)
-    non_neighbors = [u for u in range(n) if u != pivot and u not in neighbors]
-    non_neighbors.sort(key=lambda u: int(degrees[u]))
-    for u in non_neighbors:
-        if not net.at_least(u, pivot, k, shared_labels=pivot_labels):
+    pivot_labels = net.pristine_labels(pivot)
+    # count[x] is x's number of neighbors in A; absorbing x drops it by
+    # 2n, so members stay negative and max(count) is the best outsider.
+    count = [0] * n
+    size = 0
+    ready = [pivot, *g_nbrs[g_ptr[pivot] : g_ptr[pivot + 1]]]
+    while True:
+        while ready:
+            x = ready.pop()
+            if count[x] < 0:
+                continue
+            count[x] -= 2 * n
+            size += 1
+            for w in g_nbrs[g_ptr[x] : g_ptr[x + 1]]:
+                c = count[w] + 1
+                count[w] = c
+                if c == k:
+                    ready.append(w)
+        if size == n:
+            break
+        best = count.index(max(count))
+        if not net.at_least(best, pivot, k, shared_labels=pivot_labels):
             return False
-    for u, w in itertools.combinations(sorted(neighbors), 2):
-        if u * n + w not in pair_set:
-            if not net.at_least(u, w, k):
+        ready.append(best)
+
+    # Separators through the pivot: non-adjacent pairs of its
+    # H-neighbors, grouped by sink so each sink's labels are built once.
+    hood = sorted(h_nbrs[h_ptr[pivot] : h_ptr[pivot + 1]])
+    for i, u in enumerate(hood):
+        adjacent = set(h_nbrs[h_ptr[u] : h_ptr[u + 1]])
+        labels = None
+        for w in hood[i + 1 :]:
+            if w in adjacent:
+                continue
+            if labels is None:
+                labels = net.pristine_labels(u)
+            if not net.at_least(w, u, k, shared_labels=labels):
                 return False
     return True
+
+
+def _simple_edges(num_nodes: int, edges: np.ndarray) -> np.ndarray:
+    """Distinct canonical ``(u < v)`` rows of *edges*, self-loops dropped.
+
+    Study inputs are already canonical with strictly increasing pair
+    keys and come back unchanged (same array, same row order); anything
+    else is collapsed and sorted by pair key.
+    """
+    lo, hi = edges[:, 0], edges[:, 1]
+    keys = lo * num_nodes + hi
+    if (lo < hi).all() and (keys[1:] > keys[:-1]).all():
+        return edges
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    keys = np.unique((lo * num_nodes + hi)[lo != hi])
+    return np.stack((keys // num_nodes, keys % num_nodes), axis=1)
 
 
 def is_k_connected_edges(
@@ -270,11 +361,13 @@ def is_k_connected_edges(
     """Exact ``κ(G) >= k`` decision straight from an edge array.
 
     The study compiler's metric cascade already holds candidate edges
-    as arrays, and this decision works on them directly.  For ``k >= 2`` the backend's Nagamochi–Ibaraki sparse
-    certificate is applied before Tarjan or any flow network runs;
-    *backend* pins a kernel backend (ambient resolution otherwise).
-    Follows the standard convention that a k-connected graph needs at
-    least ``k + 1`` nodes; ``k <= 0`` is vacuously true.
+    as arrays, and this decision works on them directly.  Repeated
+    edges (in either orientation) and self-loops are ignored.  For
+    ``k >= 2`` the backend's Nagamochi–Ibaraki sparse certificate is
+    applied before Tarjan or any flow network runs; *backend* pins a
+    kernel backend (ambient resolution otherwise).  Follows the
+    standard convention that a k-connected graph needs at least
+    ``k + 1`` nodes; ``k <= 0`` is vacuously true.
 
     Raises :class:`~repro.exceptions.GraphError` if *edges* is not an
     ``(m, 2)`` array with endpoints in ``[0, num_nodes)``.
@@ -294,6 +387,7 @@ def is_k_connected_edges(
         labels = backend.min_label_components(num_nodes, edges[:, 0], edges[:, 1])
         return bool((labels == 0).all())
 
+    edges = _simple_edges(num_nodes, edges)
     if edges.shape[0] == 0:
         return False
     degrees = np.bincount(edges[:, 0], minlength=num_nodes) + np.bincount(
@@ -305,4 +399,4 @@ def is_k_connected_edges(
     work = backend.sparse_certificate(num_nodes, edges, k)
     if k == 2:
         return is_biconnected_edges(num_nodes, work)
-    return _pivot_scan_edges(num_nodes, work, k)
+    return _closure_scan_edges(num_nodes, edges, work, k)

@@ -9,7 +9,8 @@ Monte Carlo workload in this repository:
    co-holding node pair from the key → holders incidence (the sampling
    cost of every deployment);
 3. **the exact k-connectivity decision** — Tarjan biconnectivity for
-   ``k = 2`` and the Even-style truncated-ISAP pivot scan for ``k >= 3``,
+   ``k = 2`` and, for ``k >= 3``, a bootstrap closure around one pivot
+   that asks a truncated-ISAP flow query only where the closure stalls,
    each after a Nagamochi–Ibaraki sparse-certificate preprocessing pass
    (the decision cost of every ``k >= 2`` sweep).
 
@@ -104,8 +105,10 @@ class KernelBackend(abc.ABC):
         with this backend's kernels: min-label union for ``k = 1``, and
         for ``k >= 2`` this backend's :meth:`sparse_certificate`
         followed by Tarjan biconnectivity (``k = 2``) or the
-        truncated-ISAP pivot scan (``k >= 3``).  Backends with a fully
-        compiled decision path may override.
+        bootstrap-closure scan, which walks the uncertified edges and
+        runs its truncated-ISAP flow queries on the certificate
+        (``k >= 3``).  Backends with a fully compiled decision path
+        may override.
         """
         from repro.graphs.vertex_connectivity import is_k_connected_edges
 

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.graphs.vertex_connectivity import _pivot_scan_edges
+from repro.graphs.vertex_connectivity import _closure_scan_edges
 from repro.kernels import (
     available_backends,
     get_backend,
@@ -118,9 +118,9 @@ def probe_backend(name: str) -> Dict[str, object]:
         checks["certificate_matches_reference"] = bool(
             np.array_equal(cert, reference.sparse_certificate(gn, kedges, 3))
         )
-        # The uncertified pivot scan on the full edge array is the
+        # The closure scan run on the uncertified edge array is the
         # reference the certified decision must agree with.
-        plain = _pivot_scan_edges(gn, kedges, 3)
+        plain = _closure_scan_edges(gn, kedges, kedges, 3)
         checks["k_connected_certificate_agrees"] = plain == backend.k_connected(
             gn, kedges, 3
         )

@@ -133,8 +133,8 @@ def scan_first_certificate(
     (BFS is a scan-first search: scanning a vertex visits every still
     unvisited residual neighbor).  By Cheriyan–Kao–Thurimella the union
     ``F_1 ∪ … ∪ F_k`` is k-vertex-connected iff ``G`` is, and it has at
-    most ``k * (num_nodes - 1)`` edges — so the ISAP pivot scan of the
-    exact decision runs on O(k·n) edges no matter how dense ``G`` was.
+    most ``k * (num_nodes - 1)`` edges — so the flow queries of the
+    exact decision run on O(k·n) edges no matter how dense ``G`` was.
     Inputs already within the bound are returned as-is.
     """
     m = int(edges.shape[0])

@@ -113,6 +113,33 @@ class ResultCache:
             faults=faults if isinstance(faults, dict) else None,
         )
 
+    def _stored_trials(self, key: str) -> int:
+        """Trial coverage of the entry stored under *key*; 0 if unusable.
+
+        Reads the entry's envelope and the nesting of its value array
+        (trials are the third axis from the end) without rebuilding a
+        :class:`ScenarioResult`.  Re-read on every store: another
+        process sharing the cache may have written a wider entry since
+        this run's lookup.
+        """
+        try:
+            data = json.loads(self.path_for(key).read_text())
+            result = data["result"]
+            if (
+                data["format"] != CACHE_FORMAT
+                or data["scenario_hash"] != key
+                or result.get("trial_offset", 0) != 0
+            ):
+                return 0
+            shape = []
+            values = result["values"]
+            while isinstance(values, list) and values:
+                shape.append(len(values))
+                values = values[0]
+            return int(shape[-3])
+        except (OSError, ValueError, KeyError, TypeError, IndexError, AttributeError):
+            return 0
+
     def store(
         self,
         result: ScenarioResult,
@@ -130,8 +157,7 @@ class ResultCache:
         if np.isnan(result.values).any():
             return False
         key = result.scenario.content_hash()
-        existing = self.lookup(result.scenario)
-        if existing is not None and existing.trials >= result.num_trials:
+        if self._stored_trials(key) >= result.num_trials:
             return False
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -306,8 +332,9 @@ def run_cached(
         base_provenance = dict(full.provenance)
 
     combined_faults = combine_fault_reports([*stored_faults, run_faults])
-    for sc in study.scenarios:
-        cache.store(results[sc.name], faults=combined_faults)
+    if disposition != "hit":  # a hit's stored entries already cover it
+        for sc in study.scenarios:
+            cache.store(results[sc.name], faults=combined_faults)
 
     provenance = dict(base_provenance)
     provenance.pop("trial_window", None)  # the merged result is full-window

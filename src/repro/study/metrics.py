@@ -374,8 +374,8 @@ class DeploymentEvaluator:
                 return 0.0  # batched min-degree pre-filter
             # Exact decision on the kernel backend: the Nagamochi–
             # Ibaraki certificate pass runs first, then array-first
-            # Tarjan (k = 2) or the ISAP pivot scan (k >= 3), all on
-            # edge arrays.
+            # Tarjan (k = 2) or the bootstrap-closure scan (k >= 3),
+            # all on edge arrays.
             return float(
                 get_backend().k_connected(
                     dep.num_nodes, self._edges(channel, q, p), metric.k

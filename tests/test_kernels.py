@@ -8,7 +8,7 @@ Four pillars:
    (subset, <= k(n-1) edges) and the certificate-equivalence property:
    ``is_k_connected_edges`` (certificate first) agrees bit-for-bit with
    the uncertified deciders on the full edge array (Tarjan for k = 2,
-   the pivot scan for k >= 3) on random ER and key-ring graphs across a
+   the closure scan for k >= 3) on random ER and key-ring graphs across a
    k grid, including the k <= 2 shortcut paths, n < k + 1 edge cases
    and malformed edge arrays;
 3. backend consistency — every *available* registered backend produces
@@ -31,7 +31,7 @@ from repro.exceptions import GraphError, KernelError, ParameterError
 from repro.graphs.biconnectivity import is_biconnected_edges
 from repro.graphs.generators import erdos_renyi_edges
 from repro.graphs.unionfind import is_connected_edges
-from repro.graphs.vertex_connectivity import _pivot_scan_edges, is_k_connected_edges
+from repro.graphs.vertex_connectivity import _closure_scan_edges, is_k_connected_edges
 from repro.kernels import (
     ENV_VAR,
     available_backends,
@@ -73,7 +73,7 @@ def _plain_decision(n, edges, k):
         return is_connected_edges(n, edges)
     if k == 2:
         return is_biconnected_edges(n, edges)
-    return _pivot_scan_edges(n, edges, k)
+    return _closure_scan_edges(n, edges, edges, k)
 
 
 def _key_ring_graph(n, ring, pool, p, seed):

@@ -22,6 +22,7 @@ from repro.service import events
 from repro.simulation.faults import ChaosSpec, FaultStrategy
 from repro.simulation.scheduler import SchedulerPolicy, combine_fault_reports
 from repro.study.compiler import Study
+from repro.study.result import ScenarioResult
 from repro.study.scenario import MetricSpec, Scenario
 
 WORKERS = 2
@@ -248,6 +249,50 @@ class TestStorePolicy:
             json.dumps({"format": CACHE_FORMAT, "scenario_hash": "0" * 64})
         )
         assert cache.lookup(scenario) is None
+
+
+class TestReadPath:
+    """Each request parses each stored entry once."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name, calls):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def test_hit_does_one_lookup_and_no_store(self, cache, monkeypatch):
+        study = Study((_scenario(),))
+        run_cached(study, cache, workers=WORKERS)
+        calls = {}
+        for name in ("lookup", "store"):
+            self._count(monkeypatch, ResultCache, name, calls)
+        self._count(monkeypatch, ScenarioResult, "from_dict", calls)
+        hit = run_cached(study, cache, workers=WORKERS)
+        assert hit.provenance["cache"]["disposition"] == "hit"
+        assert calls == {"lookup": 1, "from_dict": 1}
+
+    def test_extension_store_does_not_rebuild_the_entry(self, cache, monkeypatch):
+        run_cached(Study((_scenario(trials=4),)), cache, workers=WORKERS)
+        calls = {}
+        for name in ("lookup", "store"):
+            self._count(monkeypatch, ResultCache, name, calls)
+        self._count(monkeypatch, ScenarioResult, "from_dict", calls)
+        ext = run_cached(Study((_scenario(trials=6),)), cache, workers=WORKERS)
+        assert ext.provenance["cache"]["disposition"] == "extension"
+        assert calls == {"lookup": 1, "store": 1, "from_dict": 1}
+        assert cache.lookup(_scenario()).trials == 6
+
+    def test_store_rereads_coverage_written_by_another_process(self, cache):
+        wide = Study((_scenario(trials=10),)).run(workers=WORKERS)["cached"]
+        narrow = Study((_scenario(trials=4),)).run(workers=WORKERS)["cached"]
+        assert cache.store(narrow) is True
+        ResultCache(cache.root).store(wide)  # a second handle on the store
+        assert cache.store(narrow) is False
+        assert cache.lookup(_scenario()).trials == 10
 
 
 class TestBypass:

@@ -1,7 +1,7 @@
 """Tests for the exact κ(G) >= k decision — the k-connectivity oracle.
 
 :func:`is_k_connected_edges` (certificate, then Tarjan for k = 2 or the
-ISAP pivot scan for k >= 3) is the correctness keystone of the
+bootstrap-closure scan for k >= 3) is the correctness keystone of the
 k-connectivity experiments, so it is cross-validated against
 ``networkx.node_connectivity`` on hundreds of random graphs, including
 near-threshold Erdős–Rényi graphs where separators are small and
@@ -13,8 +13,16 @@ from __future__ import annotations
 import math
 
 import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.graphs.vertex_connectivity import _ScanNetwork, is_k_connected_edges
+from repro.graphs.vertex_connectivity import (
+    _closure_scan_edges,
+    _ScanNetwork,
+    is_k_connected_edges,
+)
 from tests.conftest import edges_of, random_gnp_graph
 from tests.oracle import to_graph
 
@@ -24,7 +32,7 @@ def _random_graph(n: int, p: float, rng) -> nx.Graph:
 
 
 def local_node_connectivity(g: nx.Graph, s: int, t: int) -> int:
-    """κ(s, t) from the pivot scan's ISAP engine: the largest k it accepts."""
+    """κ(s, t) from the closure scan's ISAP engine: the largest k it accepts."""
     net = _ScanNetwork(g.number_of_nodes(), edges_of(g).tolist())
     kappa = 0
     while net.at_least(s, t, kappa + 1):
@@ -133,7 +141,7 @@ class TestAgainstNetworkx:
 
 
 class TestLocalConnectivity:
-    """The ISAP flow engine behind the k >= 3 pivot scan, pair by pair."""
+    """The ISAP flow engine behind the k >= 3 closure scan, pair by pair."""
 
     def test_disconnected_pair_zero(self):
         assert local_node_connectivity(to_graph(4, [(0, 1), (2, 3)]), 0, 2) == 0
@@ -173,3 +181,85 @@ class TestLocalConnectivity:
                 assert local_node_connectivity(g, u, v) == (
                     nx.connectivity.local_node_connectivity(g, u, v)
                 )
+
+
+class TestRepeatedEdges:
+    """Repeats and self-loops do not change the graph being decided.
+
+    Without the collapse to distinct pairs, a repeated row takes a
+    certificate forest slot, the certificate loses a distinct edge and
+    k-connected inputs come back ``False``.
+    """
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("form", ["same", "reversed", "self_loops"])
+    def test_matches_networkx_on_the_simple_graph(self, k, form):
+        rng = np.random.default_rng(1000 * k + len(form))
+        for _ in range(40):
+            n = int(rng.integers(k + 2, 14))
+            edges = random_gnp_graph(n, float(rng.uniform(0.4, 0.9)), rng)
+            extra = edges[rng.random(edges.shape[0]) < 0.7]
+            if form == "reversed":
+                extra = extra[:, ::-1]
+            elif form == "self_loops":
+                loops = rng.integers(0, n, size=3)
+                extra = np.concatenate((extra, np.stack((loops, loops), axis=1)))
+            messy = np.concatenate((edges, extra))
+            messy = messy[rng.permutation(messy.shape[0])]
+            kappa = nx.node_connectivity(to_graph(n, edges))
+            assert is_k_connected_edges(n, messy, k) == (kappa >= k), (n, kappa)
+
+
+def _two_sided(draw, k: int) -> nx.Graph:
+    """Two cliques joined only through a (k - 1)-vertex separator.
+
+    Every vertex has degree >= k, so the "no" answer has to come from
+    the closure scan, not from the min-degree filter.
+    """
+    sizes = [draw(st.integers(2, 6)), draw(st.integers(2, 6))]
+    n = k - 1 + sum(sizes)
+    separator = list(range(k - 1))
+    g = nx.empty_graph(n)
+    first = k - 1
+    for size in sizes:
+        side = list(range(first, first + size))
+        first += size
+        g.add_edges_from((u, w) for u in side for w in side + separator if u < w)
+    g.add_edges_from((u, w) for u in separator for w in separator if u < w)
+    relabel = draw(st.permutations(range(n)))
+    return nx.relabel_nodes(g, dict(enumerate(relabel)))
+
+
+@st.composite
+def kconn_cases(draw):
+    """``(graph, k)``: random G(n, p) or a separator-planted "no" case."""
+    k = draw(st.sampled_from([3, 4]))
+    if draw(st.booleans()):
+        return _two_sided(draw, k), k
+    n = draw(st.integers(k + 1, 13))
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = nx.empty_graph(n)
+    g.add_edges_from(pair for pair, on in zip(pairs, keep) if on)
+    return g, k
+
+
+class TestClosureDifferential:
+    """The closure scan against ``networkx.node_connectivity``."""
+
+    @given(kconn_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_networkx(self, case):
+        g, k = case
+        n, edges = g.number_of_nodes(), edges_of(g)
+        expected = nx.node_connectivity(g) >= k
+        assert is_k_connected_edges(n, edges, k) == expected
+        assert _closure_scan_edges(n, edges, edges, k) == expected
+
+    @given(kconn_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_pristine_labels_match_the_residual_walk(self, case):
+        g, _ = case
+        net = _ScanNetwork(g.number_of_nodes(), edges_of(g))
+        for sink in range(g.number_of_nodes()):
+            assert net.pristine_labels(sink) == net.sink_labels(sink)
