@@ -9,8 +9,7 @@ A faithful, laptop-scale reproduction of:
 The package layers:
 
 * :mod:`repro.probability` — overlap distributions, limit laws, couplings;
-* :mod:`repro.kernels` — pluggable compute backends (pure numpy
-  reference, optional numba) behind the three hot-path kernels:
+* :mod:`repro.kernels` — the three pure-numpy hot-path kernels:
   min-label union, overlap counting, and the exact k-connectivity
   decision with its Nagamochi–Ibaraki sparse certificate;
 * :mod:`repro.graphs` — from-scratch graph algorithms (union-find, Tarjan,
@@ -50,7 +49,6 @@ from repro.exceptions import (
     DesignError,
     ExperimentError,
     GraphError,
-    KernelError,
     ParameterError,
     ReproError,
     SimulationError,

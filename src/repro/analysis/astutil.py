@@ -10,7 +10,7 @@ of analyzed code ever happen.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 __all__ = [
     "ImportMap",
@@ -99,11 +99,3 @@ def iter_import_time_nodes(tree: ast.Module) -> Iterator[ast.AST]:
             continue
         yield node
         stack.extend(ast.iter_child_nodes(node))
-
-
-def func_params(node: ast.FunctionDef) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """(positional-or-self names, keyword-only names) of a function def."""
-    args = node.args
-    positional = tuple(a.arg for a in args.posonlyargs + args.args)
-    kwonly = tuple(a.arg for a in args.kwonlyargs)
-    return positional, kwonly

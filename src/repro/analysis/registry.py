@@ -6,8 +6,8 @@ A *rule* is a class with an ``id`` (``"R001"``), a ``name``, a default
 * :meth:`Rule.check_module` — called once per analyzed module with a
   parsed :class:`ModuleInfo`; yields :class:`Finding`s.
 * :meth:`Rule.finalize` — called once after every module has been
-  visited, with the whole :class:`Project`; cross-file rules (R004's
-  backend contracts, R007's provenance completeness) report here.
+  visited, with the whole :class:`Project`; cross-file rules (R007's
+  provenance completeness) report here.
 
 Rules self-register via the :func:`register_rule` decorator, so adding
 a rule is one class in :mod:`repro.analysis.rules` (or any imported

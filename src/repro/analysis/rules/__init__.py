@@ -8,7 +8,7 @@ Importing this package registers every rule with the registry in
   R002 wall-clock/entropy sources, R003 set/dict-order hazards,
   R008 float-reduction order in kernels;
 * :mod:`~repro.analysis.rules.structure` — R004 array-first kernel
-  seam + backend contracts, R005 worker-import hygiene;
+  seam, R005 worker-import hygiene;
 * :mod:`~repro.analysis.rules.errors` — R006 typed exceptions on
   supervised paths;
 * :mod:`~repro.analysis.rules.provenance` — R007 provenance

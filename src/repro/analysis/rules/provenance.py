@@ -38,7 +38,6 @@ class ProvenanceCompleteness(Rule):
     default_config = {
         # dest -> provenance key that must be written somewhere.
         "provenance_flags": {
-            "kernel_backend": "kernel_backends",
             "workers": "workers",
             "target_ci": "adaptive",
             "max_trials": "adaptive",
@@ -59,7 +58,7 @@ class ProvenanceCompleteness(Rule):
         # Cannot alter result values: I/O locations, rendering, service
         # plumbing, and the linter's own flags.
         "operational_flags": [
-            "save", "backend", "file", "name", "shard", "job", "output",
+            "save", "file", "name", "shard", "job", "output",
             "spool", "wait", "timeout", "events", "max_concurrent",
             "max_jobs", "idle_timeout",
             "paths", "select", "ignore", "format", "baseline",

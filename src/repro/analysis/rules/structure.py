@@ -1,13 +1,9 @@
 """Structural rules: R004 array-first kernel seam, R005 import hygiene.
 
-R004 guards the dispatch seam that the cupy/GPU exploration depends
-on: nothing under ``kernels/`` may touch ``repro.graphs.graph`` (the
-Python object-graph layer), and every class deriving from
-:class:`~repro.kernels.base.KernelBackend` must implement the three
-kernel contracts with signatures matching the ABC — checked against
-the *live* contract table from
-:func:`repro.kernels.base.kernel_contracts`, so the rule can never
-drift from the interface it protects.
+R004 keeps the kernels array-first: nothing under ``kernels/`` may
+import ``repro.graphs.graph`` (the Python object-graph layer) or take
+or return a ``Graph``-typed value, so only numpy arrays cross the
+kernel contracts.
 
 R005 keeps worker-reachable modules import-clean: subprocess workers
 (warm pool, ``repro worker``) import these modules under spawn, so
@@ -18,28 +14,16 @@ coordinator state at the wrong moment and diverge between hosts.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List
 
 from repro.analysis.astutil import (
     ImportMap,
-    attr_chain,
     call_name,
-    func_params,
     iter_import_time_nodes,
 )
 from repro.analysis.registry import Finding, ModuleInfo, Rule, register_rule
 
 __all__ = ["KernelSeam", "WorkerImportHygiene"]
-
-
-def _contract_table() -> Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]]:
-    """Live contract signatures from the KernelBackend ABC."""
-    from repro.kernels.base import kernel_contracts
-
-    return {
-        name: (tuple(positional), tuple(kwonly))
-        for name, (positional, kwonly) in kernel_contracts().items()
-    }
 
 
 @register_rule
@@ -48,9 +32,8 @@ class KernelSeam(Rule):
     name = "kernel-seam"
     severity = "error"
     description = (
-        "kernels/ is array-first: no repro.graphs.graph imports, no "
-        "Graph-typed signatures, and KernelBackend subclasses must "
-        "match the three kernel contracts"
+        "kernels/ is array-first: no repro.graphs.graph imports and no "
+        "Graph-typed signatures"
     )
     default_config = {
         "packages": ["kernels"],
@@ -59,15 +42,9 @@ class KernelSeam(Rule):
     }
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
-        findings: List[Finding] = []
-        in_scope = module.in_packages(self.config["packages"])
-        if in_scope:
-            findings.extend(self._check_imports(module))
-            findings.extend(self._check_annotations(module))
-        # Contract conformance applies wherever a backend is defined —
-        # external backends register from outside kernels/.
-        findings.extend(self._check_backends(module))
-        return findings
+        if not module.in_packages(self.config["packages"]):
+            return []
+        return [*self._check_imports(module), *self._check_annotations(module)]
 
     def _check_imports(self, module: ModuleInfo) -> Iterable[Finding]:
         banned = tuple(self.config["banned_imports"])
@@ -123,40 +100,6 @@ class KernelSeam(Rule):
             if isinstance(node, ast.Attribute) and node.attr in banned:
                 return True
         return False
-
-    def _check_backends(self, module: ModuleInfo) -> Iterable[Finding]:
-        contracts = _contract_table()
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            bases = {attr_chain(base) for base in node.bases}
-            if not any(
-                base and base.split(".")[-1] == "KernelBackend"
-                for base in bases
-            ):
-                continue
-            methods = {
-                stmt.name: stmt
-                for stmt in node.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            for name, (positional, kwonly) in sorted(contracts.items()):
-                if name not in methods:
-                    yield module.finding(
-                        self, node,
-                        f"backend `{node.name}` does not implement the "
-                        f"`{name}` kernel contract",
-                    )
-                    continue
-                got_pos, got_kw = func_params(methods[name])
-                if got_pos != positional or got_kw != kwonly:
-                    yield module.finding(
-                        self, methods[name],
-                        f"backend `{node.name}.{name}` signature "
-                        f"{got_pos + got_kw} does not match the contract "
-                        f"{positional + kwonly}; mismatched signatures "
-                        "break keyword call sites across the seam",
-                    )
 
 
 @register_rule

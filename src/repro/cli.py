@@ -22,11 +22,6 @@ Subcommands
     a warning on stderr, so ``repro all --set trials=200`` tunes every
     Monte Carlo experiment while the numeric ``kstar`` table just notes
     the skip.
-``repro kernels [--backend NAME]``
-    List the registered kernel backends (:mod:`repro.kernels`) with
-    availability, and micro-probe each available one: correctness
-    checks against the reference backend plus micro-timings.  Exits
-    non-zero if an available backend fails its probe.
 ``repro study FILE.json [--workers N] [--set k=v ...] [--save PATH]``
     Run scenarios straight from JSON — one scenario object, a list, or
     ``{"scenarios": [...]}`` — with no accompanying Python.  With
@@ -113,15 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
         p.add_argument("--workers", type=int, default=None, help="process count")
         p.add_argument("--seed", type=int, default=None, help="root seed override")
-        p.add_argument(
-            "--kernel-backend",
-            default=None,
-            metavar="NAME",
-            help=(
-                "kernel backend for the hot-path kernels (see `repro "
-                "kernels`); overrides REPRO_KERNEL_BACKEND"
-            ),
-        )
 
     p = sub.add_parser(
         "lint",
@@ -193,27 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="also show baselined and suppressed findings (text format)",
     )
 
-    p = sub.add_parser("kernels", help="list and micro-probe kernel backends")
-    p.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="probe only this backend (default: all registered)",
-    )
-
     p = sub.add_parser("study", help="run scenarios from a JSON file")
     p.add_argument("file", help="path to a scenario/study JSON file")
     p.add_argument("--workers", type=int, default=None, help="process count")
-    p.add_argument(
-        "--kernel-backend",
-        default=None,
-        metavar="NAME",
-        help=(
-            "kernel backend for every scenario that does not pin one via "
-            "its kernel_backend field (see `repro kernels`); overrides "
-            "REPRO_KERNEL_BACKEND"
-        ),
-    )
     p.add_argument("--save", help="write the StudyResult JSON to this path")
     p.add_argument(
         "--target-ci",
@@ -954,44 +922,11 @@ def _run_lint(args: argparse.Namespace) -> int:
     return result.exit_code
 
 
-def _run_kernels_probe(args: argparse.Namespace) -> int:
-    from repro.kernels import backend_names
-    from repro.kernels.probe import probe_backends, render_probes
-
-    if args.backend is not None and args.backend not in backend_names():
-        raise ExperimentError(
-            f"unknown kernel backend {args.backend!r}; registered: "
-            f"{', '.join(backend_names())}"
-        )
-    probes = probe_backends(args.backend)
-    print(render_probes(probes))
-    failed = [p for p in probes if p["available"] and not p["ok"]]
-    return 1 if failed else 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
-    if getattr(args, "kernel_backend", None) is not None:
-        # Session-wide selection: validates the name and loads the
-        # backend now, so a bad flag fails here and not mid-sweep.
-        # Also exported as the env var: the study compiler pins the
-        # resolved name into its work units, but protocol scenarios
-        # resolve ambiently in the workers, and spawn-start worker
-        # processes only see the parent's environment, not its module
-        # globals.
-        import os
-
-        from repro.kernels import ENV_VAR, set_backend
-
-        set_backend(args.kernel_backend)
-        os.environ[ENV_VAR] = args.kernel_backend
-
     if args.command == "lint":
         return _run_lint(args)
-
-    if args.command == "kernels":
-        return _run_kernels_probe(args)
 
     if args.command == "list":
         for spec in list_experiments():

@@ -2,9 +2,10 @@
 
 k-connectivity is the property Theorem 1 is about, so the decision
 procedure here is *exact*, not heuristic.  :func:`is_k_connected_edges`
-is the one entry point (``KernelBackend.k_connected`` delegates here):
+is the one entry point (``ReferenceBackend.k_connected`` delegates
+here):
 
-* ``k = 1`` → the backend's min-label connectivity union,
+* ``k = 1`` → the min-label connectivity union,
 * ``k = 2`` → iterative Tarjan biconnectivity
   (:func:`~repro.graphs.biconnectivity.is_biconnected_edges`),
 * ``k >= 3`` → a bootstrap-closure scan around one pivot vertex,
@@ -13,7 +14,7 @@ is the one entry point (``KernelBackend.k_connected`` delegates here):
 
 Every ``k >= 2`` decision first collapses the input to distinct
 canonical ``(u < v)`` pairs without self-loops, then applies the
-backend's **Nagamochi–Ibaraki sparse certificate** H: a scan-first
+**Nagamochi–Ibaraki sparse certificate** H: a scan-first
 forest decomposition (:mod:`repro.kernels`) with at most ``k·(n-1)``
 edges.  Scan-first forests keep more than the global decision: for
 every vertex set ``S`` with ``|S| < k``, ``G - S`` and ``H - S`` have
@@ -67,6 +68,7 @@ import numpy as np
 from repro.graphs.biconnectivity import is_biconnected_edges
 from repro.graphs.traversal import csr_adjacency
 from repro.graphs.unionfind import _validate_edges
+from repro.kernels import get_backend
 
 __all__ = ["is_k_connected_edges"]
 
@@ -351,21 +353,15 @@ def _simple_edges(num_nodes: int, edges: np.ndarray) -> np.ndarray:
     return np.stack((keys // num_nodes, keys % num_nodes), axis=1)
 
 
-def is_k_connected_edges(
-    num_nodes: int,
-    edges: np.ndarray,
-    k: int,
-    *,
-    backend=None,
-) -> bool:
+def is_k_connected_edges(num_nodes: int, edges: np.ndarray, k: int) -> bool:
     """Exact ``κ(G) >= k`` decision straight from an edge array.
 
     The study compiler's metric cascade already holds candidate edges
     as arrays, and this decision works on them directly.  Repeated
     edges (in either orientation) and self-loops are ignored.  For
-    ``k >= 2`` the backend's Nagamochi–Ibaraki sparse certificate is
-    applied before Tarjan or any flow network runs; *backend* pins a
-    kernel backend (ambient resolution otherwise).  Follows the
+    ``k >= 2`` the Nagamochi–Ibaraki sparse certificate is applied
+    before Tarjan or any flow network runs; both kernels are called
+    through :func:`repro.kernels.get_backend`.  Follows the
     standard convention that a k-connected graph needs at least
     ``k + 1`` nodes; ``k <= 0`` is vacuously true.
 
@@ -377,10 +373,7 @@ def is_k_connected_edges(
         return True
     if num_nodes < k + 1:
         return False
-    if backend is None:
-        from repro.kernels import get_backend
-
-        backend = get_backend()
+    backend = get_backend()
     if k == 1:
         if edges.shape[0] < num_nodes - 1:
             return False

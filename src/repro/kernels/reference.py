@@ -1,19 +1,33 @@
-"""The pure-numpy reference kernel backend.
+"""The pure-numpy kernels: min-label union, overlap counting, certificate.
 
-Every kernel here is the battle-tested implementation the repository
-ran on before the backend layer existed, moved behind the
-:class:`~repro.kernels.base.KernelBackend` interface:
+Profiling identified three kernels that dominate every Monte Carlo
+workload in this repository:
 
-* :func:`min_label_components` is the PR 1 pointer-jumping min-label
-  propagation (formerly ``repro.graphs.unionfind._min_label_components``);
+1. **min-label connectivity union** — component labels of an edge array
+   (the connectivity decision of every sweep trial);
+2. **candidate-pair overlap counting** — shared-key multiplicities per
+   co-holding node pair from the key → holders incidence (the sampling
+   cost of every deployment);
+3. **the exact k-connectivity decision** — Tarjan biconnectivity for
+   ``k = 2`` and, for ``k >= 3``, a bootstrap closure around one pivot
+   that asks a truncated-ISAP flow query only where the closure stalls,
+   each after a Nagamochi–Ibaraki sparse-certificate preprocessing pass
+   (the decision cost of every ``k >= 2`` sweep).
+
+The module functions implement them:
+
+* :func:`min_label_components` is pointer-jumping min-label
+  propagation;
 * :func:`overlap_counts` is the inverted-index counter: one sort of
   combined ``key * n + node`` codes, group-size-batched pair-event
   expansion, and a pair-code sort plus run-length count;
-* :func:`scan_first_certificate` is new in PR 5: the Nagamochi–Ibaraki
-  sparse certificate via k rounds of scan-first (BFS) spanning forests.
+* :func:`scan_first_certificate` is the Nagamochi–Ibaraki sparse
+  certificate via k rounds of scan-first (BFS) spanning forests.
 
-All other backends are validated against this one — it defines the
-numbers.
+:class:`ReferenceBackend` bundles them behind the methods every call
+site uses (through :func:`repro.kernels.get_backend`).  The contracts
+are array-first: only numpy arrays cross them, never Python object
+graphs.
 """
 
 from __future__ import annotations
@@ -21,8 +35,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-
-from repro.kernels.base import KernelBackend
 
 __all__ = [
     "ReferenceBackend",
@@ -182,23 +194,66 @@ def scan_first_certificate(
     return edges[np.asarray(used, dtype=bool)]
 
 
-class ReferenceBackend(KernelBackend):
-    """The default backend: pure numpy, no optional dependencies."""
+class ReferenceBackend:
+    """The kernel set: the contracts every call site relies on."""
 
+    #: Name stamped into benchmark host records.
     name = "reference"
-    description = "pure numpy (always available; defines the numbers)"
 
     def min_label_components(
         self, num_nodes: int, u: np.ndarray, v: np.ndarray
     ) -> np.ndarray:
+        """Component label per node for the edge list ``(u[i], v[i])``.
+
+        ``labels[i]`` is the smallest node id in *i*'s component (so
+        connectivity is ``(labels == 0).all()`` and the number of
+        components is ``np.unique(labels).size``).  Endpoint arrays are
+        int64 and may be empty.
+        """
         return min_label_components(num_nodes, u, v)
 
     def overlap_counts(
         self, node_ids: np.ndarray, key_ids: np.ndarray, num_nodes: int
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """Shared-key count per co-holding node pair.
+
+        Input is the flattened incidence (``node_ids[i]`` holds
+        ``key_ids[i]``; both int64, non-empty; ``0 <= node_ids <
+        num_nodes`` and ``key_ids >= 0``, as key ids are pool indices;
+        rows are unique — a node holds a key at most once, as key rings
+        are subsets).  Returns ``(pair_keys, counts)`` where
+        ``pair_keys`` encodes each unordered pair ``(a, b), a < b``
+        sharing at least one key as ``a * num_nodes + b``, sorted
+        ascending, and ``counts`` is the number of shared keys; both
+        outputs are int64.  Pairs sharing zero keys are absent.
+        """
         return overlap_counts(node_ids, key_ids, num_nodes)
 
     def sparse_certificate(
         self, num_nodes: int, edges: np.ndarray, k: int
     ) -> np.ndarray:
+        """Nagamochi–Ibaraki sparse certificate for the κ >= k decision.
+
+        Returns a subset of the ``(m, 2)`` int64 canonical edge array
+        with at most ``k * (num_nodes - 1)`` edges such that the
+        certificate subgraph is k-vertex-connected iff the input graph
+        is.  Row order of surviving edges is preserved; inputs already
+        at or below the bound are returned unchanged.
+        """
         return scan_first_certificate(num_nodes, edges, k)
+
+    def k_connected(self, num_nodes: int, edges: np.ndarray, k: int) -> bool:
+        """Exact decision: is the edge array's graph k-vertex-connected?
+
+        Delegates to
+        :func:`repro.graphs.vertex_connectivity.is_k_connected_edges`,
+        which runs the min-label union for ``k = 1`` and, for ``k >= 2``,
+        :meth:`sparse_certificate` followed by Tarjan biconnectivity
+        (``k = 2``) or the bootstrap-closure scan, which walks the
+        uncertified edges and runs its truncated-ISAP flow queries on
+        the certificate (``k >= 3``).
+        """
+        # Imported at call time: repro.graphs imports this package.
+        from repro.graphs.vertex_connectivity import is_k_connected_edges
+
+        return is_k_connected_edges(num_nodes, edges, k)

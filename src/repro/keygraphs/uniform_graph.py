@@ -69,10 +69,9 @@ def overlap_counts_from_rings(rings: Rings) -> Tuple[np.ndarray, np.ndarray]:
 
     Key ids are pool indices and must be non-negative; a negative id
     raises :class:`~repro.exceptions.ParameterError`.  The counting
-    itself is a kernel dispatched to the active backend
-    (:mod:`repro.kernels`); the numpy implementation (a combined-code
-    sort by key, then a pair-code sort plus run-length count) is
-    :func:`repro.kernels.reference.overlap_counts`.
+    itself is a kernel (:mod:`repro.kernels`): a combined-code sort by
+    key, then a pair-code sort plus run-length count
+    (:func:`repro.kernels.reference.overlap_counts`).
     """
     node_ids, key_ids, n = _flatten_rings(rings)
     if key_ids.size == 0:

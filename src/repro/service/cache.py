@@ -284,7 +284,6 @@ def run_cached(
         delta_window = None
         base_provenance: Dict[str, object] = {
             "engine": "study/v1",
-            "kernel_backends": [],
             "units": 0,
             "deployments": 0,
         }

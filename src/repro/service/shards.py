@@ -348,8 +348,8 @@ class SubprocessTransport(ShardTransport):
     the result comes back the same way — everything a socket transport
     would do minus the socket.  Scheduler policy is not forwarded as an
     argument; workers inherit the environment, so ``REPRO_CHAOS`` /
-    ``REPRO_PERSISTENT_POOL`` / ``REPRO_KERNEL_BACKEND`` apply inside
-    them exactly as they would locally.
+    ``REPRO_PERSISTENT_POOL`` apply inside them exactly as they would
+    locally.
     """
 
     name = "subprocess"
@@ -504,13 +504,11 @@ def run_sharded(
         units=aggregate["units"],
         transport=transport.name,
     )
-    plans = study.compile()
     provenance: Dict[str, object] = {
         "engine": "study/v1",
         "transport": transport.name,
         "shard_axis": axis,
         "shards": len(shard_dicts),
-        "kernel_backends": sorted({p.kernel_backend for p in plans}),
         "scenario_hashes": _scenario_hashes(study),
         "units": aggregate["units"],
         "deployments": aggregate["deployments"],

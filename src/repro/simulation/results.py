@@ -39,6 +39,18 @@ def _field(data: Mapping[str, object], key: str, what: str) -> object:
     return data[key]
 
 
+def _number(value: object, what: str) -> object:
+    """*value* if it is a JSON number that fits a float, else ExperimentError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            float(value)  # an int beyond float range breaks gap arithmetic
+        except OverflowError:
+            pass
+        else:
+            return value
+    raise ExperimentError(f"{what} must be a number, got {value!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class CurvePoint:
     """One sweep point: varied parameters, estimate, and prediction."""
@@ -71,10 +83,15 @@ class CurvePoint:
                 f"curve point 'estimate' needs fields {sorted(_ESTIMATE_FIELDS)}, "
                 f"got {sorted(map(str, est))}"
             )
+        prediction = data.get("prediction")
+        if prediction is not None:
+            prediction = _number(prediction, "curve point 'prediction'")
         return cls(
             point=dict(point),  # type: ignore[arg-type]
-            estimate=BernoulliEstimate(**est),  # type: ignore[arg-type]
-            prediction=data.get("prediction"),  # type: ignore[arg-type]
+            estimate=BernoulliEstimate(  # type: ignore[arg-type]
+                **{k: _number(v, f"curve point estimate {k!r}") for k, v in est.items()}
+            ),
+            prediction=prediction,  # type: ignore[arg-type]
         )
 
 
@@ -128,7 +145,15 @@ def save_result(result: ExperimentResult, path: PathLike) -> None:
     path.write_text(json.dumps(result.to_dict(), indent=2, sort_keys=True))
 
 
+def _read_json(path: PathLike) -> object:
+    """Parse the JSON file at *path*; invalid JSON raises ExperimentError."""
+    path = pathlib.Path(path)
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ExperimentError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def load_result(path: PathLike) -> ExperimentResult:
     """Read an experiment result saved by :func:`save_result`."""
-    data = json.loads(pathlib.Path(path).read_text())
-    return ExperimentResult.from_dict(data)
+    return ExperimentResult.from_dict(_read_json(path))  # type: ignore[arg-type]

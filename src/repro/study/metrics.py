@@ -372,7 +372,7 @@ class DeploymentEvaluator:
                 )
             if int(self.degrees(channel, q, p).min()) < metric.k:
                 return 0.0  # batched min-degree pre-filter
-            # Exact decision on the kernel backend: the Nagamochi–
+            # Exact decision through the kernel set: the Nagamochi–
             # Ibaraki certificate pass runs first, then array-first
             # Tarjan (k = 2) or the bootstrap-closure scan (k >= 3),
             # all on edge arrays.

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.exceptions import ExperimentError, ParameterError, ShardMismatchError
 from repro.simulation.estimators import BernoulliEstimate
-from repro.simulation.results import _field, _mapping
+from repro.simulation.results import _field, _mapping, _read_json
 from repro.study.scenario import Curve, Scenario
 from repro.utils.tables import format_table
 
@@ -598,7 +598,7 @@ class StudyResult:
 
     @classmethod
     def load(cls, path: Union[str, pathlib.Path]) -> "StudyResult":
-        return cls.from_dict(json.loads(pathlib.Path(path).read_text()))
+        return cls.from_dict(_read_json(path))  # type: ignore[arg-type]
 
 
 def render_study_result(result: StudyResult) -> str:

@@ -1,18 +1,8 @@
-"""R004 true positives: kernel seam violations."""
+"""R004 true positives: Graph objects crossing the kernel seam."""
 
 from repro.graphs.graph import Graph
-from repro.kernels.base import KernelBackend
+import numpy as np
 
 
-def component_count(graph: Graph) -> int:
-    return len(graph.nodes)
-
-
-class BrokenBackend(KernelBackend):
-    name = "broken"
-
-    def min_label_components(self, graph, labels):
-        return 0
-
-    def overlap_counts(self, node_ids, key_ids, num_nodes):
-        return None
+def component_count(graph: Graph) -> np.int64:
+    return np.int64(len(graph.nodes))

@@ -1,16 +1,7 @@
-"""R004 non-findings: an array-first backend matching the contract."""
+"""R004 non-findings: an array-first kernel."""
 
-from repro.kernels.base import KernelBackend
+import numpy as np
 
 
-class ArrayBackend(KernelBackend):
-    name = "array"
-
-    def min_label_components(self, num_nodes, u, v):
-        return 1
-
-    def overlap_counts(self, node_ids, key_ids, num_nodes):
-        return None
-
-    def sparse_certificate(self, num_nodes, edges, k):
-        return None
+def component_count(num_nodes: int, labels: np.ndarray) -> int:
+    return int(np.unique(labels[:num_nodes]).size)

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ExperimentError, SimulationError
@@ -136,6 +136,13 @@ _SCENARIO_RESULT = ScenarioResult(
 ).to_dict()
 
 
+def _experiment_payload(prediction=0.25, **estimate):
+    """A one-point saved ExperimentResult with fields overridden."""
+    est = {**BernoulliEstimate.from_counts(3, 10).to_dict(), **estimate}
+    point = {"point": {"K": 30.0}, "estimate": est, "prediction": prediction}
+    return {"name": "demo", "config": {"trials": 10}, "points": [point]}
+
+
 @st.composite
 def _mangled_payloads(draw):
     """A saved-result payload with fields kept, dropped or replaced by junk JSON."""
@@ -202,7 +209,23 @@ class TestMalformedResultPayloads:
         with pytest.raises(ExperimentError, match="point"):
             load_result(path)
 
+    def test_load_result_rejects_invalid_json(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(ExperimentError, match="bad.json") as info:
+            load_result(path)
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+    def test_study_result_load_rejects_invalid_json(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(ExperimentError, match="bad.json") as info:
+            StudyResult.load(path)
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
     @given(_mangled_payloads())
+    @example((ExperimentResult, _experiment_payload(prediction="abc")))
+    @example((ExperimentResult, _experiment_payload(estimate="0.3")))
     @settings(max_examples=300, deadline=None)
     def test_malformed_payloads_raise_only_experiment_error(self, case):
         loader, payload = case
@@ -211,3 +234,5 @@ class TestMalformedResultPayloads:
         except ExperimentError:
             return
         assert isinstance(result, loader)
+        if isinstance(result, ExperimentResult):
+            result.max_abs_gap()

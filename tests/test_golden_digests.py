@@ -1,7 +1,7 @@
 """Golden digests: the sampled random stream itself, pinned.
 
 Every other bit-identity test compares two execution paths of the same
-code (one-shot vs adaptive vs sharded vs cached, reference vs numba),
+code (one-shot vs adaptive vs sharded vs cached, serial vs pooled),
 so a change to draw order or to a sampler that moves every path
 together passes them unnoticed.  This suite compares against committed
 numbers instead: a sha256 over the shape and float64 bytes of each

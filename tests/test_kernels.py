@@ -1,9 +1,10 @@
-"""Tests for the pluggable kernel-backend layer (:mod:`repro.kernels`).
+"""Tests for the hot-path kernels (:mod:`repro.kernels`).
 
-Four pillars:
+Three pillars:
 
-1. registry semantics — names, availability gating, resolution
-   precedence (explicit > active > env > reference), context restore;
+1. the kernel set — :func:`repro.kernels.get_backend` returns one
+   instance whose class carries every kernel, so every call site (and a
+   profiler wrapping the class) sees the same methods;
 2. the Nagamochi–Ibaraki sparse certificate — structural guarantees
    (subset, <= k(n-1) edges) and the certificate-equivalence property:
    ``is_k_connected_edges`` (certificate first) agrees bit-for-bit with
@@ -11,11 +12,9 @@ Four pillars:
    the closure scan for k >= 3) on random ER and key-ring graphs across a
    k grid, including the k <= 2 shortcut paths, n < k + 1 edge cases
    and malformed edge arrays;
-3. backend consistency — every *available* registered backend produces
-   identical study metrics on the shared Figure-1 fixture, warm pool on
-   and off (the corpus the numba CI leg runs with numba installed);
-4. config threading — Scenario fields, JSON round-trip, CLI flag and
-   ``repro kernels``, provenance stamping.
+3. worker invariance — study metrics on the shared Figure-1 fixture
+   (every kernel on) are identical serial and pooled, warm pool on and
+   off.
 """
 
 from __future__ import annotations
@@ -26,37 +25,16 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.cli import main
-from repro.exceptions import GraphError, KernelError, ParameterError
+from repro.exceptions import GraphError
 from repro.graphs.biconnectivity import is_biconnected_edges
 from repro.graphs.generators import erdos_renyi_edges
 from repro.graphs.unionfind import is_connected_edges
 from repro.graphs.vertex_connectivity import _closure_scan_edges, is_k_connected_edges
-from repro.kernels import (
-    ENV_VAR,
-    available_backends,
-    backend_names,
-    get_backend,
-    register_backend,
-    resolve_backend_name,
-    set_backend,
-    use_backend,
-)
-from repro.kernels.probe import probe_backends
+from repro.kernels import get_backend, resolve_backend_name
 from repro.kernels.reference import ReferenceBackend, scan_first_certificate
 from repro.keygraphs.uniform_graph import uniform_intersection_edges
-from repro.study import MetricSpec, Scenario, Study, run_scenario
+from repro.study import MetricSpec, Scenario, Study
 from tests.oracle import to_graph
-
-AVAILABLE = [info["name"] for info in available_backends() if info["available"]]
-
-
-@pytest.fixture(autouse=True)
-def _reset_active_backend():
-    """Never leak set_backend/use_backend state across tests."""
-    yield
-    set_backend(None)
-
 
 def _kappa(n, edges):
     """Exact κ from networkx, the reference independent of this package."""
@@ -85,63 +63,19 @@ def _key_ring_graph(n, ring, pool, p, seed):
     return edges
 
 
-class TestRegistry:
-    def test_reference_always_registered_and_default(self):
-        assert backend_names()[0] == "reference"
+class TestKernelSet:
+    def test_one_instance_carries_every_kernel(self):
+        backend = get_backend()
+        assert backend is get_backend()
+        assert type(backend) is ReferenceBackend
         assert resolve_backend_name() == "reference"
-        assert get_backend().name == "reference"
-        infos = {info["name"]: info for info in available_backends()}
-        assert infos["reference"]["available"]
-        assert "numba" in infos  # registered even when unavailable
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(KernelError, match="unknown kernel backend"):
-            resolve_backend_name("no-such-backend")
-        with pytest.raises(KernelError):
-            get_backend("no-such-backend")
-        with pytest.raises(KernelError):
-            set_backend("no-such-backend")
-
-    def test_env_var_resolution(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "reference")
-        assert resolve_backend_name() == "reference"
-        monkeypatch.setenv(ENV_VAR, "bogus")
-        with pytest.raises(KernelError, match="REPRO_KERNEL_BACKEND"):
-            resolve_backend_name()
-
-    def test_active_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "bogus")
-        set_backend("reference")  # CLI flag precedence over env
-        assert resolve_backend_name() == "reference"
-
-    def test_use_backend_restores(self):
-        assert resolve_backend_name() == "reference"
-        with use_backend("reference") as backend:
-            assert backend.name == "reference"
-            assert resolve_backend_name() == "reference"
-        assert resolve_backend_name() == "reference"
-
-    def test_register_replace_roundtrip(self):
-        class Probe(ReferenceBackend):
-            name = "test-probe"
-
-        register_backend("test-probe", Probe)
-        try:
-            assert get_backend("test-probe").name == "test-probe"
-            assert "test-probe" in backend_names()
-        finally:
-            # De-register by rebuilding the entry as unavailable.
-            register_backend(
-                "test-probe", Probe, available=lambda: False,
-                unavailable_reason=lambda: "test cleanup",
-            )
-
-    def test_numba_gate_when_missing(self):
-        infos = {info["name"]: info for info in available_backends()}
-        if infos["numba"]["available"]:
-            pytest.skip("numba installed; the gate path needs it absent")
-        with pytest.raises(KernelError, match="numba"):
-            get_backend("numba")
+        for name in (
+            "min_label_components",
+            "overlap_counts",
+            "sparse_certificate",
+            "k_connected",
+        ):
+            assert name in vars(ReferenceBackend), name
 
 
 class TestSparseCertificate:
@@ -247,8 +181,8 @@ class TestCertificateEquivalence:
                 assert is_k_connected_edges(14, edges, k) == (kappa >= k)
 
 
-def _fixture_study(kernel_backend=None, trials=5):
-    """The shared Figure-1-style consistency fixture: every kernel on."""
+def _fixture_study():
+    """The shared Figure-1-style fixture: every kernel on."""
     return Study(
         (
             Scenario(
@@ -265,188 +199,19 @@ def _fixture_study(kernel_backend=None, trials=5):
                     MetricSpec("giant_fraction"),
                     MetricSpec("degree_count", h=2),
                 ),
-                trials=trials,
+                trials=5,
                 seed=424242,
-                kernel_backend=kernel_backend,
             ),
         )
     )
 
 
-class TestBackendConsistency:
-    """Satellite: all registered backends identical on the fixture."""
-
-    def test_reference_is_available_here(self):
-        assert "reference" in AVAILABLE
-
-    @pytest.mark.parametrize("backend", AVAILABLE)
-    def test_study_metrics_identical_across_backends(self, backend):
-        baseline = _fixture_study(kernel_backend=None).run(workers=1)
-        result = _fixture_study(kernel_backend=backend).run(workers=1)
-        np.testing.assert_array_equal(
-            result["consistency"].values, baseline["consistency"].values
-        )
-        assert result.provenance["kernel_backends"] == [backend]
-
-    @pytest.mark.parametrize("backend", AVAILABLE)
+class TestWorkerInvariance:
     @pytest.mark.parametrize("persistent_pool", ["0", "1"])
-    def test_warm_pool_on_and_off(self, backend, persistent_pool, monkeypatch):
+    def test_warm_pool_on_and_off(self, persistent_pool, monkeypatch):
         monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent_pool)
-        serial = _fixture_study(kernel_backend=backend).run(workers=1)
-        pooled = _fixture_study(kernel_backend=backend).run(workers=2)
+        serial = _fixture_study().run(workers=1)
+        pooled = _fixture_study().run(workers=2)
         np.testing.assert_array_equal(
             serial["consistency"].values, pooled["consistency"].values
         )
-
-    @pytest.mark.parametrize("backend", AVAILABLE)
-    def test_sweep_engine_identical_across_backends(self, backend):
-        import dataclasses
-
-        scenario = Scenario(
-            name="sweep",
-            num_nodes=80,
-            pool_size=900,
-            ring_sizes=(16, 20),
-            curves=((2, 1.0), (2, 0.5)),
-            metrics=(MetricSpec("connectivity"),),
-            trials=6,
-            seed=31,
-        )
-        baseline = run_scenario(scenario, workers=1)
-        pinned = dataclasses.replace(scenario, kernel_backend=backend)
-        result = run_scenario(pinned, workers=1)
-        assert np.array_equal(result.values, baseline.values)
-
-    @pytest.mark.parametrize("backend", AVAILABLE)
-    def test_probe_passes(self, backend):
-        (probe,) = probe_backends(backend)
-        assert probe["available"]
-        assert probe["ok"], probe["checks"]
-
-
-class TestConfigThreading:
-    def test_scenario_round_trip_with_backend(self):
-        scenario = _fixture_study(kernel_backend="reference").scenarios[0]
-        assert scenario.to_dict()["kernel_backend"] == "reference"
-        again = Scenario.from_json(scenario.to_json())
-        assert again == scenario
-
-    def test_scenario_omits_unset_backend(self):
-        scenario = _fixture_study(kernel_backend=None).scenarios[0]
-        assert "kernel_backend" not in scenario.to_dict()
-
-    def test_scenario_rejects_unknown_backend(self):
-        with pytest.raises(ParameterError, match="unknown kernel backend"):
-            _fixture_study(kernel_backend="bogus")
-
-    def test_sweep_spec_rejects_unknown_backend(self):
-        spec = {
-            "name": "sweep",
-            "num_nodes": 10,
-            "pool_size": 100,
-            "ring_sizes": [5],
-            "curves": [[2, 1.0]],
-            "metrics": [{"kind": "connectivity"}],
-            "trials": 2,
-            "kernel_backend": "bogus",
-        }
-        with pytest.raises(ParameterError, match="unknown kernel backend"):
-            Scenario.from_dict(spec)
-
-    def test_protocol_scenario_rejects_backend(self):
-        with pytest.raises(ParameterError, match="protocol"):
-            Scenario(
-                name="coupled",
-                kind="protocol",
-                protocol="lemma5_coupling",
-                num_nodes=30,
-                pool_size=200,
-                trials=3,
-                protocol_params={"ring_size": 8, "channel_prob": 0.9},
-                kernel_backend="reference",
-            )
-
-    def test_group_conflicting_backends_raise(self):
-        base = _fixture_study(kernel_backend="reference").scenarios[0]
-        import dataclasses
-
-        other = dataclasses.replace(
-            base, name="other", kernel_backend=None
-        )
-        conflicting = dataclasses.replace(other, kernel_backend="numba")
-        with pytest.raises(ParameterError, match="different kernel backends"):
-            Study((base, conflicting)).compile()
-        # None + explicit is not a conflict: None means ambient.
-        plans = Study((base, other)).compile()
-        assert len(plans) == 1
-        assert plans[0].kernel_backend == "reference"
-
-    def test_env_override_threads_into_provenance(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "reference")
-        result = _fixture_study(trials=2).run(workers=1)
-        assert result.provenance["kernel_backends"] == ["reference"]
-        assert result.provenance["groups"][0]["kernel_backend"] == "reference"
-
-
-class TestCli:
-    def test_kernels_subcommand_smoke(self, capsys):
-        assert main(["kernels"]) == 0
-        out = capsys.readouterr().out
-        assert "reference" in out
-        assert "numba" in out
-
-    def test_kernels_single_backend(self, capsys):
-        assert main(["kernels", "--backend", "reference"]) == 0
-        out = capsys.readouterr().out
-        assert "reference" in out
-
-    def test_kernels_unknown_backend_errors(self):
-        from repro.exceptions import ExperimentError
-
-        with pytest.raises(ExperimentError):
-            main(["kernels", "--backend", "bogus"])
-
-    def test_run_with_kernel_backend_flag(self, capsys):
-        code = main(
-            [
-                "run",
-                "figure1",
-                "--trials",
-                "2",
-                "--workers",
-                "1",
-                "--kernel-backend",
-                "reference",
-                "--set",
-                "ring_sizes=[16]",
-                "--set",
-                "num_nodes=50",
-                "--set",
-                "pool_size=500",
-            ]
-        )
-        assert code == 0
-        assert "K" in capsys.readouterr().out
-
-    def test_run_with_bad_kernel_backend_fails_fast(self):
-        with pytest.raises(KernelError):
-            main(["run", "figure1", "--kernel-backend", "bogus"])
-
-    def test_study_set_kernel_backend(self, tmp_path, capsys):
-        study = _fixture_study(trials=2)
-        path = tmp_path / "study.json"
-        path.write_text(study.to_json())
-        code = main(
-            [
-                "study",
-                str(path),
-                "--workers",
-                "1",
-                "--set",
-                "kernel_backend=reference",
-                "--set",
-                "trials=2",
-            ]
-        )
-        assert code == 0
-        assert "consistency" in capsys.readouterr().out

@@ -63,7 +63,7 @@ class TestRuleDetection:
             ("r001", "R001", [3, 10, 14, 18, 22]),
             ("r002", "R002", [10, 14, 18, 22]),
             ("r003", "R003", [6, 12, 16, 21]),
-            ("r004", "R004", [3, 7, 11, 14]),
+            ("r004", "R004", [3, 7]),
             ("r005", "R005", [7, 8, 9, 10]),
             # r006 spans two fixture packages: keygraphs/bad.py sorts
             # before service/bad.py, each pinning lines 6/12/16.

@@ -92,7 +92,39 @@ class TestJsonRoundTrip:
         assert tripped["small"].scenario == small_scenario()
 
 
+@pytest.fixture(
+    params=[
+        ("trials", 2.7),
+        ("trials", True),
+        ("trials", "3"),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", "7"),
+        ("num_nodes", 100.5),
+        ("num_nodes", True),
+        ("num_nodes", "100"),
+    ],
+    ids=lambda case: f"{case[0]}={case[1]!r}",
+)
+def malformed_int_field(request):
+    """One integer field of a scenario JSON replaced by a non-integer."""
+    return request.param
+
+
 class TestValidation:
+    def test_from_dict_rejects_non_int_fields(self, malformed_int_field):
+        # Truncating 2.7 -> 2 or true -> 1 would silently run a
+        # different scenario under a different content hash.
+        field, value = malformed_int_field
+        data = {**small_scenario().to_dict(), field: value}
+        with pytest.raises(ParameterError, match=field):
+            Scenario.from_dict(data)
+
+    def test_retired_kernel_backend_field_is_unknown(self):
+        data = {**small_scenario().to_dict(), "kernel_backend": "reference"}
+        with pytest.raises(ParameterError, match="unknown scenario fields"):
+            Scenario.from_dict(data)
+
     def test_params_dict_round_trip(self):
         from repro.params import QCompositeParams
 

@@ -1,4 +1,4 @@
-"""The shared-deployment sweep: coupling, determinism, backend consistency.
+"""The shared-deployment sweep: coupling, determinism, worker invariance.
 
 Covers the properties the study compiler's exactness rests on:
 
@@ -7,10 +7,9 @@ Covers the properties the study compiler's exactness rests on:
    deployment), checked on :func:`repro.study.metrics.sample_deployment`;
 2. determinism: ``Study.run`` is bit-exact under a fixed seed and
    invariant to the worker count;
-3. backend consistency: every available kernel backend produces the
-   same value tensors on a Figure-1-style corpus through ``Study.run``,
-   warm pool on and off.  The numba CI leg runs this file with numba
-   installed, so the corpus covers the jitted backend there.
+3. worker invariance: a corpus spanning a Figure-1-style grid, a
+   sized growth grid and a class mix gives the same value tensors
+   through ``Study.run`` serial and pooled, warm pool on and off.
 
 A Figure 1 slice is also checked against independent per-trial
 sampling (:mod:`tests.oracle`); every other sweep experiment is checked
@@ -18,8 +17,6 @@ against it in ``tests/test_oracle.py``.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import networkx as nx
 import numpy as np
@@ -240,8 +237,8 @@ class TestBackendConsistency:
         assert low.estimate.successes <= high.estimate.successes
 
 
-class TestKernelBackendConsistency:
-    """Every available kernel backend is bit-identical on one corpus.
+class TestCorpusWorkerInvariance:
+    """One corpus, bit-identical serial and pooled.
 
     The corpus spans the plain Figure-1 grid, a sized growth grid and a
     class mix, and runs through ``Study.run`` end to end, with the warm
@@ -261,28 +258,12 @@ class TestKernelBackendConsistency:
         ),
     )
 
-    def _available(self):
-        from repro.kernels import available_backends
-
-        return [b["name"] for b in available_backends() if b["available"]]
-
-    def _values(self, backend, workers):
-        pinned = [dataclasses.replace(s, kernel_backend=backend) for s in self.CORPUS]
-        result = Study(tuple(pinned)).run(workers=workers)
+    def _values(self, workers):
+        result = Study(self.CORPUS).run(workers=workers)
         return [r.values for r in result.results]
 
-    def test_all_backends_identical_sweep_counts(self):
-        baseline = self._values(None, 1)
-        for name in self._available():
-            for got, want in zip(self._values(name, 1), baseline):
-                assert np.array_equal(got, want), name
-
     @pytest.mark.parametrize("persistent_pool", ["0", "1"])
-    def test_backends_worker_invariant_pool_on_and_off(
-        self, persistent_pool, monkeypatch
-    ):
+    def test_worker_invariant_pool_on_and_off(self, persistent_pool, monkeypatch):
         monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent_pool)
-        baseline = self._values(None, 1)
-        for name in self._available():
-            for got, want in zip(self._values(name, 2), baseline):
-                assert np.array_equal(got, want), (name, persistent_pool)
+        for got, want in zip(self._values(2), self._values(1)):
+            assert np.array_equal(got, want), persistent_pool
