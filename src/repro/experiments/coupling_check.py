@@ -12,10 +12,17 @@ It also reports how much edge probability the chain gives away:
 ``z = y·p`` versus the true ``t = s·p`` (Lemma 3 needs only
 ``z = t(1 - o(1/ln n))``, so the ratio should drift toward 1 as ``n``
 grows).
+
+The coupled uniform/binomial ring pair is jointly structured
+randomness, so it cannot be a post-filter on a sweep deployment.  It
+runs on the per-trial engine (:func:`repro.simulation.engine.run_trials`)
+instead of the study compiler, with the same worker-invariant
+per-trial seeding.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,52 +35,17 @@ from repro.probability.couplings import (
     coupling_success_probability,
 )
 from repro.probability.hypergeometric import overlap_survival
-from repro.simulation.engine import trials_from_env
+from repro.simulation.engine import run_trials, trials_from_env
 from repro.simulation.estimators import BernoulliEstimate
 from repro.simulation.results import CurvePoint, ExperimentResult
-from repro.study import Scenario, Study
 from repro.utils.tables import format_table
 
 __all__ = [
-    "build_coupling_study",
+    "coupling_outcomes",
     "run_coupling_check",
     "render_coupling_check",
     "coupling_trial",
 ]
-
-
-def build_coupling_study(
-    trials: Optional[int] = None,
-    num_nodes_grid: Sequence[int] = (100, 300, 1000),
-    key_ring_size: int = 80,
-    pool_size: int = 10000,
-    q: int = 2,
-    seed: int = 20170610,
-) -> Study:
-    """One ``"coupling"`` protocol scenario per network size.
-
-    The coupled uniform/binomial ring pair is *jointly structured*
-    randomness — it cannot be expressed as a post-filter over shared
-    deployments — so it rides the study layer as a registered protocol
-    (:mod:`repro.study.protocols`), keeping the scenario JSON-round-
-    trippable and the execution on the same deterministic trial engine.
-    """
-    trials = trials if trials is not None else trials_from_env(40, full=200)
-    return Study(
-        tuple(
-            Scenario(
-                name=f"coupling_n{n}",
-                kind="protocol",
-                protocol="coupling",
-                protocol_params={"key_ring_size": key_ring_size, "q": q},
-                num_nodes=n,
-                pool_size=pool_size,
-                trials=trials,
-                seed=seed + n,
-            )
-            for n in num_nodes_grid
-        )
-    )
 
 
 def coupling_trial(
@@ -97,6 +69,25 @@ def coupling_trial(
     return (True, subset_ok)
 
 
+def coupling_outcomes(
+    n: int,
+    key_ring_size: int,
+    pool_size: int,
+    q: int,
+    trials: int,
+    seed: int,
+    workers: Optional[int] = None,
+) -> np.ndarray:
+    """``(trials, 2)`` float64 of (coupling success, subset validity).
+
+    Trial *i* draws from ``SeedSequence(seed, spawn_key=(i,))``, so the
+    outcomes are identical for any *workers*.
+    """
+    trial = functools.partial(coupling_trial, n, key_ring_size, pool_size, q)
+    outcomes = run_trials(trial, trials, seed=seed, workers=workers)
+    return np.asarray(outcomes, dtype=np.float64).reshape(trials, 2)
+
+
 def run_coupling_check(
     trials: Optional[int] = None,
     num_nodes_grid: Sequence[int] = (100, 300, 1000),
@@ -108,19 +99,14 @@ def run_coupling_check(
 ) -> ExperimentResult:
     """Measure coupling success and subset validity across ``n``.
 
-    Runs the registered ``"coupling"`` protocol through the study
-    layer (:func:`build_coupling_study`).
+    Size ``n`` runs :func:`coupling_outcomes` rooted at ``seed + n``.
     """
     trials = trials if trials is not None else trials_from_env(40, full=200)
-    study = build_coupling_study(
-        trials, num_nodes_grid, key_ring_size, pool_size, q, seed
-    )
-    study_result = study.run(workers=workers)
     points: List[CurvePoint] = []
     for n in num_nodes_grid:
-        scenario_result = study_result[f"coupling_n{n}"]
-        success_vals = scenario_result.series("success")
-        subset_vals = scenario_result.series("subset_ok")
+        success_vals, subset_vals = coupling_outcomes(
+            n, key_ring_size, pool_size, q, trials, seed + n, workers
+        ).T
         successes = int(success_vals.sum())
         violations = int(((success_vals == 1.0) & (subset_vals == 0.0)).sum())
         x = binomial_key_probability(n, key_ring_size, pool_size)

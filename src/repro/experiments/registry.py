@@ -9,15 +9,13 @@ of frozen, JSON-round-trippable scenarios), its ``run`` callable
 executes that study through the shared-deployment compiler and
 interprets the :class:`~repro.study.StudyResult` into the experiment's
 :class:`~repro.simulation.results.ExperimentResult`, and ``render``
-formats the tables.  Every Monte Carlo experiment samples through the
-study compiler; ``tests/oracle.py`` re-samples each one cell by cell,
-independently, as the statistical reference.
+formats the tables.  Every Monte Carlo experiment except ``coupling``
+samples through the study compiler; ``tests/oracle.py`` re-samples
+each one cell by cell, independently, as the statistical reference.
 
-Experiment kinds:
-
-* ``"study"`` — Monte Carlo, declared as scenarios over the study
-  compiler (all experiments except ``kstar``).
-* ``"numeric"`` — purely analytic, no sampling (``kstar``).
+``build_study`` is ``None`` for the two experiments without a
+scenario declaration: ``kstar`` is purely analytic, and ``coupling``
+draws its Lemma 5 coupled ring pair per trial on the trial engine.
 
 To run a workload that is not registered here, write the scenarios as
 JSON and use ``repro study FILE.json`` — no Python required.
@@ -39,7 +37,7 @@ class ExperimentSpec:
     """One runnable experiment with its paper anchor.
 
     ``build_study`` exposes the declaration itself (``None`` for
-    numeric experiments): callers can compile, inspect, merge, or
+    ``kstar`` and ``coupling``): callers can compile, inspect, merge, or
     serialize the scenarios without running anything.
     """
 
@@ -48,7 +46,6 @@ class ExperimentSpec:
     description: str
     run: Callable[..., ExperimentResult]
     render: Callable[[ExperimentResult], str]
-    kind: str = "study"
     build_study: Optional[Callable] = None
 
 
@@ -84,7 +81,6 @@ def _build_registry() -> Dict[str, ExperimentSpec]:
             description="Minimal K* clearing ln n / n, exact vs asymptotic.",
             run=kstar.run_kstar,
             render=kstar.render_kstar,
-            kind="numeric",
         ),
         ExperimentSpec(
             name="theorem1",
@@ -140,7 +136,6 @@ def _build_registry() -> Dict[str, ExperimentSpec]:
             description="Binomial-ring coupling success and subset validity.",
             run=coupling_check.run_coupling_check,
             render=coupling_check.render_coupling_check,
-            build_study=coupling_check.build_coupling_study,
         ),
         ExperimentSpec(
             name="attack",

@@ -19,8 +19,8 @@ Dispositions of :func:`run_cached`, per study:
   computes only the missing ``[covered, requested)`` delta, merged and
   stored back.
 * ``miss`` — no usable stored prefix; full run, stored.
-* ``bypass`` — the study is uncacheable (protocol scenarios, mixed
-  per-scenario trial counts); it runs plainly, nothing is stored.
+* ``bypass`` — the study is uncacheable (mixed per-scenario trial
+  counts); it runs plainly, nothing is stored.
 
 Only complete (NaN-free) results are stored: a partial result (dead
 units, adaptive raggedness) is not a valid prefix to extend, because a
@@ -239,13 +239,9 @@ def run_cached(
         )
     hashes = {sc.name: sc.content_hash() for sc in study.scenarios}
     requested_counts = {sc.trials for sc in study.scenarios}
-    cacheable = (
-        all(sc.kind == "sweep" for sc in study.scenarios)
-        and len(requested_counts) == 1
-    )
-    if not cacheable:
-        # Protocol scenarios have no extension path, and mixed trial
-        # counts have no single family window to resolve overlap on.
+    if len(requested_counts) != 1:
+        # Mixed trial counts have no single family window to resolve
+        # overlap on.
         result = _plain_run(study, transport, axis, shards, workers, scheduler)
         events.emit("cache_bypass", scenarios=sorted(hashes))
         provenance = dict(result.provenance)

@@ -30,7 +30,10 @@ semantics.
 Job files are either a bare study JSON (scenario object / list /
 ``{"scenarios": [...]}``) or a wrapper ``{"study": ..., "options":
 {"target_ci": ..., "max_trials": ..., "block_trials": ...}}`` for
-adaptive runs.  Events emitted while a job runs are tagged with its
+adaptive runs.  Options are checked before any work runs: an unknown
+key, ``max_trials`` / ``block_trials`` without ``target_ci``, or a
+value :class:`~repro.study.adaptive.AdaptivePolicy` rejects fails the
+job with :class:`~repro.exceptions.ParameterError`.  Events emitted while a job runs are tagged with its
 ``job_id`` via :func:`repro.service.events.event_context`, so one
 process-wide bus serves any number of concurrent jobs.
 """
@@ -43,20 +46,29 @@ import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import ParameterError
 from repro.service import events
 from repro.service.cache import ResultCache, run_cached
 from repro.service.shards import ShardTransport
 from repro.simulation.scheduler import SchedulerPolicy
+from repro.study.adaptive import AdaptivePolicy, run_adaptive_study
 from repro.study.compiler import Study
+from repro.study.result import StudyResult
 
 __all__ = ["JOB_FORMAT", "StudyService"]
 
 JOB_FORMAT = "repro-job/v1"
 
 _SPOOL_DIRS = ("jobs", "active", "status", "events", "results")
+
+#: Job option -> the :class:`AdaptivePolicy` field it sets.
+_JOB_OPTIONS = {
+    "target_ci": "ci_target",
+    "max_trials": "max_trials",
+    "block_trials": "block_trials",
+}
 
 
 def _now() -> float:
@@ -131,8 +143,8 @@ class StudyService:
 
     # -- job execution -------------------------------------------------
 
-    def _parse_job(self, data: object) -> tuple:
-        """``(study, options)`` from a job file's payload."""
+    def _parse_job(self, data: object) -> Tuple[Study, Optional[AdaptivePolicy]]:
+        """``(study, adaptive policy or None)`` from a job file's payload."""
         options: Dict[str, object] = {}
         if isinstance(data, dict) and data.get("format") == JOB_FORMAT:
             raw_options = data.get("options", {})
@@ -142,18 +154,26 @@ class StudyService:
                 )
             options = raw_options
             data = data.get("study")
-        return Study.from_dict(data), options  # type: ignore[arg-type]
-
-    def _execute(self, study: Study, options: Dict[str, object]):
-        target_ci = options.get("target_ci")
-        if target_ci is not None:
-            from repro.study.adaptive import AdaptivePolicy, run_adaptive_study
-
-            policy = AdaptivePolicy(
-                ci_target=float(target_ci),  # type: ignore[arg-type]
-                max_trials=int(options.get("max_trials", 4000)),  # type: ignore[arg-type]
-                block_trials=options.get("block_trials"),  # type: ignore[arg-type]
+        unknown = set(options) - set(_JOB_OPTIONS)
+        if unknown:
+            raise ParameterError(
+                f"unknown job options {sorted(unknown)}; valid options: "
+                f"{sorted(_JOB_OPTIONS)}"
             )
+        policy: Optional[AdaptivePolicy] = None
+        if options:
+            if "target_ci" not in options:
+                raise ParameterError(
+                    f"job options {sorted(options)} tune adaptive runs and "
+                    "need 'target_ci'"
+                )
+            policy = AdaptivePolicy(
+                **{_JOB_OPTIONS[key]: value for key, value in options.items()}  # type: ignore[arg-type]
+            )
+        return Study.from_dict(data), policy  # type: ignore[arg-type]
+
+    def _execute(self, study: Study, policy: Optional[AdaptivePolicy]) -> StudyResult:
+        if policy is not None:
             return run_adaptive_study(
                 study, policy, workers=self.workers, scheduler=self.scheduler
             )
@@ -188,8 +208,8 @@ class StudyService:
         try:
             with events.event_context(job_id=job_id):
                 events.emit("job_started")
-                study, options = self._parse_job(json.loads(path.read_text()))
-                result = self._execute(study, options)
+                study, policy = self._parse_job(json.loads(path.read_text()))
+                result = self._execute(study, policy)
                 result_path = self._path("results", job_id)
                 result.save(result_path)
                 status.update(

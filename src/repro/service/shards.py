@@ -98,12 +98,6 @@ def make_shards(
     ``[start, stop)`` instead of each family's full ``[0, trials)`` —
     the cache uses this to shard delta (extension) work.
     """
-    for scenario in study.scenarios:
-        if scenario.kind == "protocol":
-            raise ParameterError(
-                f"sharded execution supports sweep scenarios only; "
-                f"{scenario.name!r} is a protocol scenario"
-            )
     if axis not in ("trial", "size"):
         raise ParameterError(f"shard axis must be 'trial' or 'size', got {axis!r}")
     if shards is not None and (not isinstance(shards, int) or shards < 1):
@@ -155,6 +149,32 @@ def _validate_shard(shard: Dict[str, object]) -> None:
     for field in ("study", "scenario_hashes", "group", "trial_window"):
         if field not in shard:
             raise TransportError(f"shard is missing required field {field!r}")
+    if not isinstance(shard["scenario_hashes"], dict):
+        raise TransportError(
+            f"shard scenario_hashes must be a mapping, got {shard['scenario_hashes']!r}"
+        )
+    window = shard["trial_window"]
+    if not (
+        isinstance(window, list)
+        and len(window) == 2
+        and all(_is_int(bound) for bound in window)
+        and 0 <= window[0] < window[1]
+    ):
+        raise TransportError(
+            "shard trial_window must be two ints [start, stop) with "
+            f"0 <= start < stop, got {window!r}"
+        )
+    if not _is_int(shard["group"]):
+        raise TransportError(f"shard group must be an int, got {shard['group']!r}")
+    sizes = shard.get("sizes")
+    if sizes is not None and not (
+        isinstance(sizes, list) and all(_is_int(si) for si in sizes)
+    ):
+        raise TransportError(f"shard sizes must be a list of ints, got {sizes!r}")
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def execute_shard(
@@ -187,7 +207,7 @@ def execute_shard(
         )
     plans = study.compile()
     gi = shard["group"]
-    if not isinstance(gi, int) or not 0 <= gi < len(plans):
+    if not 0 <= gi < len(plans):  # type: ignore[operator]
         raise TransportError(
             f"shard group index {gi!r} out of range for {len(plans)} plan(s)"
         )
@@ -196,7 +216,7 @@ def execute_shard(
     size_indices = range(plan.num_sizes) if sizes is None else sizes
     active: ActiveMap = {}
     for si in size_indices:  # type: ignore[assignment]
-        if not isinstance(si, int) or not 0 <= si < plan.num_sizes:
+        if not 0 <= si < plan.num_sizes:
             raise TransportError(
                 f"shard size index {si!r} out of range for "
                 f"{plan.num_sizes} size(s)"
@@ -207,7 +227,7 @@ def execute_shard(
             )
     start, stop = shard["trial_window"]  # type: ignore[misc]
     sub = study.run_extension(
-        int(start), int(stop), active=active, workers=workers, scheduler=scheduler
+        start, stop, active=active, workers=workers, scheduler=scheduler
     )
     members = {sc.name for sc in plan.scenarios}
     results = {}
@@ -221,7 +241,7 @@ def execute_shard(
     payload: Dict[str, object] = {
         "format": SHARD_RESULT_FORMAT,
         "group": gi,
-        "trial_window": [int(start), int(stop)],
+        "trial_window": [start, stop],
         "results": results,
         "checksums": checksums,
         "units": int(sub.provenance.get("units", 0)),  # type: ignore[arg-type]
@@ -347,9 +367,8 @@ class SubprocessTransport(ShardTransport):
     as JSON on disk, the worker recompiles the study from scratch, and
     the result comes back the same way — everything a socket transport
     would do minus the socket.  Scheduler policy is not forwarded as an
-    argument; workers inherit the environment, so ``REPRO_CHAOS`` /
-    ``REPRO_PERSISTENT_POOL`` apply inside them exactly as they would
-    locally.
+    argument; workers inherit the environment, so ``REPRO_CHAOS``
+    applies inside them exactly as it would locally.
     """
 
     name = "subprocess"

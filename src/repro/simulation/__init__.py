@@ -15,16 +15,15 @@ and ring sizes everything stays independent.
 What lives here:
 
 * :func:`run_units` — the one dispatcher: every study work unit and
-  every protocol trial chunk runs under this per-unit supervisor,
+  every per-trial engine chunk runs under this per-unit supervisor,
   inline for one worker and on the warm worker pool otherwise
-  (:mod:`repro.simulation.pool`; ``REPRO_PERSISTENT_POOL=0`` disables
-  reuse), bit-identical for any worker count.  Without a policy it
-  retries a failed unit once and then fails fast
+  (:mod:`repro.simulation.pool`), bit-identical for any worker count.
+  Without a policy it retries a failed unit once and then fails fast
   (:data:`DEFAULT_POLICY`); a :class:`SchedulerPolicy` adds backoff,
   timeouts, speculation, partial results and the seeded chaos harness
   (:mod:`repro.simulation.faults`);
-* :func:`run_trials` — per-trial protocols as interleaved chunks of
-  :func:`run_units`;
+* :func:`run_trials` — per-trial sampling (the Lemma 5 coupling
+  check) as interleaved chunks of :func:`run_units`;
 * :class:`BernoulliEstimate` and the :class:`ExperimentResult`
   containers the experiments return.
 """
@@ -38,7 +37,6 @@ from repro.simulation.pool import (
     discard_executor,
     executor_lease,
     get_executor,
-    persistent_pools_enabled,
     shutdown_pools,
 )
 from repro.simulation.faults import (
@@ -71,7 +69,6 @@ __all__ = [
     "get_executor",
     "discard_executor",
     "executor_lease",
-    "persistent_pools_enabled",
     "shutdown_pools",
     "ChaosSpec",
     "FaultStrategy",

@@ -1,7 +1,8 @@
-"""Persistent (warm) worker pools.
+"""The persistent (warm) worker pool.
 
 The scheduler (:func:`repro.simulation.scheduler.run_units`) runs every
-multi-worker sweep and protocol fan-out on this module's executor.
+multi-worker study and per-trial engine fan-out on this module's
+executor.
 Forking a fresh ``ProcessPoolExecutor`` per sweep would make every
 experiment invocation pay interpreter startup and module import for
 each worker, so this module keeps one executor alive and hands it back
@@ -22,10 +23,6 @@ instead of cancelling their futures out from under them.
 
 Determinism is unaffected: work units carry their own seeds, so *which*
 pool (or how warm it is) never changes results.
-
-Set ``REPRO_PERSISTENT_POOL=0`` to disable reuse and fall back to
-ephemeral per-call pools (useful when embedding in frameworks that
-manage process lifetimes themselves).
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from typing import Dict, Iterator, Optional
 from repro.exceptions import SimulationError
 
 __all__ = [
-    "persistent_pools_enabled",
     "get_executor",
     "discard_executor",
     "shutdown_pools",
@@ -53,11 +49,6 @@ __all__ = [
 _EXECUTOR: Optional[ProcessPoolExecutor] = None
 _EXECUTOR_SIZE = 0
 _LEASES: Dict[int, int] = {}  # id(executor) -> outstanding lease count
-
-
-def persistent_pools_enabled() -> bool:
-    """Whether warm pool reuse is active (``REPRO_PERSISTENT_POOL`` != 0)."""
-    return os.environ.get("REPRO_PERSISTENT_POOL", "1") != "0"
 
 
 def default_workers() -> int:

@@ -2,7 +2,8 @@
 
 :func:`run_units` is the one dispatcher of the library: every study
 work unit (a ``(group, size, K-column, trial-block)`` tuple) and every
-protocol trial chunk runs through it, inline for one worker and on the
+per-trial engine chunk (:func:`~repro.simulation.engine.run_trials`)
+runs through it, inline for one worker and on the
 warm pool (:mod:`repro.simulation.pool`) otherwise.  It supervises
 units *individually*, so losing one unit never throws away another
 unit's completed work:
@@ -50,13 +51,7 @@ import heapq
 import json
 import pickle
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -463,34 +458,21 @@ class _Supervisor:
     # -- lifecycle -----------------------------------------------------
 
     def _open(self) -> None:
-        self.warm = pool_mod.persistent_pools_enabled()
-        if self.warm:
-            self.executor = pool_mod.get_executor(self.workers)
-            pool_mod.acquire_lease(self.executor)
-        else:
-            self.executor = ProcessPoolExecutor(max_workers=self.workers)
+        self.executor = pool_mod.get_executor(self.workers)
+        pool_mod.acquire_lease(self.executor)
 
     def _close(self) -> None:
         # A fail-fast stop leaves attempts in flight: queued ones are
         # cancelled, running ones finish in their worker uncollected.
         for future in self.inflight:
             future.cancel()
-        if self.warm:
-            pool_mod.release_lease(self.executor)
-        else:
-            # Zombie attempts (timed out, still running) must not block
-            # the caller; the executor reaps them asynchronously.
-            self.executor.shutdown(wait=not (self.zombies or self.inflight))
+        pool_mod.release_lease(self.executor)
 
     def _fresh_executor(self) -> None:
-        if self.warm:
-            pool_mod.release_lease(self.executor)
-            pool_mod.discard_executor()
-            self.executor = pool_mod.get_executor(self.workers)
-            pool_mod.acquire_lease(self.executor)
-        else:
-            self.executor.shutdown(wait=False, cancel_futures=True)
-            self.executor = ProcessPoolExecutor(max_workers=self.workers)
+        pool_mod.release_lease(self.executor)
+        pool_mod.discard_executor()
+        self.executor = pool_mod.get_executor(self.workers)
+        pool_mod.acquire_lease(self.executor)
 
     # -- submission ----------------------------------------------------
 

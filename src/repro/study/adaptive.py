@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -57,6 +58,7 @@ from repro.simulation.scheduler import SchedulerPolicy, combine_fault_reports
 from repro.study.compiler import ActiveMap, Study
 from repro.study.result import ScenarioResult, StudyResult
 from repro.study.scenario import Scenario
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "AdaptivePolicy",
@@ -166,19 +168,20 @@ class AdaptivePolicy:
         # but the standard-error rule applies to value metrics on any
         # scale (degree counts, attack exposure), where targets >= 1
         # are perfectly sensible.
+        if isinstance(self.ci_target, bool) or not isinstance(self.ci_target, numbers.Real):
+            raise ParameterError(
+                f"ci_target must be a real number, got {self.ci_target!r}"
+            )
         if not self.ci_target > 0.0:
             raise ParameterError(
                 f"ci_target must be positive, got {self.ci_target}"
             )
-        if not isinstance(self.max_trials, int) or self.max_trials < 1:
-            raise ParameterError(
-                f"max_trials must be a positive int, got {self.max_trials!r}"
-            )
-        if self.block_trials is not None and (
-            not isinstance(self.block_trials, int) or self.block_trials < 1
-        ):
-            raise ParameterError(
-                f"block_trials must be a positive int, got {self.block_trials!r}"
+        object.__setattr__(
+            self, "max_trials", check_positive_int(self.max_trials, "max_trials")
+        )
+        if self.block_trials is not None:
+            object.__setattr__(
+                self, "block_trials", check_positive_int(self.block_trials, "block_trials")
             )
         if isinstance(self.ci_targets, Mapping):
             object.__setattr__(
@@ -295,15 +298,6 @@ def _active_columns(
     return active
 
 
-def _sweep_families(study: Study) -> List[Tuple[Scenario, ...]]:
-    """Sweep scenarios grouped by deployment family, in study order."""
-    families: Dict[Tuple, List[Scenario]] = {}
-    for scenario in study.scenarios:
-        if scenario.kind == "sweep":
-            families.setdefault(scenario.deployment_key(), []).append(scenario)
-    return [tuple(members) for members in families.values()]
-
-
 def run_adaptive_study(
     study: Study,
     policy: Optional[AdaptivePolicy] = None,
@@ -318,9 +312,7 @@ def run_adaptive_study(
     subsequent round extends the still-open cells by ``block_trials``
     more trials, capped at ``max_trials`` per cell.  Deployment
     families extend independently — a family whose cells all converge
-    stops paying for the others.  Protocol scenarios run once at their
-    declared trials (their bespoke loops have no post-filter structure
-    to extend cheaply) and pass through unchanged.
+    stops paying for the others.
 
     *scheduler* opts every round into fault-tolerant per-unit
     supervision (see :meth:`Study.run`); per-round fault reports are
@@ -337,10 +329,7 @@ def run_adaptive_study(
             "pass either a policy object or policy keywords, not both"
         )
     known_labels = {
-        label
-        for scenario in study.scenarios
-        if scenario.kind == "sweep"
-        for label in scenario.metric_labels()
+        label for scenario in study.scenarios for label in scenario.metric_labels()
     }
     unknown = [label for label, _ in policy.ci_targets if label not in known_labels]
     if unknown:
@@ -359,9 +348,10 @@ def run_adaptive_study(
         first.provenance.get("faults")  # type: ignore[list-item]
     ]
 
-    for members in _sweep_families(study):
+    for plan in study.compile():
+        members = plan.scenarios
         group = Study(members)
-        plans = group.compile()  # round-invariant; compiled once per family
+        plans = [plan]  # the family's one plan, as ``group`` compiles it
         total = members[0].trials
         block = policy.block_trials or members[0].trials
         prev_open: Optional[set] = None
@@ -434,7 +424,7 @@ def run_adaptive_study(
 def trial_allocation(result: StudyResult) -> Dict[str, object]:
     """Per-cell trial accounting of a (possibly adaptive) study result.
 
-    ``trials_spent`` sums each sweep ``(size, K, curve, metric)``
+    ``trials_spent`` sums each ``(size, K, curve, metric)``
     cell's actual sample size; ``fixed_trial_cost`` is what a uniform
     design needs for the same per-cell precision everywhere — every
     cell at ``max_cell_trials``, the count the slowest cell required.
@@ -447,8 +437,6 @@ def trial_allocation(result: StudyResult) -> Dict[str, object]:
     min_cell: Optional[int] = None
     for res in result.results:
         scenario = res.scenario
-        if scenario.kind != "sweep":
-            continue
         for si in range(scenario.num_sizes):
             for ri in range(len(scenario.ring_sizes_at(si))):
                 for ci in range(len(scenario.curves_at(si))):

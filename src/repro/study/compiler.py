@@ -1,6 +1,6 @@
 """The :class:`Study` compiler: scenarios → shared-deployment sweep plan.
 
-Compilation groups sweep scenarios by deployment family — equal
+Compilation groups scenarios by deployment family — equal
 ``(num_nodes, pool_size, ring_sizes, trials, seed)``, with sized
 scenarios keyed on their canonical per-size expansion — and emits one
 plan per group.  Executing a plan samples each ``(size, K, trial)``
@@ -29,9 +29,6 @@ equal to a one-shot run at the total trial count.  :meth:`Study.run`
 is the same emitter over each group's full window ``[0, trials)``;
 both send every unit to the per-unit supervisor
 (:func:`~repro.simulation.scheduler.run_units`) in one call.
-
-Protocol scenarios run through the ordinary per-trial engine with the
-same determinism contract.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ParameterError
-from repro.simulation.engine import default_workers, run_trials
+from repro.simulation.engine import default_workers
 from repro.simulation.scheduler import SchedulerPolicy, resolve_scheduler_policy
 
 # The one dispatcher, bound under the name the benchmark's tracer wraps
@@ -297,20 +294,6 @@ def _slice_scenario_results(
     return by_name
 
 
-def _run_protocol(scenario: Scenario, workers: Optional[int]) -> ScenarioResult:
-    from repro.study.protocols import get_protocol
-
-    spec = get_protocol(scenario.protocol)
-    trial_fn = spec.build(scenario)
-    outcomes = run_trials(trial_fn, scenario.trials, seed=scenario.seed, workers=workers)
-    values = np.asarray(outcomes, dtype=np.float64).reshape(
-        1, scenario.trials, 1, len(spec.value_names)
-    )
-    return ScenarioResult(
-        scenario=scenario, values=values, metric_labels=tuple(spec.value_names)
-    )
-
-
 @dataclasses.dataclass(frozen=True)
 class Study:
     """One or more scenarios compiled into a shared-deployment plan."""
@@ -332,11 +315,9 @@ class Study:
     # -- compilation ---------------------------------------------------
 
     def compile(self) -> List[GroupPlan]:
-        """Group sweep scenarios by deployment family (order-preserving)."""
+        """Group scenarios by deployment family (order-preserving)."""
         groups: Dict[Tuple, List[Scenario]] = {}
         for scenario in self.scenarios:
-            if scenario.kind != "sweep":
-                continue
             groups.setdefault(scenario.deployment_key(), []).append(scenario)
         return [_plan_group(members) for members in groups.values()]
 
@@ -398,12 +379,6 @@ class Study:
         ``trial_offset == trial_start``.  Scheduling follows
         :meth:`run`.
         """
-        for scenario in self.scenarios:
-            if scenario.kind == "protocol":
-                raise ParameterError(
-                    f"trial extension supports sweep scenarios only; "
-                    f"{scenario.name!r} is a protocol scenario"
-                )
         if trial_start < 0:
             raise ParameterError(f"trial_start must be >= 0, got {trial_start}")
         if trial_stop <= trial_start:
@@ -430,7 +405,7 @@ class Study:
         scheduler: Optional[SchedulerPolicy],
         window_provenance: Dict[str, object],
     ) -> StudyResult:
-        """Run trials ``windows[g]`` of each group *g*, plus any protocols.
+        """Run trials ``windows[g]`` of each group *g*.
 
         Every ``(group, size, K-column)`` is scheduled, or with an
         *active* map only the listed ones.  Each splits its window
@@ -515,9 +490,6 @@ class Study:
             ]
             provenance["faults"] = faults
         by_name = _slice_scenario_results(plans, tensors, windows)
-        for scenario in self.scenarios:
-            if scenario.kind == "protocol":
-                by_name[scenario.name] = _run_protocol(scenario, workers)
         return StudyResult(
             results=tuple(by_name[s.name] for s in self.scenarios),
             provenance=provenance,

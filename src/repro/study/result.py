@@ -14,8 +14,7 @@ Whether a metric is Bernoulli-estimable is decided by its
 :class:`~repro.study.scenario.MetricSpec` (``is_indicator``), never by
 inspecting the measured values: a value metric that happens to be
 pinned at 0/1 (e.g. ``giant_fraction`` at saturating ``p``) is still a
-value metric and renders as mean ± std.  Protocol results carry no
-metric specs, so their values fall back to the 0/1 check.
+value metric and renders as mean ± std.
 
 Partial results and merging
 ---------------------------
@@ -45,7 +44,7 @@ import numpy as np
 from repro.exceptions import ExperimentError, ParameterError, ShardMismatchError
 from repro.simulation.estimators import BernoulliEstimate
 from repro.simulation.results import _field, _mapping, _read_json
-from repro.study.scenario import Curve, Scenario
+from repro.study.scenario import STREAM_VERSION, Curve, Scenario
 from repro.utils.tables import format_table
 
 __all__ = ["ScenarioResult", "StudyResult", "render_study_result"]
@@ -67,8 +66,8 @@ class ScenarioResult:
     curve ``c`` measured on deployment ``(ring_sizes[r], trial t)``.
     A size-grid scenario carries the size axis in front:
     ``values[s, r, t, c, m]`` for deployment ``(num_nodes_grid[s],
-    ring s/r, trial t)``.  Protocol scenarios use a single pseudo-ring
-    and pseudo-curve with one column per protocol value.
+    ring s/r, trial t)``.  ``metric_labels`` are the scenario's own,
+    in order.
 
     ``trial_offset`` is the absolute trial index of the tensor's first
     trial slot: a full run has offset 0; an extension shard produced by
@@ -102,6 +101,13 @@ class ScenarioResult:
             raise ExperimentError(
                 f"trial_offset must be a non-negative int, got {self.trial_offset!r}"
             )
+        labels = tuple(self.metric_labels)
+        if labels != self.scenario.metric_labels():
+            raise ExperimentError(
+                f"metric_labels {list(labels)} do not match scenario "
+                f"{self.scenario.name!r} metrics {list(self.scenario.metric_labels())}"
+            )
+        object.__setattr__(self, "metric_labels", labels)
 
     # -- trial window --------------------------------------------------
 
@@ -284,7 +290,7 @@ class ScenarioResult:
         return sizes.index(size)
 
     def _ring_index(self, ring: Optional[int], size_index: int) -> int:
-        rings = self.scenario.ring_sizes_at(size_index) or (0,)
+        rings = self.scenario.ring_sizes_at(size_index)
         if ring is None:
             if len(rings) != 1:
                 raise ExperimentError(
@@ -300,7 +306,7 @@ class ScenarioResult:
         return rings.index(ring)
 
     def _curve_index(self, curve: Optional[Curve], size_index: int) -> int:
-        curves = self.scenario.curves_at(size_index) or ((0, 0.0),)
+        curves = self.scenario.curves_at(size_index)
         if curve is None:
             if len(curves) != 1:
                 raise ExperimentError(
@@ -330,17 +336,9 @@ class ScenarioResult:
             )
         return self.metric_labels.index(metric)
 
-    def _metric_is_indicator(self, index: int, series: np.ndarray) -> bool:
-        """Whether the metric at *index* is Bernoulli-estimable.
-
-        Decided by the scenario's :class:`MetricSpec` when one carries
-        the label (sweep scenarios).  Protocol results have no specs,
-        so their values fall back to the 0/1 membership check.
-        """
-        spec = self.scenario.metric_by_label(self.metric_labels[index])
-        if spec is not None:
-            return spec.is_indicator
-        return bool(np.isin(series, (0.0, 1.0)).all())
+    def _metric_is_indicator(self, index: int) -> bool:
+        """Whether the metric at *index* is Bernoulli-estimable (its spec)."""
+        return self.scenario.metrics[index].is_indicator
 
     # -- estimators ----------------------------------------------------
 
@@ -423,7 +421,7 @@ class ScenarioResult:
                 f"(skipped in this shard? merge shards first, or check "
                 f"cell_trials())"
             )
-        if not self._metric_is_indicator(self._metric_index(metric), series):
+        if not self._metric_is_indicator(self._metric_index(metric)):
             raise ExperimentError(
                 f"metric {metric!r} is not an indicator; use series()/mean()"
             )
@@ -484,6 +482,7 @@ class ScenarioResult:
         out: Dict[str, object] = {
             "scenario": self.scenario.to_dict(),
             "scenario_hash": self.scenario.content_hash(),
+            "stream_version": STREAM_VERSION,
             "version": _library_version(),
             "metric_labels": list(self.metric_labels),
             "values": values.tolist(),
@@ -498,6 +497,15 @@ class ScenarioResult:
         what = "scenario result"
         data = _mapping(data, what)
         raw_scenario = _mapping(_field(data, "scenario", what), f"{what} 'scenario'")
+        # Before the scenario parses or its hash is checked: an older
+        # stream's file gets this message, not an unknown-field or
+        # "edited in transport" one.
+        stream = data.get("stream_version")
+        if type(stream) is not int or stream != STREAM_VERSION:
+            raise ExperimentError(
+                f"{what} was sampled by stream version {stream!r}, but this "
+                f"library samples stream version {STREAM_VERSION}; rerun it"
+            )
         try:
             scenario = Scenario.from_dict(raw_scenario)
         except ParameterError as exc:
@@ -618,15 +626,13 @@ def render_study_result(result: StudyResult) -> str:
         sc = res.scenario
         rows: List[Sequence[object]] = []
         for si, n in enumerate(sc.sizes):
-            rings = sc.ring_sizes_at(si) or ("-",)
-            curves = sc.curves_at(si) or (("-", "-"),)
-            for ri, ring in enumerate(rings):
-                for ci, (q, p) in enumerate(curves):
+            for ri, ring in enumerate(sc.ring_sizes_at(si)):
+                for ci, (q, p) in enumerate(sc.curves_at(si)):
                     for mi, label in enumerate(res.metric_labels):
                         series = res.series_at(si, ri, ci, mi)
                         if series.size == 0:
                             rows.append([n, ring, q, p, label, 0, "-", "-", "-"])
-                        elif res._metric_is_indicator(mi, series):
+                        elif res._metric_is_indicator(mi):
                             est = BernoulliEstimate.from_counts(
                                 int(series.sum()), series.size
                             )
@@ -645,7 +651,7 @@ def render_study_result(result: StudyResult) -> str:
         else:
             sizing = f"n={sc.num_nodes}"
         title = (
-            f"scenario {sc.name!r} (kind={sc.kind}, {sizing}, "
+            f"scenario {sc.name!r} ({sizing}, "
             f"P={sc.pool_size}, trials={sc.trials}, seed={sc.seed})"
         )
         blocks.append(

@@ -7,13 +7,10 @@ and the metric set.  It validates eagerly at construction and
 round-trips through JSON (``to_json`` / ``from_json``), so a scenario
 file with no accompanying Python is a complete experiment definition.
 
-Two scenario kinds exist:
-
-* ``"sweep"`` (default) — runs on the shared-deployment sweep engine;
-  every metric is derived from the same candidate-pair arrays.
-* ``"protocol"`` — a named bespoke trial protocol (see
-  :mod:`repro.study.protocols`) for workloads whose sampling cannot be
-  expressed as a post-filter (e.g. the Lemma 5 coupled-ring pair).
+Every scenario runs on the shared-deployment sweep engine: each metric
+is derived from the same candidate-pair arrays.  Sampling that cannot
+be a post-filter on a sweep deployment (the Lemma 5 coupled-ring pair)
+lives with its experiment and calls the trial engine directly.
 
 Size axis
 ---------
@@ -47,7 +44,12 @@ from repro.utils.validation import (
     check_probability,
 )
 
-__all__ = ["CHANNEL_KINDS", "METRIC_KINDS", "ClassMix", "MetricSpec", "Scenario"]
+__all__ = ["CHANNEL_KINDS", "METRIC_KINDS", "STREAM_VERSION", "ClassMix", "MetricSpec", "Scenario"]
+
+#: Version of the sampled random stream.  A change to the draw order
+#: bumps it (and regenerates both golden digest files), so cache keys
+#: and shard hash checks never mix trials from two streams.
+STREAM_VERSION = 1
 
 Curve = Tuple[int, float]
 
@@ -284,9 +286,6 @@ _SCENARIO_FIELDS = {
     "trials",
     "seed",
     "channel",
-    "kind",
-    "protocol",
-    "protocol_params",
     "classes",
 }
 
@@ -338,11 +337,6 @@ class Scenario:
         ``"onoff"`` (Bernoulli(p) per candidate edge, nested thinning)
         or ``"disk"`` (torus disk model; ``p`` is the matched marginal
         ``pi * r**2``, thresholds nested in ``r``).
-    kind:
-        ``"sweep"`` or ``"protocol"``.
-    protocol, protocol_params:
-        For ``kind="protocol"``: registered protocol name and its
-        parameters (see :mod:`repro.study.protocols`).
     classes:
         Optional :class:`ClassMix` declaring the heterogeneous
         (Eletreby–Yağan) scenario family: per-class probabilities
@@ -364,9 +358,6 @@ class Scenario:
     metrics: Tuple[MetricSpec, ...] = ()
     seed: int = 0
     channel: str = "onoff"
-    kind: str = "sweep"
-    protocol: Optional[str] = None
-    protocol_params: Tuple[Tuple[str, object], ...] = ()
     classes: Optional[ClassMix] = None
 
     def __post_init__(self) -> None:
@@ -379,36 +370,14 @@ class Scenario:
             raise ParameterError(f"seed must be an int, got {self.seed!r}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.kind not in ("sweep", "protocol"):
-            raise ParameterError(
-                f"unknown scenario kind {self.kind!r}; use 'sweep' or 'protocol'"
-            )
         if self.classes is not None and not isinstance(self.classes, ClassMix):
             if not isinstance(self.classes, Mapping):
                 raise ParameterError(
                     f"classes must be a ClassMix or mapping, got {self.classes!r}"
                 )
             object.__setattr__(self, "classes", ClassMix.from_dict(self.classes))
-        if self.classes is not None and self.kind == "protocol":
-            raise ParameterError(
-                "heterogeneous classes apply to sweep scenarios; protocol "
-                f"scenario {self.name!r} runs its own trial loop"
-            )
         self._normalize_sizes()
-        if isinstance(self.protocol_params, Mapping):
-            object.__setattr__(
-                self, "protocol_params", tuple(sorted(self.protocol_params.items()))
-            )
-        else:
-            object.__setattr__(
-                self,
-                "protocol_params",
-                tuple((str(k), v) for k, v in self.protocol_params),
-            )
-        if self.kind == "protocol":
-            self._validate_protocol()
-            return
-        self._validate_sweep()
+        self._validate()
 
     # -- size axis normalization --------------------------------------
 
@@ -537,26 +506,6 @@ class Scenario:
 
     # -- validation ----------------------------------------------------
 
-    def _validate_protocol(self) -> None:
-        if self.sized:
-            raise ParameterError(
-                "protocol scenarios run one bespoke trial loop per size; "
-                "num_nodes_grid is only supported for sweep scenarios"
-            )
-        if not self.protocol:
-            raise ParameterError(
-                "protocol scenarios need a 'protocol' name "
-                "(see repro.study.protocols.list_protocols())"
-            )
-        if self.ring_sizes or self.curves or self.metrics:
-            raise ParameterError(
-                "protocol scenarios take parameters via 'protocol_params'; "
-                "ring_sizes/curves/metrics must be empty"
-            )
-        from repro.study.protocols import get_protocol
-
-        get_protocol(self.protocol)  # raises ExperimentError if unknown
-
     def _normalize_class_rings(self) -> None:
         """Normalize ring entries to per-class int vectors (class mix)."""
         assert self.classes is not None
@@ -668,11 +617,7 @@ class Scenario:
         else:
             object.__setattr__(self, "curves", as_curves(curves, curves))
 
-    def _validate_sweep(self) -> None:
-        if self.protocol is not None or self.protocol_params:
-            raise ParameterError(
-                "sweep scenarios must not set 'protocol'/'protocol_params'"
-            )
+    def _validate(self) -> None:
         if self.channel not in CHANNEL_KINDS:
             known = ", ".join(CHANNEL_KINDS)
             raise ParameterError(
@@ -827,8 +772,10 @@ class Scenario:
         transport: every shard, extension, and merged union of the same
         experiment shares one hash, while any other field difference
         (seed, curves, metrics, grid, ...) produces a different one.
+        :data:`STREAM_VERSION` is folded in too, so results sampled by
+        an older stream never match.
         """
-        payload = self.canonical_json(include_trials=False)
+        payload = f"{STREAM_VERSION}:{self.canonical_json(include_trials=False)}"
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     @property
@@ -838,19 +785,11 @@ class Scenario:
     def metric_labels(self) -> Tuple[str, ...]:
         return tuple(m.label for m in self.metrics)
 
-    def metric_by_label(self, label: str) -> Optional[MetricSpec]:
-        """The :class:`MetricSpec` carrying *label*, or ``None``."""
-        for metric in self.metrics:
-            if metric.label == label:
-                return metric
-        return None
-
     # -- JSON round-trip ----------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
             "name": self.name,
-            "kind": self.kind,
             "trials": self.trials,
             "seed": self.seed,
         }
@@ -864,10 +803,6 @@ class Scenario:
             out["pool_size"] = self.pool_size
         if self.classes is not None:
             out["classes"] = self.classes.to_dict()
-        if self.kind == "protocol":
-            out["protocol"] = self.protocol
-            out["protocol_params"] = dict(self.protocol_params)
-            return out
         rings = _deep_listify(self.ring_sizes)
         if self.curves and _is_nested(self.curves[0]):
             curves: object = [
@@ -914,11 +849,6 @@ class Scenario:
             m if isinstance(m, MetricSpec) else MetricSpec.from_dict(m)
             for m in metrics_raw
         )
-        protocol_params = data.get("protocol_params", {})
-        if not isinstance(protocol_params, Mapping):
-            raise ParameterError(
-                f"protocol_params must be a mapping, got {protocol_params!r}"
-            )
         classes_raw = data.get("classes")
         classes = None if classes_raw is None else ClassMix.from_dict(classes_raw)  # type: ignore[arg-type]
         # Integer fields pass through raw: __post_init__ rejects floats,
@@ -935,9 +865,6 @@ class Scenario:
                 metrics=metrics,
                 seed=data.get("seed", 0),  # type: ignore[arg-type]
                 channel=str(data.get("channel", "onoff")),
-                kind=str(data.get("kind", "sweep")),
-                protocol=data.get("protocol"),  # type: ignore[arg-type]
-                protocol_params=protocol_params,  # type: ignore[arg-type]
                 classes=classes,
             )
         except (TypeError, ValueError) as exc:

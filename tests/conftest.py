@@ -7,6 +7,19 @@ import numpy as np
 import pytest
 
 from repro.params import QCompositeParams
+from repro.simulation.pool import get_executor, shutdown_pools
+
+# Warm-pool states the determinism tests run under: "0" tears the pool
+# down so the run spawns fresh workers, "1" runs on a pre-spawned pool.
+POOL_STARTS = ["0", "1"]
+
+
+def prepare_pool(pool_start: str, workers: int) -> None:
+    """Put the warm pool in the state *pool_start* names."""
+    if pool_start == "0":
+        shutdown_pools()
+    else:
+        get_executor(workers)
 
 
 @pytest.fixture

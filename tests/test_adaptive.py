@@ -30,6 +30,7 @@ from repro.study import (
 )
 from repro.study.adaptive import mean_standard_error, stopping_half_width
 from repro.study.result import ScenarioResult
+from tests.conftest import POOL_STARTS, prepare_pool
 
 
 def plain_scenario(name="plain", trials=6, seed=11, **overrides):
@@ -117,11 +118,11 @@ class TestDeterminismEquivalence:
         assert len(counts) > 1  # allocation is genuinely ragged
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("persistent", ["0", "1"])
-    def test_warm_pool_on_and_off(self, persistent, monkeypatch):
-        monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent)
+    @pytest.mark.parametrize("pool_start", POOL_STARTS)
+    def test_warm_pool_on_and_off(self, pool_start):
         scenario = plain_scenario(trials=5)
         policy = AdaptivePolicy(ci_target=1e-6, max_trials=15, block_trials=5)
+        prepare_pool(pool_start, 2)
         adaptive = run_adaptive_study(
             Study((scenario,)), policy, workers=2
         )[scenario.name]
@@ -172,19 +173,6 @@ class TestRunExtension:
     def test_rejects_negative_start(self):
         with pytest.raises(ParameterError, match="trial_start"):
             Study((plain_scenario(),)).run_extension(-1, 4, workers=1)
-
-    def test_rejects_protocol_scenarios(self):
-        protocol = Scenario(
-            name="proto",
-            kind="protocol",
-            num_nodes=30,
-            pool_size=200,
-            trials=4,
-            protocol="coupling",
-            protocol_params={"key_ring_size": 12, "q": 1},
-        )
-        with pytest.raises(ParameterError, match="protocol"):
-            Study((protocol,)).run_extension(4, 8, workers=1)
 
     def test_rejects_bad_active_maps(self):
         study = Study((plain_scenario(),))
@@ -508,26 +496,6 @@ class TestAdaptiveDriver:
             run_adaptive_study(
                 study, AdaptivePolicy(), ci_target=0.5, workers=1
             )
-
-    def test_protocol_scenarios_pass_through(self):
-        protocol = Scenario(
-            name="proto",
-            kind="protocol",
-            num_nodes=30,
-            pool_size=200,
-            trials=4,
-            protocol="coupling",
-            protocol_params={"key_ring_size": 12, "q": 1},
-        )
-        mixed = Study((plain_scenario(trials=4), protocol))
-        result = run_adaptive_study(
-            mixed,
-            AdaptivePolicy(ci_target=0.4, max_trials=12, block_trials=4),
-            workers=1,
-        )
-        assert result["proto"].scenario.trials == 4
-        one_shot = Study((protocol,)).run(workers=1)["proto"]
-        assert np.array_equal(result["proto"].values, one_shot.values)
 
     @pytest.mark.slow
     def test_ragged_allocation_spends_less_than_fixed(self):

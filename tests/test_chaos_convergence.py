@@ -3,10 +3,10 @@
 Under every injection strategy — crash, delay, drop, partial result,
 broken pool — with a bounded retry budget, a supervised study run must
 produce a ``ScenarioResult`` bit-identical to the fault-free one-shot
-run, with the warm pool on and off.  This is the determinism contract
-the fault-tolerant scheduler is built on: work units carry their own
-absolute-trial seeds, so a retried or speculatively re-executed unit
-recomputes exactly the same values.
+run, on a freshly spawned pool and on a warm one.  This is the
+determinism contract the fault-tolerant scheduler is built on: work
+units carry their own absolute-trial seeds, so a retried or
+speculatively re-executed unit recomputes exactly the same values.
 
 Every chaos strategy here caps injection at ``max_attempt=2`` while the
 scheduler budgets ``max_retries=4``: convergence within the budget is
@@ -26,6 +26,7 @@ from repro.simulation.scheduler import SchedulerPolicy
 from repro.study.adaptive import run_adaptive_study
 from repro.study.compiler import Study
 from repro.study.scenario import ClassMix, MetricSpec, Scenario
+from tests.conftest import POOL_STARTS, prepare_pool
 
 WORKERS = 2
 
@@ -59,9 +60,9 @@ def baseline():
 
 
 @pytest.mark.parametrize("kind", STRATEGY_KINDS)
-@pytest.mark.parametrize("persistent", ["0", "1"])
-def test_faulted_run_is_bit_identical(kind, persistent, baseline, monkeypatch):
-    monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent)
+@pytest.mark.parametrize("pool_start", POOL_STARTS)
+def test_faulted_run_is_bit_identical(kind, pool_start, baseline):
+    prepare_pool(pool_start, WORKERS)
     faulted = Study((_zero_one_scenario(),)).run(
         workers=WORKERS, scheduler=_chaos_policy(kind)
     )
@@ -96,12 +97,12 @@ def _het_scenario(trials=6):
     )
 
 
-@pytest.mark.parametrize("persistent", ["0", "1"])
-def test_class_mix_scenario_converges_under_chaos(persistent, monkeypatch):
+@pytest.mark.parametrize("pool_start", POOL_STARTS)
+def test_class_mix_scenario_converges_under_chaos(pool_start):
     # The heterogeneous axis adds draws (labels, per-class rings) to
     # every work unit; retried units must still recompute identically.
-    monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent)
     clean = Study((_het_scenario(),)).run(workers=WORKERS)
+    prepare_pool(pool_start, WORKERS)
     faulted = Study((_het_scenario(),)).run(
         workers=WORKERS, scheduler=_chaos_policy("crash")
     )
@@ -111,9 +112,9 @@ def test_class_mix_scenario_converges_under_chaos(persistent, monkeypatch):
     assert report["completed"] == report["units"]
 
 
-@pytest.mark.parametrize("persistent", ["0", "1"])
-def test_adaptive_study_converges_under_chaos(persistent, monkeypatch):
-    monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent)
+@pytest.mark.parametrize("pool_start", POOL_STARTS)
+def test_adaptive_study_converges_under_chaos(pool_start):
+    prepare_pool(pool_start, WORKERS)
     clean = run_adaptive_study(
         Study((_zero_one_scenario(),)),
         max_trials=24,

@@ -20,6 +20,7 @@ from repro.simulation.results import (
 )
 from repro.study import MetricSpec, Scenario, StudyResult
 from repro.study.result import ScenarioResult
+from repro.study.scenario import STREAM_VERSION
 
 
 class TestWilsonInterval:
@@ -135,6 +136,13 @@ _SCENARIO_RESULT = ScenarioResult(
     trial_offset=2,
 ).to_dict()
 
+#: A result written before the stream was versioned: no
+#: ``stream_version``, and its scenario still names the retired ``kind``.
+_PRE_VERSION_RESULT = {
+    **{key: value for key, value in _SCENARIO_RESULT.items() if key != "stream_version"},
+    "scenario": {**_SCENARIO_RESULT["scenario"], "kind": "sweep"},
+}
+
 
 def _experiment_payload(prediction=0.25, **estimate):
     """A one-point saved ExperimentResult with fields overridden."""
@@ -197,6 +205,14 @@ class TestMalformedResultPayloads:
             (StudyResult, [], "JSON object"),
             (StudyResult, {"scenarios": {}}, "'scenarios'"),
             (StudyResult, {"scenarios": [], "provenance": []}, "provenance"),
+            (ScenarioResult, {**_SCENARIO_RESULT, "metric_labels": ["x"]}, "metric_labels"),
+            (ScenarioResult, _PRE_VERSION_RESULT, f"version None.* version {STREAM_VERSION}"),
+            (
+                ScenarioResult,
+                {**_SCENARIO_RESULT, "stream_version": STREAM_VERSION - 1},
+                f"version {STREAM_VERSION - 1}.* version {STREAM_VERSION}",
+            ),
+            (ScenarioResult, {**_SCENARIO_RESULT, "stream_version": True}, "version True"),
         ],
     )
     def test_study_result_named_field_in_error(self, loader, payload, field):

@@ -11,14 +11,16 @@ value tensor of a small fixed-seed corpus, stored in
 The corpus spans every stream layout the engine has — a Figure 1
 slice, a sized growth grid, a class mix, the disk channel, capture
 metrics, an exact k = 3 decision, degree counts, giant fractions and
-the ``coupling`` protocol.  An intentional stream change regenerates
-the file in the same change::
+the Lemma 5 coupling trials.  An intentional stream change bumps
+``repro.study.scenario.STREAM_VERSION`` and regenerates both digest
+files (this one and ``perfbench/digests.json``) in the same change::
 
     PYTHONPATH=src python tests/test_golden_digests.py --regenerate
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import pathlib
@@ -28,7 +30,7 @@ from typing import Callable, Dict
 import numpy as np
 import pytest
 
-from repro.experiments.coupling_check import build_coupling_study
+from repro.experiments.coupling_check import coupling_outcomes
 from repro.experiments.degree_poisson import build_degree_poisson_study
 from repro.experiments.disk_comparison import build_disk_study
 from repro.experiments.figure1 import build_figure1_study
@@ -43,8 +45,10 @@ GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_digests.json")
 
 # =========================== corpus ==========================================
 
-#: Entry name -> study builder.  Order is the reporting order.
-CORPUS: Dict[str, Callable[[], Study]] = {
+Tensors = Dict[str, np.ndarray]
+
+#: Study entries: name -> study builder.
+STUDIES: Dict[str, Callable[[], Study]] = {
     "figure1_slice": lambda: build_figure1_study(
         trials=3, ring_sizes=(22, 30), num_nodes=60, pool_size=600, seed=11
     ),
@@ -80,9 +84,29 @@ CORPUS: Dict[str, Callable[[], Study]] = {
         pool_size=1000,
         seed=18,
     ),
-    "coupling_protocol": lambda: build_coupling_study(
-        trials=3, num_nodes_grid=(30,), key_ring_size=20, pool_size=1000, seed=19
-    ),
+}
+
+
+def _study_tensors(build: Callable[[], Study]) -> Tensors:
+    result = build().run(workers=1)
+    return {res.scenario.name: res.values for res in result.results}
+
+
+def _coupling_tensors() -> Tensors:
+    # The coupling check runs on the trial engine, not the study
+    # compiler.  Its tensor keeps the (ring, trial, curve, value) layout
+    # (1, trials, 1, 2) and the scenario key it had when it ran as a
+    # study scenario, so the digest pinned then still checks the same
+    # stream (per-size root seed 19 + n).
+    outcomes = coupling_outcomes(30, 20, 1000, 2, trials=3, seed=19 + 30, workers=1)
+    return {"coupling_n30": outcomes.reshape(1, 3, 1, 2)}
+
+
+#: Entry name -> value tensors by scenario name, run inline.  Order is
+#: the reporting order.
+CORPUS: Dict[str, Callable[[], Tensors]] = {
+    **{name: functools.partial(_study_tensors, build) for name, build in STUDIES.items()},
+    "coupling_protocol": _coupling_tensors,
 }
 
 
@@ -97,8 +121,7 @@ def tensor_digest(values: np.ndarray) -> str:
 
 def entry_digests(entry: str) -> Dict[str, str]:
     """``{scenario name: digest}`` for one corpus entry, run inline."""
-    result = CORPUS[entry]().run(workers=1)
-    return {res.scenario.name: tensor_digest(res.values) for res in result.results}
+    return {name: tensor_digest(values) for name, values in CORPUS[entry]().items()}
 
 
 def compute_all() -> Dict[str, Dict[str, str]]:

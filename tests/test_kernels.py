@@ -35,6 +35,7 @@ from repro.kernels.reference import ReferenceBackend, scan_first_certificate
 from repro.keygraphs.uniform_graph import uniform_intersection_edges
 from repro.study import MetricSpec, Scenario, Study
 from tests.oracle import to_graph
+from tests.conftest import POOL_STARTS, prepare_pool
 
 def _kappa(n, edges):
     """Exact κ from networkx, the reference independent of this package."""
@@ -207,10 +208,10 @@ def _fixture_study():
 
 
 class TestWorkerInvariance:
-    @pytest.mark.parametrize("persistent_pool", ["0", "1"])
-    def test_warm_pool_on_and_off(self, persistent_pool, monkeypatch):
-        monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent_pool)
+    @pytest.mark.parametrize("pool_start", POOL_STARTS)
+    def test_warm_pool_on_and_off(self, pool_start):
         serial = _fixture_study().run(workers=1)
+        prepare_pool(pool_start, 2)
         pooled = _fixture_study().run(workers=2)
         np.testing.assert_array_equal(
             serial["consistency"].values, pooled["consistency"].values

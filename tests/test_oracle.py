@@ -126,11 +126,7 @@ def assert_agrees(result: ScenarioResult, reference: np.ndarray) -> None:
 def test_every_sweep_experiment_has_a_fixture():
     from repro.experiments.registry import list_experiments
 
-    sweep = {
-        spec.name
-        for spec in list_experiments()
-        if spec.build_study is not None and spec.name != "coupling"
-    }
+    sweep = {spec.name for spec in list_experiments() if spec.build_study is not None}
     assert sweep == set(EXPERIMENTS)
 
 

@@ -23,7 +23,8 @@ from repro.simulation.faults import ChaosSpec, FaultStrategy
 from repro.simulation.scheduler import SchedulerPolicy, combine_fault_reports
 from repro.study.compiler import Study
 from repro.study.result import ScenarioResult
-from repro.study.scenario import MetricSpec, Scenario
+from repro.study.scenario import STREAM_VERSION, MetricSpec, Scenario
+from tests.conftest import POOL_STARTS, prepare_pool
 
 WORKERS = 2
 
@@ -56,14 +57,14 @@ def cache(tmp_path):
     return ResultCache(tmp_path / "cache")
 
 
-@pytest.mark.parametrize("persistent", ["0", "1"])
+@pytest.mark.parametrize("pool_start", POOL_STARTS)
 class TestDispositionsBitIdentical:
-    """Cold → warm → extension, pool off and on, always exact."""
+    """Cold → warm → extension, fresh and warm pool, always exact."""
 
-    def test_cold_warm_extension(self, cache, persistent, monkeypatch):
-        monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent)
+    def test_cold_warm_extension(self, cache, pool_start):
         study = Study((_scenario(),))
         baseline = study.run(workers=WORKERS)
+        prepare_pool(pool_start, WORKERS)
 
         cold = run_cached(study, cache, workers=WORKERS)
         assert cold.provenance["cache"]["disposition"] == "miss"
@@ -94,10 +95,10 @@ class TestDispositionsBitIdentical:
         assert trunc.provenance["cache"]["disposition"] == "hit"
         assert np.array_equal(baseline["cached"].values, trunc["cached"].values)
 
-    def test_chaos_runs_hit_the_same_cache(self, cache, persistent, monkeypatch):
-        monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent)
+    def test_chaos_runs_hit_the_same_cache(self, cache, pool_start):
         study = Study((_scenario(),))
         baseline = study.run(workers=WORKERS)
+        prepare_pool(pool_start, WORKERS)
 
         cold = run_cached(study, cache, workers=WORKERS, scheduler=_chaos_policy())
         assert cold.provenance["cache"]["disposition"] == "miss"
@@ -251,6 +252,19 @@ class TestStorePolicy:
         assert cache.lookup(scenario) is None
 
 
+class TestStreamVersion:
+    def test_bumped_stream_version_turns_a_hit_into_a_miss(self, cache, monkeypatch):
+        study = Study((_scenario(),))
+        cold = run_cached(study, cache, workers=WORKERS)
+        bumped = STREAM_VERSION + 1
+        monkeypatch.setattr("repro.study.scenario.STREAM_VERSION", bumped)
+        monkeypatch.setattr("repro.study.result.STREAM_VERSION", bumped)
+        again = run_cached(study, cache, workers=WORKERS)
+        assert again.provenance["cache"]["disposition"] == "miss"
+        assert again.provenance["cache"]["executed_units"] > 0
+        assert np.array_equal(cold["cached"].values, again["cached"].values)
+
+
 class TestReadPath:
     """Each request parses each stored entry once."""
 
@@ -306,20 +320,6 @@ class TestBypass:
         result = run_cached(study, cache, workers=WORKERS)
         assert result.provenance["cache"]["disposition"] == "bypass"
         assert cache.lookup(study.scenarios[0]) is None
-
-    def test_protocol_scenarios_bypass(self, cache):
-        protocol = Scenario(
-            name="proto",
-            kind="protocol",
-            num_nodes=30,
-            pool_size=200,
-            trials=2,
-            seed=3,
-            protocol="coupling",
-            protocol_params={"key_ring_size": 12, "q": 1},
-        )
-        result = run_cached(Study((protocol,)), cache, workers=1)
-        assert result.provenance["cache"]["disposition"] == "bypass"
 
     def test_rejects_non_cache(self):
         with pytest.raises(ParameterError, match="ResultCache"):

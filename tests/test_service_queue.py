@@ -47,6 +47,26 @@ def _submit(spool, job_id, payload):
     return path
 
 
+@pytest.fixture(
+    params=[
+        {"target-ci": 0.05},  # typo: used to run a plain job
+        {"max_trials": 8},  # adaptive knob without target_ci
+        {"block_trials": 4},
+        {"target_ci": "0.05"},
+        {"target_ci": True},
+        {"target_ci": 0.5, "max_trials": 2.7},  # used to truncate to 2
+        {"target_ci": 0.5, "max_trials": "8"},
+        {"target_ci": 0.5, "max_trials": True},
+        {"target_ci": 0.5, "block_trials": True},
+        {"target_ci": 0.5, "block_trials": 0},
+    ],
+    ids=lambda options: json.dumps(options, sort_keys=True),
+)
+def malformed_options(request):
+    """Job options a ``repro serve`` job must refuse before running."""
+    return request.param
+
+
 class TestServiceLifecycle:
     def test_overlapping_submissions_second_is_pure_hit(self, tmp_path):
         spool = tmp_path / "spool"
@@ -123,6 +143,25 @@ class TestServiceLifecycle:
         assert status["state"] == "done"
         result = StudyResult.load(status["result"])
         assert "adaptive" in result.provenance
+
+    def test_malformed_options_fail_the_job(self, tmp_path, malformed_options):
+        spool = tmp_path / "spool"
+        service = StudyService(spool, workers=1)
+        _submit(
+            spool,
+            "job-options",
+            {
+                "format": JOB_FORMAT,
+                "study": Study((_scenario(),)).to_dict(),
+                "options": malformed_options,
+            },
+        )
+        with events.capture_events(kinds=("unit_completed",)) as units:
+            service.serve_forever(max_jobs=1, idle_timeout=10)
+        status = service.read_status("job-options")
+        assert status["state"] == "failed"
+        assert status["error"].startswith("ParameterError")
+        assert not units  # refused before any work ran
 
     def test_idle_timeout_returns_without_jobs(self, tmp_path):
         service = StudyService(tmp_path / "spool", poll_interval=0.05)

@@ -93,20 +93,6 @@ class TestMakeShards:
         shards = make_shards(study, shards=2, window=(4, 6))
         assert [tuple(s["trial_window"]) for s in shards] == [(4, 5), (5, 6)]
 
-    def test_rejects_protocol_scenarios(self):
-        protocol = Scenario(
-            name="p",
-            kind="protocol",
-            num_nodes=20,
-            pool_size=200,
-            trials=2,
-            seed=1,
-            protocol="coupling",
-            protocol_params={"key_ring_size": 12, "q": 1},
-        )
-        with pytest.raises(ParameterError, match="sweep scenarios only"):
-            make_shards(Study((protocol,)))
-
     def test_rejects_bad_axis_and_counts(self, study):
         with pytest.raises(ParameterError, match="axis"):
             make_shards(study, axis="ring")
@@ -172,7 +158,39 @@ class TestSubprocessTransport:
             SubprocessTransport(workers=1).run(bad)
 
 
+@pytest.fixture(
+    params=[
+        ("trial_window", [0.5, 2.9]),
+        ("trial_window", ["a", 3]),
+        ("trial_window", [0, 2, 5]),
+        ("trial_window", "xy"),
+        ("trial_window", [True, 3]),
+        ("trial_window", [3, 3]),
+        ("trial_window", [-1, 2]),
+        ("group", True),
+        ("group", 0.0),
+        ("group", "0"),
+        ("sizes", [True]),
+        ("sizes", [0.0]),
+        ("sizes", 0),
+        ("scenario_hashes", []),
+    ],
+    ids=lambda case: f"{case[0]}={case[1]!r}",
+)
+def malformed_shard_field(request):
+    """One field of a valid shard JSON replaced by a malformed value."""
+    return request.param
+
+
 class TestIntegrity:
+    def test_malformed_shard_is_a_transport_error(self, study, malformed_shard_field):
+        # A float window used to run the truncated trials [0, 2) and a
+        # bool group or size index was read as 1.
+        field, value = malformed_shard_field
+        shard = {**make_shards(study, shards=2)[0], field: value}
+        with pytest.raises(TransportError, match=field):
+            execute_shard(shard, workers=1)
+
     def test_tampered_study_hash_mismatch(self, study):
         shard = make_shards(study, shards=1)[0]
         reseeded = Study((dataclasses.replace(study.scenarios[0], seed=99),))

@@ -1,4 +1,4 @@
-"""Scenario/Study API: JSON round-trip, validation, protocol scenarios.
+"""Scenario/Study API: JSON round-trip, validation, grouping.
 
 Covers the satellite guarantees of the declarative redesign:
 
@@ -60,22 +60,6 @@ class TestJsonRoundTrip:
         study = Study((small_scenario(), small_scenario(name="other", seed=12)))
         assert Study.from_json(study.to_json()) == study
 
-    def test_protocol_scenario_round_trip(self):
-        scenario = Scenario(
-            name="coupled",
-            kind="protocol",
-            protocol="coupling",
-            protocol_params={"key_ring_size": 40, "q": 2},
-            num_nodes=60,
-            pool_size=1000,
-            trials=4,
-            seed=5,
-        )
-        assert Scenario.from_json(scenario.to_json()) == scenario
-        result = run_scenario(scenario, workers=1)
-        assert result.values.shape == (1, 4, 1, 2)
-        assert tuple(result.metric_labels) == ("success", "subset_ok")
-
     def test_study_accepts_bare_list_and_single_object(self):
         data = small_scenario().to_dict()
         assert Study.from_dict(data).scenarios[0].name == "small"
@@ -111,6 +95,15 @@ def malformed_int_field(request):
     return request.param
 
 
+#: Scenario fields that no longer exist, with a value a stale file holds.
+RETIRED_FIELDS = {
+    "kernel_backend": "reference",
+    "kind": "sweep",
+    "protocol": "coupling",
+    "protocol_params": {"key_ring_size": 40, "q": 2},
+}
+
+
 class TestValidation:
     def test_from_dict_rejects_non_int_fields(self, malformed_int_field):
         # Truncating 2.7 -> 2 or true -> 1 would silently run a
@@ -120,8 +113,10 @@ class TestValidation:
         with pytest.raises(ParameterError, match=field):
             Scenario.from_dict(data)
 
-    def test_retired_kernel_backend_field_is_unknown(self):
-        data = {**small_scenario().to_dict(), "kernel_backend": "reference"}
+    @pytest.mark.parametrize("field", list(RETIRED_FIELDS))
+    def test_retired_field_is_unknown(self, field):
+        # Retired knobs fail loudly instead of being silently ignored.
+        data = {**small_scenario().to_dict(), field: RETIRED_FIELDS[field]}
         with pytest.raises(ParameterError, match="unknown scenario fields"):
             Scenario.from_dict(data)
 
@@ -175,8 +170,9 @@ class TestValidation:
     def test_bad_channel_and_kind(self):
         with pytest.raises(ParameterError, match="unknown channel"):
             small_scenario(channel="carrier-pigeon")
-        with pytest.raises(ParameterError, match="unknown scenario kind"):
-            small_scenario(kind="vibes")
+        # Scenario kinds are retired: every scenario is a sweep.
+        with pytest.raises(ParameterError, match="unknown scenario fields"):
+            Scenario.from_dict({**small_scenario().to_dict(), "kind": "vibes"})
 
     def test_disk_marginal_cap(self):
         with pytest.raises(ParameterError, match="pi/4"):
@@ -186,13 +182,6 @@ class TestValidation:
         with pytest.raises(ParameterError, match="survive"):
             small_scenario(
                 metrics=(MetricSpec("resilient_connectivity", captured=99),)
-            )
-
-    def test_unknown_protocol(self):
-        with pytest.raises(ExperimentError, match="unknown protocol"):
-            Scenario(
-                name="x", kind="protocol", protocol="nope",
-                num_nodes=10, pool_size=100, trials=1,
             )
 
     def test_duplicate_scenario_names(self):

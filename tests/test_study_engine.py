@@ -18,7 +18,7 @@ import pytest
 
 from repro.exceptions import DeadUnitError
 from repro.service import events
-from repro.simulation import pool, scheduler
+from repro.simulation import pool
 from repro.simulation.scheduler import run_units
 from repro.study import MetricSpec, Scenario, Study
 from repro.study import compiler
@@ -174,8 +174,6 @@ def _raise_on_negative(x: int) -> int:
 
 class TestPersistentPool:
     def test_executor_is_reused(self):
-        if not pool.persistent_pools_enabled():  # pragma: no cover
-            return
         first = pool.get_executor(2)
         second = pool.get_executor(2)
         assert first is second
@@ -194,11 +192,6 @@ class TestPersistentPool:
         assert _map(_double, list(range(9)), workers=2) == [
             2 * x for x in range(9)
         ]
-
-    def test_disabled_pool_still_works(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PERSISTENT_POOL", "0")
-        assert not pool.persistent_pools_enabled()
-        assert _map(_double, [5, 6], workers=2) == [10, 12]
 
     def test_shutdown_and_recreate(self):
         pool.get_executor(2)
@@ -236,8 +229,6 @@ class TestWindowScheduling:
         assert elapsed < 1.5
 
     def test_raising_batch_propagates_and_pool_stays_usable(self):
-        if not pool.persistent_pools_enabled():  # pragma: no cover
-            return
         batches = [1, 2, -1] + list(range(3, 12))
         with pytest.raises(DeadUnitError, match=r"units \[2\]") as caught:
             _map(_raise_on_negative, batches, workers=2)
@@ -248,32 +239,6 @@ class TestWindowScheduling:
         assert _map(_raise_on_negative, [5, 6, 7], workers=2) == [
             15, 18, 21,
         ]
-
-    def test_ephemeral_path_routes_through_windowed(self, monkeypatch):
-        # With warm pools disabled, the supervisor runs the same
-        # windowed loop on a per-call executor sized to the request and
-        # never touches the warm pool.
-        monkeypatch.setenv("REPRO_PERSISTENT_POOL", "0")
-        sizes = []
-        real = scheduler.ProcessPoolExecutor
-
-        def spy(max_workers):
-            sizes.append(max_workers)
-            return real(max_workers=max_workers)
-
-        def no_warm_pool(workers):
-            raise AssertionError("the warm pool was used")
-
-        monkeypatch.setattr(scheduler, "ProcessPoolExecutor", spy)
-        monkeypatch.setattr(pool, "get_executor", no_warm_pool)
-        assert _map(_double, [1, 2, 3], workers=2) == [2, 4, 6]
-        assert sizes == [2]
-
-    def test_ephemeral_path_propagates_failures(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PERSISTENT_POOL", "0")
-        with pytest.raises(DeadUnitError) as caught:
-            _map(_raise_on_negative, [1, -1] + list(range(2, 10)), workers=2)
-        assert isinstance(caught.value.__cause__, ValueError)
 
 
 class TestExecutorLeases:
@@ -328,8 +293,6 @@ class TestBrokenPoolRetry:
         # harness's broken_pool strategy) breaks the executor; the
         # default policy's one retry reruns every unit that died with
         # it on a fresh pool.
-        if not pool.persistent_pools_enabled():  # pragma: no cover
-            pytest.skip("whole-batch retry is the warm-pool path")
         pool.shutdown_pools()
         flag = str(tmp_path / "killed_once")
         batches = [(flag, x) for x in range(5)]

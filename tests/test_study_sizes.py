@@ -134,13 +134,6 @@ class TestMalformedGrids:
                 metrics=(MetricSpec("connectivity"),),
             )
 
-    def test_protocol_rejects_size_grid(self):
-        with pytest.raises(ParameterError, match="only supported for sweep"):
-            Scenario(
-                name="x", kind="protocol", protocol="coupling",
-                num_nodes_grid=(50, 60), pool_size=1000, trials=2,
-            )
-
     def test_per_size_key_parameters_checked(self):
         # Second size's ring exceeds its per-size pool.
         with pytest.raises(ParameterError, match="must not exceed"):

@@ -35,6 +35,7 @@ from repro.simulation.estimators import wilson_interval
 from repro.study import ClassMix, MetricSpec, Scenario, Study
 from repro.study.metrics import DeploymentEvaluator, sample_deployment
 from tests.oracle import oracle_values, to_graph
+from tests.conftest import POOL_STARTS, prepare_pool
 
 SIX_CURVES = ((2, 1.0), (2, 0.5), (2, 0.2), (3, 1.0), (3, 0.5), (3, 0.2))
 
@@ -262,8 +263,8 @@ class TestCorpusWorkerInvariance:
         result = Study(self.CORPUS).run(workers=workers)
         return [r.values for r in result.results]
 
-    @pytest.mark.parametrize("persistent_pool", ["0", "1"])
-    def test_worker_invariant_pool_on_and_off(self, persistent_pool, monkeypatch):
-        monkeypatch.setenv("REPRO_PERSISTENT_POOL", persistent_pool)
+    @pytest.mark.parametrize("pool_start", POOL_STARTS)
+    def test_worker_invariant_pool_on_and_off(self, pool_start):
+        prepare_pool(pool_start, 2)
         for got, want in zip(self._values(2), self._values(1)):
-            assert np.array_equal(got, want), persistent_pool
+            assert np.array_equal(got, want), pool_start
