@@ -44,8 +44,6 @@ class ProvenanceCompleteness(Rule):
             "block_trials": "adaptive",
             "chaos": "faults",
             "max_retries": "scheduler",
-            "unit_timeout": "scheduler",
-            "speculate_after": "scheduler",
             "cache": "cache",
             "transport": "transport",
             "shards": "shards",

@@ -43,14 +43,12 @@ Subcommands
     as generic per-metric tables; ``--save`` writes the full per-trial
     value tensors as JSON.
 
-    Fault tolerance: ``--max-retries N``, ``--unit-timeout S``, and
-    ``--speculate-after S`` run work units under the per-unit
-    supervisor (:mod:`repro.simulation.scheduler`) — bounded retries
-    with jittered backoff, per-unit timeouts, speculative straggler
-    re-execution, and graceful degradation to a partial (NaN-bearing)
-    result with a fault report in provenance.  ``--chaos FILE_OR_SPEC``
-    (or the ``REPRO_CHAOS`` env var) additionally injects
-    deterministically seeded failures — crash, delay, drop, partial
+    Fault tolerance: ``--max-retries N`` runs work units under the
+    per-unit supervisor (:mod:`repro.simulation.scheduler`) — bounded
+    retries with jittered backoff and graceful degradation to a partial
+    (NaN-bearing) result with a fault report in provenance.  ``--chaos
+    FILE_OR_SPEC`` (or the ``REPRO_CHAOS`` env var) additionally
+    injects deterministically seeded failures — crash, drop, partial
     result, broken pool — around every unit, for testing that the
     supervised run still converges to the fault-free answer.
 """
@@ -242,29 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "fault-tolerant scheduler: failed-attempt budget per work "
-            "unit beyond its first try (default 3); passing any scheduler "
-            "flag enables per-unit supervision"
-        ),
-    )
-    p.add_argument(
-        "--unit-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "fault-tolerant scheduler: declare a work-unit attempt lost "
-            "after this many seconds and retry it"
-        ),
-    )
-    p.add_argument(
-        "--speculate-after",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "fault-tolerant scheduler: launch a duplicate of a straggler "
-            "still running after this many seconds (first result wins; "
-            "duplicates are verified bit-identical)"
+            "unit beyond its first try (default 3); passing it (or "
+            "--chaos) enables partial results for units that exhaust it"
         ),
     )
     p.add_argument(
@@ -490,12 +467,11 @@ def _is_per_size_curves(scenario: dict) -> bool:
 def _build_scheduler_policy(args: argparse.Namespace):
     """Scheduler policy from CLI flags, or ``None`` to stay unsupervised.
 
-    Any of ``--chaos``/``--max-retries``/``--unit-timeout``/
-    ``--speculate-after`` opts into per-unit supervision; ``REPRO_CHAOS``
-    alone also does (resolved downstream by the study runner).
+    Either of ``--chaos``/``--max-retries`` opts into a supervision
+    policy; ``REPRO_CHAOS`` alone also does (resolved downstream by the
+    study runner).
     """
-    flags = (args.chaos, args.max_retries, args.unit_timeout, args.speculate_after)
-    if all(value is None for value in flags):
+    if args.chaos is None and args.max_retries is None:
         return None
     from repro.simulation.faults import chaos_from_env, load_chaos
     from repro.simulation.scheduler import SchedulerPolicy
@@ -504,10 +480,6 @@ def _build_scheduler_policy(args: argparse.Namespace):
     kwargs: Dict[str, object] = {"chaos": chaos}
     if args.max_retries is not None:
         kwargs["max_retries"] = args.max_retries
-    if args.unit_timeout is not None:
-        kwargs["unit_timeout"] = args.unit_timeout
-    if args.speculate_after is not None:
-        kwargs["speculate_after"] = args.speculate_after
     return SchedulerPolicy(**kwargs)  # type: ignore[arg-type]
 
 

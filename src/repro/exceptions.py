@@ -72,15 +72,6 @@ class WorkUnitError(SchedulerError):
         return (self.__class__, (self.args[0], self.unit_index, self.attempt))
 
 
-class UnitTimeoutError(WorkUnitError):
-    """A work unit exceeded the scheduler's per-unit timeout.
-
-    The attempt is declared lost and retried; the original execution may
-    still complete later, in which case its (bit-identical) result is
-    deduplicated, never double-counted.
-    """
-
-
 class CorruptResultError(WorkUnitError):
     """A work unit's result failed integrity validation.
 

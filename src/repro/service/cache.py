@@ -44,7 +44,11 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ParameterError
-from repro.simulation.scheduler import SchedulerPolicy, combine_fault_reports
+from repro.simulation.scheduler import (
+    SchedulerPolicy,
+    check_fault_report,
+    combine_fault_reports,
+)
 from repro.service import events
 from repro.service.shards import ShardTransport, run_sharded
 from repro.study.compiler import Study
@@ -87,15 +91,32 @@ class ResultCache:
         """The stored entry for *scenario*'s family, or ``None``.
 
         Unreadable or mismatched entries (hand-edited, interrupted
-        writes from pre-atomic-write versions, hash collisions) are
-        treated as misses, never as errors — the cache must only ever
-        make runs cheaper.
+        writes from pre-atomic-write versions, hash collisions, a
+        malformed fault report) are treated as misses, never as errors
+        — the cache must only ever make runs cheaper.  Such an entry is
+        also removed: :meth:`store` trusts a cheap coverage read, so a
+        malformed entry left in place could block the store that
+        replaces it.
         """
         key = scenario.content_hash()
         path = self.path_for(key)
         try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            text = path.read_text()
+        except OSError:
+            return None
+        entry = self._parse(text, key)
+        if entry is None:
+            try:
+                path.unlink()
+            except OSError:
+                pass
+        return entry
+
+    @staticmethod
+    def _parse(text: str, key: str) -> Optional[CacheEntry]:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError:
             return None
         if not isinstance(data, dict) or data.get("format") != CACHE_FORMAT:
             return None
@@ -108,10 +129,12 @@ class ResultCache:
         if result.scenario.content_hash() != key or result.trial_offset != 0:
             return None
         faults = data.get("faults")
-        return CacheEntry(
-            result=result,
-            faults=faults if isinstance(faults, dict) else None,
-        )
+        if faults is not None:
+            try:
+                check_fault_report(faults)
+            except ParameterError:
+                return None
+        return CacheEntry(result=result, faults=faults)
 
     def _stored_trials(self, key: str) -> int:
         """Trial coverage of the entry stored under *key*; 0 if unusable.

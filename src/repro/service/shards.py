@@ -7,9 +7,9 @@ shard whose study does not hash to what the coordinator promised), the
 deployment family it targets, an absolute trial window, and optionally
 a subset of the family's size axis.  Executing a shard is
 :meth:`~repro.study.compiler.Study.run_extension` over that window
-with an active-map restriction, under the PR 6 per-unit supervisor
-when a scheduler policy is in force — so every shard internally gets
-retries, timeouts, speculation, and checksummed results for free.
+with an active-map restriction, under the per-unit supervisor — so
+every shard internally gets retries, pool-break recovery and
+checksummed results for free.
 
 Sharding axes
 -------------
@@ -54,6 +54,7 @@ import numpy as np
 from repro.exceptions import ParameterError, TransportError
 from repro.simulation.scheduler import (
     SchedulerPolicy,
+    check_fault_report,
     combine_fault_reports,
     payload_checksum,
 )
@@ -279,9 +280,20 @@ def fold_shard_results(
                 f"not a {SHARD_RESULT_FORMAT} payload: "
                 f"format={payload.get('format') if isinstance(payload, dict) else type(payload).__name__!r}"
             )
-        units += int(payload.get("units", 0))  # type: ignore[arg-type]
-        deployments += int(payload.get("deployments", 0))  # type: ignore[arg-type]
-        fault_dicts.append(payload.get("faults"))  # type: ignore[arg-type]
+        counts = [payload.get("units", 0), payload.get("deployments", 0)]
+        if not all(map(_is_int, counts)):
+            raise TransportError(
+                f"shard result units/deployments must be ints, got {counts!r}"
+            )
+        units += counts[0]  # type: ignore[operator]
+        deployments += counts[1]  # type: ignore[operator]
+        faults = payload.get("faults")
+        if faults is not None:
+            try:
+                check_fault_report(faults)
+            except ParameterError as exc:
+                raise TransportError(f"shard result 'faults' is malformed: {exc}") from exc
+        fault_dicts.append(faults)  # type: ignore[arg-type]
         checksums = payload.get("checksums", {})
         for name, raw in payload["results"].items():  # type: ignore[union-attr]
             res = ScenarioResult.from_dict(raw)

@@ -19,8 +19,8 @@ What lives here:
   inline for one worker and on the warm worker pool otherwise
   (:mod:`repro.simulation.pool`), bit-identical for any worker count.
   Without a policy it retries a failed unit once and then fails fast
-  (:data:`DEFAULT_POLICY`); a :class:`SchedulerPolicy` adds backoff,
-  timeouts, speculation, partial results and the seeded chaos harness
+  (:data:`DEFAULT_POLICY`); a :class:`SchedulerPolicy` sets the retry
+  budget, allows partial results and adds the seeded chaos harness
   (:mod:`repro.simulation.faults`);
 * :func:`run_trials` — per-trial sampling (the Lemma 5 coupling
   check) as interleaved chunks of :func:`run_units`;

@@ -1,7 +1,7 @@
 """Deterministic chaos injection for work-unit execution.
 
-A multi-host study service must survive worker loss, stragglers,
-timeouts, and duplicate shards — and CI must *prove* that it still
+A supervised study run must survive worker loss, lost and corrupted
+results, and a broken pool — and CI must *prove* that it still
 converges to the one-shot answer.  This module supplies the controlled
 adversary: a :class:`FailureInjector` middleware that wraps work-unit
 execution with composable failure strategies, each fired by a
@@ -13,9 +13,6 @@ Strategies
 ``crash``
     Raise :class:`~repro.exceptions.InjectedFailure` in the worker
     before the unit executes (a died-mid-unit worker, an OOM kill).
-``delay``
-    Sleep ``delay`` seconds before executing (a straggler); exercises
-    the scheduler's speculative re-execution and per-unit timeout.
 ``drop``
     Execute the unit but never return its result (a lost response);
     the supervisor sees a dropped envelope and must retry.
@@ -45,15 +42,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 import pathlib
-import time
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import InjectedFailure, ParameterError
 from repro.utils.rng import grid_seed_sequence
+from repro.utils.validation import check_nonnegative_int, check_positive_int
 
 __all__ = [
     "STRATEGY_KINDS",
@@ -72,11 +70,15 @@ CHAOS_ENV_VAR = "REPRO_CHAOS"
 #: The composable failure strategies, in documentation order.
 STRATEGY_KINDS: Tuple[str, ...] = (
     "crash",
-    "delay",
     "drop",
     "partial",
     "broken_pool",
 )
+
+#: Leading spawn-key index of the ``partial`` strategy's corruption
+#: stream.  Pinned (it was ``len(STRATEGY_KINDS)`` when there were five
+#: kinds) so corruption draws never move when the kinds change.
+_PARTIAL_KEY = 5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,8 +92,6 @@ class FaultStrategy:
     probability:
         Per-execution firing probability in ``[0, 1]``; the coin flip
         is seeded by ``(chaos seed, strategy index, unit, attempt)``.
-    delay:
-        Sleep duration in seconds (``delay`` strategy only).
     max_attempt:
         If set, the strategy only fires while ``attempt <
         max_attempt`` — retries beyond that bound run clean, which
@@ -101,7 +101,6 @@ class FaultStrategy:
 
     kind: str
     probability: float
-    delay: float = 0.25
     max_attempt: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -110,30 +109,23 @@ class FaultStrategy:
                 f"unknown chaos strategy {self.kind!r}; "
                 f"known: {', '.join(STRATEGY_KINDS)}"
             )
-        if not 0.0 <= self.probability <= 1.0:
-            raise ParameterError(
-                f"strategy {self.kind!r} probability must be in [0, 1], "
-                f"got {self.probability}"
-            )
-        if self.delay < 0:
-            raise ParameterError(
-                f"strategy {self.kind!r} delay must be >= 0, got {self.delay}"
-            )
-        if self.max_attempt is not None and (
-            not isinstance(self.max_attempt, int) or self.max_attempt < 1
+        p = self.probability
+        if not (
+            isinstance(p, numbers.Real) and not isinstance(p, bool) and 0.0 <= p <= 1.0
         ):
             raise ParameterError(
-                f"strategy {self.kind!r} max_attempt must be a positive "
-                f"int, got {self.max_attempt!r}"
+                f"strategy {self.kind!r} probability must be a number in "
+                f"[0, 1], got {p!r}"
             )
+        if self.max_attempt is not None:
+            name = f"strategy {self.kind!r} max_attempt"
+            object.__setattr__(self, "max_attempt", check_positive_int(self.max_attempt, name))
 
     def eligible(self, attempt: int) -> bool:
         return self.max_attempt is None or attempt < self.max_attempt
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {"kind": self.kind, "probability": self.probability}
-        if self.kind == "delay":
-            out["delay"] = self.delay
         if self.max_attempt is not None:
             out["max_attempt"] = self.max_attempt
         return out
@@ -144,28 +136,24 @@ class FaultStrategy:
             raise ParameterError(
                 f"chaos strategy must be an object, got {type(data).__name__}"
             )
-        unknown = set(data) - {"kind", "probability", "delay", "max_attempt"}
-        if unknown:
-            raise ParameterError(
-                f"unknown chaos strategy fields {sorted(unknown)}"
-            )
         try:
-            kind = data["kind"]
-            probability = float(data["probability"])  # type: ignore[arg-type]
+            strategy = cls(
+                kind=data["kind"],  # type: ignore[arg-type]
+                probability=data["probability"],  # type: ignore[arg-type]
+                max_attempt=data.get("max_attempt"),  # type: ignore[arg-type]
+            )
         except KeyError as exc:
             raise ParameterError(
                 f"chaos strategy needs 'kind' and 'probability'; missing {exc}"
             ) from exc
-        return cls(
-            kind=str(kind),
-            probability=probability,
-            delay=float(data.get("delay", 0.25)),  # type: ignore[arg-type]
-            max_attempt=(
-                int(data["max_attempt"])  # type: ignore[arg-type]
-                if data.get("max_attempt") is not None
-                else None
-            ),
-        )
+        # Checked after the kind, so a spec naming a retired strategy
+        # (with its retired fields) fails as an unknown strategy.
+        unknown = set(data) - {"kind", "probability", "max_attempt"}
+        if unknown:
+            raise ParameterError(
+                f"unknown chaos strategy fields {sorted(unknown)}"
+            )
+        return strategy
 
 
 @dataclasses.dataclass(frozen=True)
@@ -179,17 +167,14 @@ class ChaosSpec:
         {"seed": 7,
          "strategies": [
              {"kind": "crash", "probability": 0.3, "max_attempt": 2},
-             {"kind": "delay", "probability": 0.5, "delay": 0.1}]}
+             {"kind": "drop", "probability": 0.5}]}
     """
 
     seed: int = 0
     strategies: Tuple[FaultStrategy, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ParameterError(
-                f"chaos seed must be a non-negative int, got {self.seed!r}"
-            )
+        object.__setattr__(self, "seed", check_nonnegative_int(self.seed, "chaos seed"))
         strategies = tuple(
             s if isinstance(s, FaultStrategy) else FaultStrategy.from_dict(s)
             for s in self.strategies
@@ -215,7 +200,7 @@ class ChaosSpec:
         if not isinstance(raw, Sequence) or isinstance(raw, str):
             raise ParameterError("chaos spec 'strategies' must be a list")
         return cls(
-            seed=int(data.get("seed", 0)),  # type: ignore[arg-type]
+            seed=data.get("seed", 0),  # type: ignore[arg-type]
             strategies=tuple(FaultStrategy.from_dict(s) for s in raw),  # type: ignore[arg-type]
         )
 
@@ -235,13 +220,8 @@ class ChaosSpec:
 
 @dataclasses.dataclass(frozen=True)
 class Injection:
-    """The strategies firing on one ``(unit, attempt)`` execution."""
+    """The strategy kinds firing on one ``(unit, attempt)`` execution."""
 
-    crash: bool = False
-    delay: float = 0.0
-    drop: bool = False
-    partial: bool = False
-    broken_pool: bool = False
     fired: Tuple[str, ...] = ()
 
     @property
@@ -295,48 +275,28 @@ class FailureInjector:
 
     def plan(self, unit_index: int, attempt: int) -> Injection:
         """Decide which strategies fire for this ``(unit, attempt)``."""
-        crash = broken = drop = partial = False
-        delay = 0.0
-        fired = []
-        for si, strategy in enumerate(self.spec.strategies):
-            if not strategy.eligible(attempt):
-                continue
-            if _chaos_uniform(self.spec.seed, si, unit_index, attempt) >= strategy.probability:
-                continue
-            fired.append(strategy.kind)
-            if strategy.kind == "crash":
-                crash = True
-            elif strategy.kind == "delay":
-                delay = max(delay, strategy.delay)
-            elif strategy.kind == "drop":
-                drop = True
-            elif strategy.kind == "partial":
-                partial = True
-            elif strategy.kind == "broken_pool":
-                broken = True
         return Injection(
-            crash=crash,
-            delay=delay,
-            drop=drop,
-            partial=partial,
-            broken_pool=broken,
-            fired=tuple(fired),
+            fired=tuple(
+                strategy.kind
+                for si, strategy in enumerate(self.spec.strategies)
+                if strategy.eligible(attempt)
+                and _chaos_uniform(self.spec.seed, si, unit_index, attempt)
+                < strategy.probability
+            )
         )
 
     def apply_before(
         self, injection: Injection, unit_index: int, attempt: int, inline: bool
     ) -> None:
-        """Fire pre-execution faults: straggle, die, or take the pool down.
+        """Fire pre-execution faults: die, or take the pool down.
 
         ``inline`` marks supervisor-process execution (``workers=1``):
         there a ``broken_pool`` hit degrades to a crash, because
         ``os._exit`` would kill the caller rather than a worker.
         """
-        if injection.delay > 0:
-            time.sleep(injection.delay)
-        if injection.broken_pool and not inline:
+        if "broken_pool" in injection.fired and not inline:
             os._exit(13)  # simulate a worker dying mid-unit
-        if injection.crash or (injection.broken_pool and inline):
+        if "crash" in injection.fired or "broken_pool" in injection.fired:
             raise InjectedFailure(
                 f"chaos crash injected into unit {unit_index} "
                 f"(attempt {attempt})",
@@ -348,11 +308,11 @@ class FailureInjector:
         self, injection: Injection, unit_index: int, attempt: int, payload: object
     ) -> Tuple[object, bool]:
         """Fire post-execution faults; returns ``(payload, dropped)``."""
-        if injection.drop:
+        if "drop" in injection.fired:
             return None, True
-        if injection.partial:
+        if "partial" in injection.fired:
             rng = np.random.default_rng(
-                grid_seed_sequence(self.spec.seed, len(STRATEGY_KINDS), unit_index, attempt)
+                grid_seed_sequence(self.spec.seed, _PARTIAL_KEY, unit_index, attempt)
             )
             return corrupt_payload(payload, rng), False
         return payload, False

@@ -9,17 +9,8 @@ units *individually*, so losing one unit never throws away another
 unit's completed work:
 
 * **bounded retries with jittered backoff** — a failed attempt (crash,
-  drop, corrupt result, timeout, pool break) is re-queued up to
-  ``max_retries`` times, with deterministic exponential-backoff jitter;
-* **per-unit timeout** — an attempt running past ``unit_timeout`` is
-  declared lost and retried; the original may still land later, in
-  which case its result is deduplicated (see below), never lost and
-  never double-counted;
-* **speculative re-execution** — a unit still running after
-  ``speculate_after`` seconds gets a duplicate attempt when a worker
-  slot is free; the first completed result wins, and when both finish
-  the supervisor *asserts* they are bit-identical (the engine's
-  determinism contract makes re-execution safe) and counts the dedup;
+  drop, corrupt result, pool break) is re-queued up to ``max_retries``
+  times, with deterministic exponential-backoff jitter;
 * **result integrity** — workers ship results in an envelope carrying
   a checksum computed at the source; the supervisor re-validates on
   receipt, so truncated/corrupted shards are retried instead of folded
@@ -31,16 +22,24 @@ unit's completed work:
   demands completeness (``allow_partial=False``): then the first
   quarantined unit stops the run with
   :class:`~repro.exceptions.DeadUnitError`, chained to its last
-  exception.
+  exception;
+* **pool-break recovery** — a worker death breaks the whole executor;
+  the supervisor rebuilds the pool and re-queues every unit that was
+  in flight.
+
+Each unit has at most one attempt in flight at a time.  Units are
+equal, seeded trial blocks, so there are no genuine stragglers to
+hedge against, and on one host a running attempt cannot be preempted:
+the supervisor neither times attempts out nor launches duplicates.
 
 Without an explicit policy, units run under :data:`DEFAULT_POLICY` —
 one retry, then fail fast — which is what a plain ``Study.run`` uses.
 
 Determinism is unchanged: work units carry their own absolute-trial
-seeds, so any retry or speculative duplicate computes bit-identical
-values, and a run that converges under injected faults
-(:mod:`repro.simulation.faults`) equals the fault-free one-shot run
-exactly — the chaos convergence suite in CI proves it.
+seeds, so any retry computes bit-identical values, and a run that
+converges under injected faults (:mod:`repro.simulation.faults`)
+equals the fault-free one-shot run exactly — the chaos convergence
+suite in CI proves it.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ import heapq
 import json
 import pickle
 import time
-from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -62,12 +61,11 @@ from repro.exceptions import (
     DeadUnitError,
     InjectedFailure,
     ParameterError,
-    SchedulerError,
-    UnitTimeoutError,
 )
 from repro.simulation import pool as pool_mod
 from repro.simulation.faults import ChaosSpec, FailureInjector, chaos_from_env
 from repro.utils.rng import grid_seed_sequence
+from repro.utils.validation import check_nonnegative_int
 
 __all__ = [
     "SchedulerPolicy",
@@ -76,6 +74,7 @@ __all__ = [
     "run_units",
     "resolve_scheduler_policy",
     "combine_fault_reports",
+    "check_fault_report",
     "payload_checksum",
 ]
 
@@ -83,6 +82,14 @@ __all__ = [
 #: never collides with strategy-decision streams (faults.py) under the
 #: same chaos seed.
 _BACKOFF_KEY = 101
+
+#: Retry *k* of a unit sleeps ``min(_BACKOFF_CAP, _BACKOFF_BASE *
+#: 2**(k-1)) * (1 + _BACKOFF_JITTER * u)`` seconds, where ``u`` is a
+#: deterministic per-``(unit, k)`` uniform — jittered so retry storms
+#: decorrelate, deterministic so runs reproduce.
+_BACKOFF_BASE = 0.05
+_BACKOFF_CAP = 2.0
+_BACKOFF_JITTER = 0.5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,20 +101,6 @@ class SchedulerPolicy:
     max_retries:
         Failed attempts a unit may accumulate beyond its first try
         before it is quarantined.
-    unit_timeout:
-        Seconds an attempt may run before being declared lost and
-        retried (``None`` disables; supervision cannot preempt the
-        worker, so a hung attempt keeps its process busy until it
-        returns — pair with CI-level test timeouts for true hangs).
-    speculate_after:
-        Age in seconds after which a still-running unit earns a
-        duplicate attempt when a worker slot is idle (``None``
-        disables speculation).
-    backoff_base / backoff_cap / backoff_jitter:
-        Retry *k* of a unit sleeps ``min(cap, base * 2**(k-1)) * (1 +
-        jitter * u)`` where ``u`` is a deterministic per-``(unit, k)``
-        uniform — jittered so retry storms decorrelate, deterministic
-        so runs reproduce.
     chaos:
         Optional :class:`~repro.simulation.faults.ChaosSpec` injected
         around every unit execution (the CI fault harness).
@@ -118,40 +111,19 @@ class SchedulerPolicy:
     """
 
     max_retries: int = 3
-    unit_timeout: Optional[float] = None
-    speculate_after: Optional[float] = None
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    backoff_jitter: float = 0.5
     chaos: Optional[ChaosSpec] = None
     allow_partial: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_retries, int) or self.max_retries < 0:
-            raise ParameterError(
-                f"max_retries must be a non-negative int, got {self.max_retries!r}"
-            )
-        if self.unit_timeout is not None and not self.unit_timeout > 0:
-            raise ParameterError(
-                f"unit_timeout must be positive, got {self.unit_timeout}"
-            )
-        if self.speculate_after is not None and not self.speculate_after >= 0:
-            raise ParameterError(
-                f"speculate_after must be >= 0, got {self.speculate_after}"
-            )
-        if self.backoff_base < 0 or self.backoff_cap < 0 or self.backoff_jitter < 0:
-            raise ParameterError("backoff parameters must be >= 0")
+        object.__setattr__(
+            self, "max_retries", check_nonnegative_int(self.max_retries, "max_retries")
+        )
         if self.chaos is not None and not isinstance(self.chaos, ChaosSpec):
             object.__setattr__(self, "chaos", ChaosSpec.from_dict(self.chaos))
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "max_retries": self.max_retries,
-            "unit_timeout": self.unit_timeout,
-            "speculate_after": self.speculate_after,
-            "backoff_base": self.backoff_base,
-            "backoff_cap": self.backoff_cap,
-            "backoff_jitter": self.backoff_jitter,
             "chaos": self.chaos.to_dict() if self.chaos else None,
             "allow_partial": self.allow_partial,
         }
@@ -216,32 +188,22 @@ class FaultReport:
     completed: int = 0
     attempts: int = 0
     retries: int = 0
-    speculative: int = 0
-    dedup_identical: int = 0
     crashes: int = 0
     errors: int = 0
-    timeouts: int = 0
     drops: int = 0
     corrupt: int = 0
-    delays: int = 0
     pool_breaks: int = 0
     dead_units: List[Dict[str, object]] = dataclasses.field(default_factory=list)
     events: List[Dict[str, object]] = dataclasses.field(default_factory=list)
 
-    _COUNTERS = (
-        "units", "completed", "attempts", "retries", "speculative",
-        "dedup_identical", "crashes", "errors", "timeouts", "drops",
-        "corrupt", "delays", "pool_breaks",
-    )
+    _FAULT_COUNTERS = ("retries", "crashes", "errors", "drops", "corrupt", "pool_breaks")
+    _COUNTERS = ("units", "completed", "attempts") + _FAULT_COUNTERS
 
     @property
     def faulted(self) -> bool:
         """Whether anything at all deviated from the happy path."""
-        return bool(
-            self.retries or self.speculative or self.dedup_identical
-            or self.crashes or self.errors or self.timeouts or self.drops
-            or self.corrupt or self.delays or self.pool_breaks
-            or self.dead_units
+        return bool(self.dead_units) or any(
+            getattr(self, name) for name in self._FAULT_COUNTERS
         )
 
     def record(self, unit: int, attempt: int, kind: str, detail: str = "") -> None:
@@ -255,10 +217,7 @@ class FaultReport:
 
     def summary(self) -> str:
         parts = [f"{self.completed}/{self.units} units"]
-        for name in (
-            "retries", "speculative", "dedup_identical", "crashes", "errors",
-            "timeouts", "drops", "corrupt", "delays", "pool_breaks",
-        ):
+        for name in self._FAULT_COUNTERS:
             value = getattr(self, name)
             if value:
                 parts.append(f"{name}={value}")
@@ -273,12 +232,49 @@ class FaultReport:
         return out
 
 
+def _is_window(window: object) -> bool:
+    return (
+        isinstance(window, (list, tuple))
+        and len(window) == 2
+        and all(type(bound) is int for bound in window)
+    )
+
+
+def check_fault_report(report: object) -> None:
+    """Validate a stored fault-report dict (a cache entry's or a shard's).
+
+    Counters must be non-bool ints, ``dead_units`` and ``events`` lists
+    of objects with scalar ids, and any ``window`` two ints.  Unknown
+    keys are ignored, so reports carrying counters this version no
+    longer keeps still load.  Raises
+    :class:`~repro.exceptions.ParameterError` naming the malformed
+    fields, so :func:`combine_fault_reports` never meets one.
+    """
+    if not isinstance(report, dict):
+        raise ParameterError(f"fault report must be an object, got {type(report).__name__}")
+    bad = [name for name in FaultReport._COUNTERS if type(report.get(name, 0)) is not int]
+    if "window" in report and not _is_window(report["window"]):
+        bad.append("window")
+    for field, ids in (("dead_units", ("unit_index",)), ("events", ("unit", "attempt", "kind"))):
+        entries = report.get(field, [])
+        if not isinstance(entries, list) or not all(
+            isinstance(entry, dict)
+            and not any(isinstance(entry.get(key), (list, dict)) for key in ids)
+            and ("window" not in entry or _is_window(entry["window"]))
+            for entry in entries
+        ):
+            bad.append(field)
+    if bad:
+        raise ParameterError(f"fault report has malformed fields {bad}")
+
+
 def combine_fault_reports(reports: Sequence[Optional[Dict[str, object]]]) -> Optional[Dict[str, object]]:
     """Fold fault-report dicts from rounds / shards / resubmissions.
 
     Counters sum; dead-letter and event lists concatenate (events stay
     capped).  ``None`` entries (rounds that ran unsupervised) are
-    skipped; all-``None`` input folds to ``None``.
+    skipped; all-``None`` input folds to ``None``.  Reports read from
+    outside the process must pass :func:`check_fault_report` first.
 
     Folding is idempotent against service-level resubmission: a report
     that appears twice (the cache folds a stored report back in next to
@@ -347,16 +343,13 @@ def combine_fault_reports(reports: Sequence[Optional[Dict[str, object]]]) -> Opt
 class _Envelope:
     """What a worker ships back for one attempt."""
 
-    unit_index: int
-    attempt: int
     payload: object
     checksum: str
     dropped: bool = False
-    injected: Tuple[str, ...] = ()
 
 
 def payload_checksum(payload: object) -> str:
-    """Deterministic content hash used for integrity and dedup checks.
+    """Deterministic content hash used for result integrity checks.
 
     Arrays hash their raw bytes (bit-identical semantics, NaN-safe);
     anything else falls back to pickled bytes.
@@ -384,37 +377,27 @@ def _execute_unit(
     exactly like a transport-layer checksum on a real shard service.
     """
     unit_index, attempt, unit, inline = task
-    injection = None
-    injector = None
-    if chaos is not None:
-        injector = FailureInjector(ChaosSpec.from_dict(chaos))
+    injector = FailureInjector(ChaosSpec.from_dict(chaos)) if chaos is not None else None
+    if injector is not None:
         injection = injector.plan(unit_index, attempt)
         injector.apply_before(injection, unit_index, attempt, inline)
     payload = fn(unit)
     checksum = payload_checksum(payload)
     dropped = False
-    if injection is not None and injector is not None:
+    if injector is not None:
         payload, dropped = injector.apply_after(injection, unit_index, attempt, payload)
-    return _Envelope(
-        unit_index=unit_index,
-        attempt=attempt,
-        payload=payload,
-        checksum=checksum,
-        dropped=dropped,
-        injected=injection.fired if injection is not None else (),
-    )
+    return _Envelope(payload=payload, checksum=checksum, dropped=dropped)
 
 
 def _backoff_delay(policy: SchedulerPolicy, unit: int, failure_count: int) -> float:
-    base = policy.backoff_base * (2.0 ** max(0, failure_count - 1))
-    delay = min(policy.backoff_cap, base)
+    delay = min(_BACKOFF_CAP, _BACKOFF_BASE * 2.0 ** max(0, failure_count - 1))
     seed = policy.chaos.seed if policy.chaos is not None else 0
     u = float(
         np.random.default_rng(
             grid_seed_sequence(seed, _BACKOFF_KEY, unit, failure_count)
         ).random()
     )
-    return delay * (1.0 + policy.backoff_jitter * u)
+    return delay * (1.0 + _BACKOFF_JITTER * u)
 
 
 # -- the supervisor ----------------------------------------------------
@@ -424,7 +407,9 @@ class _Supervisor:
     """One supervised run: inline for one worker, else a pool event loop.
 
     Both modes share the outcome bookkeeping (retry, backoff,
-    quarantine, integrity checks, completion events).
+    quarantine, integrity checks, completion events).  A unit has at
+    most one attempt in flight, so every result that lands is the
+    unit's first.
     """
 
     def __init__(
@@ -444,16 +429,13 @@ class _Supervisor:
 
         n = len(units)
         self.results: List[Optional[object]] = [None] * n
-        self.checksums: List[Optional[str]] = [None] * n
         self.done = [False] * n
         self.num_done = 0
         self.failures = [0] * n
         self.launches = [0] * n
         self.last_error: List[Optional[str]] = [None] * n
         self.ready: List[Tuple[float, int]] = []  # (ready_at, unit) heap
-        self.inflight: Dict[Future, Tuple[int, int, float]] = {}
-        self.zombies: Dict[Future, Tuple[int, int, float]] = {}
-        self.inflight_per_unit: Dict[int, int] = {}
+        self.inflight: Dict[Future, Tuple[int, int]] = {}  # -> (unit, attempt)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -476,7 +458,7 @@ class _Supervisor:
 
     # -- submission ----------------------------------------------------
 
-    def _submit(self, unit: int) -> bool:
+    def _submit(self, unit: int) -> None:
         attempt = self.launches[unit]
         self.launches[unit] += 1
         task = (unit, attempt, self.units[unit], False)
@@ -486,37 +468,16 @@ class _Supervisor:
             # A worker died an instant ago and submit itself noticed
             # before wait() could: treat it like any other pool break
             # (the attempted unit is a victim alongside everything in
-            # flight) and let the caller stop touching stale state.
-            self._handle_pool_break([(unit, attempt, time.monotonic())])
-            return False
-        self.inflight[future] = (unit, attempt, time.monotonic())
-        self.inflight_per_unit[unit] = self.inflight_per_unit.get(unit, 0) + 1
+            # flight).
+            self._handle_pool_break([unit])
+            return
+        self.inflight[future] = (unit, attempt)
         self.report.attempts += 1
-        return True
 
     def _drain_ready(self, now: float) -> None:
         while self.ready and self.ready[0][0] <= now and len(self.inflight) < self.workers:
             _, unit = heapq.heappop(self.ready)
-            if self.done[unit]:
-                continue
             self._submit(unit)
-
-    def _speculate(self, now: float) -> None:
-        after = self.policy.speculate_after
-        if after is None or len(self.inflight) >= self.workers:
-            return
-        candidates = sorted(self.inflight.values(), key=lambda entry: entry[2])
-        for unit, _, submitted in candidates:
-            if len(self.inflight) >= self.workers:
-                break
-            if self.done[unit] or self.inflight_per_unit.get(unit, 0) >= 2:
-                continue
-            if now - submitted < after:
-                break  # sorted by age: younger entries cannot qualify either
-            self.report.speculative += 1
-            self.report.record(unit, self.launches[unit], "speculate")
-            if not self._submit(unit):
-                break  # pool broke; the candidate snapshot is stale
 
     # -- outcomes ------------------------------------------------------
 
@@ -525,11 +486,8 @@ class _Supervisor:
     ) -> None:
         self.failures[unit] += 1
         self.last_error[unit] = error
-        if self.done[unit]:
-            return  # a failed duplicate of an already-completed unit
         if self.failures[unit] > self.policy.max_retries:
-            # Quarantined: nothing further is scheduled; the unit is
-            # dead unless an attempt still in flight lands a result.
+            # Quarantined: nothing further is scheduled; the unit is dead.
             self.report.record(unit, attempt, "quarantine", error)
             if not self.policy.allow_partial:
                 raise DeadUnitError(
@@ -547,9 +505,6 @@ class _Supervisor:
         if isinstance(exc, InjectedFailure):
             self.report.crashes += 1
             kind = "crash"
-        elif isinstance(exc, UnitTimeoutError):
-            self.report.timeouts += 1
-            kind = "timeout"
         else:
             self.report.errors += 1
             kind = "error"
@@ -563,8 +518,7 @@ class _Supervisor:
             self.report.record(unit, attempt, "drop")
             self._schedule_retry_or_quarantine(unit, attempt, "result dropped", None)
             return
-        checksum = payload_checksum(envelope.payload)
-        if checksum != envelope.checksum:
+        if payload_checksum(envelope.payload) != envelope.checksum:
             self.report.corrupt += 1
             exc = CorruptResultError(
                 f"unit {unit} attempt {attempt} returned a corrupt result "
@@ -575,22 +529,7 @@ class _Supervisor:
             self.report.record(unit, attempt, "corrupt", str(exc))
             self._schedule_retry_or_quarantine(unit, attempt, str(exc), exc)
             return
-        if "delay" in envelope.injected:
-            self.report.delays += 1
-        if self.done[unit]:
-            # Duplicate completion (speculation or a late zombie):
-            # determinism makes re-execution bit-identical, and we hold
-            # the scheduler to that contract rather than assuming it.
-            if checksum != self.checksums[unit]:
-                raise SchedulerError(
-                    f"speculative re-execution of unit {unit} produced a "
-                    f"different result — the determinism contract is broken"
-                )
-            self.report.dedup_identical += 1
-            self.report.record(unit, attempt, "dedup")
-            return
         self.results[unit] = envelope.payload
-        self.checksums[unit] = checksum
         self.done[unit] = True
         self.num_done += 1
         self.report.completed += 1
@@ -602,24 +541,14 @@ class _Supervisor:
             units=len(self.units),
         )
 
-    def _handle_pool_break(self, broken: Sequence[Tuple[int, int, float]]) -> None:
-        # ``broken`` carries the entries whose futures already raised
+    def _handle_pool_break(self, broken: Sequence[int]) -> None:
+        # ``broken`` holds the units whose futures already raised
         # BrokenProcessPool (popped in the completion loop); everything
         # still tracked in flight died with the same pool.
         self.report.pool_breaks += 1
         exc = BrokenProcessPool("worker pool broke")
-        victims = sorted(
-            {
-                unit
-                for unit, _, _ in list(broken)
-                + list(self.inflight.values())
-                + list(self.zombies.values())
-                if not self.done[unit]
-            }
-        )
+        victims = sorted({*broken, *(unit for unit, _ in self.inflight.values())})
         self.inflight.clear()
-        self.zombies.clear()
-        self.inflight_per_unit.clear()
         self._fresh_executor()
         for unit in victims:
             self.report.record(unit, self.launches[unit] - 1, "pool_break")
@@ -627,53 +556,7 @@ class _Supervisor:
                 unit, self.launches[unit] - 1, "worker pool broke", exc
             )
 
-    def _expire_timeouts(self, now: float) -> None:
-        timeout = self.policy.unit_timeout
-        if timeout is None:
-            return
-        for future, (unit, attempt, submitted) in list(self.inflight.items()):
-            if now - submitted < timeout:
-                continue
-            del self.inflight[future]
-            self.inflight_per_unit[unit] = max(0, self.inflight_per_unit.get(unit, 1) - 1)
-            was_queued = future.cancel()
-            if not was_queued:
-                # Still executing: keep listening so a late result is
-                # deduplicated (or rescues the unit) instead of leaking.
-                self.zombies[future] = (unit, attempt, submitted)
-            if self.done[unit]:
-                continue
-            self._record_exception(
-                unit,
-                attempt,
-                UnitTimeoutError(
-                    f"unit {unit} attempt {attempt} exceeded "
-                    f"unit_timeout={timeout}s",
-                    unit,
-                    attempt,
-                ),
-            )
-
     # -- the loop ------------------------------------------------------
-
-    def _next_wakeup(self, now: float) -> Optional[float]:
-        candidates: List[float] = []
-        if self.ready:
-            candidates.append(self.ready[0][0])
-        if self.policy.unit_timeout is not None:
-            candidates.extend(
-                submitted + self.policy.unit_timeout
-                for _, _, submitted in self.inflight.values()
-            )
-        if self.policy.speculate_after is not None:
-            candidates.extend(
-                submitted + self.policy.speculate_after
-                for unit, _, submitted in self.inflight.values()
-                if not self.done[unit] and self.inflight_per_unit.get(unit, 0) < 2
-            )
-        if not candidates:
-            return None
-        return max(0.005, min(candidates) - now)
 
     def run(self) -> None:
         if self.workers == 1:
@@ -688,8 +571,7 @@ class _Supervisor:
     def _run_inline(self) -> None:
         """No pool: each unit runs to completion or quarantine in turn.
 
-        Timeouts and speculation need concurrency and are inert here;
-        the chaos middleware still applies (``broken_pool`` degrades to
+        The chaos middleware still applies (``broken_pool`` degrades to
         a crash so it cannot kill the calling process).
         """
         for unit in range(len(self.units)):
@@ -713,45 +595,30 @@ class _Supervisor:
         while self.num_done < len(self.units):
             now = time.monotonic()
             self._drain_ready(now)
-            self._speculate(now)
             if not self.inflight:
                 if self.ready:
                     time.sleep(max(0.0, min(0.5, self.ready[0][0] - time.monotonic())))
                     continue
-                break  # only quarantined units (and maybe zombies) remain
-            waitset = set(self.inflight) | set(self.zombies)
-            completed, _ = wait(
-                waitset,
-                timeout=self._next_wakeup(now),
-                return_when=FIRST_COMPLETED,
-            )
-            broken: List[Tuple[int, int, float]] = []
+                break  # only quarantined units remain
+            # Wake on the first completion, or when the next backed-off
+            # retry is due while a worker slot is free.
+            timeout = None
+            if self.ready and len(self.inflight) < self.workers:
+                timeout = max(0.0, self.ready[0][0] - now)
+            completed, _ = wait(self.inflight, timeout=timeout, return_when=FIRST_COMPLETED)
+            broken: List[int] = []
             for future in completed:
-                entry = self.inflight.pop(future, None)
-                if entry is not None:
-                    unit = entry[0]
-                    self.inflight_per_unit[unit] = max(
-                        0, self.inflight_per_unit.get(unit, 1) - 1
-                    )
-                else:
-                    entry = self.zombies.pop(future, None)
-                if entry is None:  # pragma: no cover - defensive
-                    continue
-                unit, attempt, _ = entry
+                unit, attempt = self.inflight.pop(future)
                 try:
                     envelope = future.result()
                 except BrokenProcessPool:
-                    broken.append(entry)
-                except CancelledError:
-                    pass  # a timed-out attempt cancelled while queued
+                    broken.append(unit)
                 except Exception as exc:
                     self._record_exception(unit, attempt, exc)
                 else:
                     self._accept(unit, attempt, envelope)
             if broken:
                 self._handle_pool_break(broken)
-                continue
-            self._expire_timeouts(time.monotonic())
 
 
 def run_units(

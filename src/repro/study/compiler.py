@@ -336,8 +336,8 @@ class Study:
         retried once, then the run stops with
         :class:`~repro.exceptions.DeadUnitError`.  A
         :class:`~repro.simulation.scheduler.SchedulerPolicy` (explicit,
-        or implied by ``REPRO_CHAOS``) sets retries, timeouts and
-        speculation, may degrade dead units to ``NaN`` cells, and is
+        or implied by ``REPRO_CHAOS``) sets the retry budget and chaos
+        campaign, may degrade dead units to ``NaN`` cells, and is
         recorded with its fault report under ``provenance["scheduler"]``
         and ``provenance["faults"]``.  Completed runs are bit-identical
         whatever the policy.

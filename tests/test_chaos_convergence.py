@@ -1,12 +1,12 @@
 """Headline chaos proof: faulted runs converge to the fault-free answer.
 
-Under every injection strategy — crash, delay, drop, partial result,
-broken pool — with a bounded retry budget, a supervised study run must
+Under every injection strategy — crash, drop, partial result, broken
+pool — with a bounded retry budget, a supervised study run must
 produce a ``ScenarioResult`` bit-identical to the fault-free one-shot
 run, on a freshly spawned pool and on a warm one.  This is the
 determinism contract the fault-tolerant scheduler is built on: work
-units carry their own absolute-trial seeds, so a retried or
-speculatively re-executed unit recomputes exactly the same values.
+units carry their own absolute-trial seeds, so a retried unit
+recomputes exactly the same values.
 
 Every chaos strategy here caps injection at ``max_attempt=2`` while the
 scheduler budgets ``max_retries=4``: convergence within the budget is
@@ -48,10 +48,10 @@ def _chaos_policy(kind, probability=0.95, max_retries=4):
     spec = ChaosSpec(
         seed=5,
         strategies=(
-            FaultStrategy(kind=kind, probability=probability, delay=0.05, max_attempt=2),
+            FaultStrategy(kind=kind, probability=probability, max_attempt=2),
         ),
     )
-    return SchedulerPolicy(max_retries=max_retries, backoff_base=0.01, chaos=spec)
+    return SchedulerPolicy(max_retries=max_retries, chaos=spec)
 
 
 @pytest.fixture(scope="module")
@@ -74,11 +74,10 @@ def test_faulted_run_is_bit_identical(kind, pool_start, baseline):
     assert report["completed"] == report["units"]
     assert not report["dead_units"]
     # The chaos campaign actually fired: every strategy leaves its own
-    # signature counter (delay completes on the first attempt, the rest
-    # force retries).
+    # signature counter and forces retries.
     fired = (
         report["crashes"] + report["drops"] + report["corrupt"]
-        + report["pool_breaks"] + report["delays"]
+        + report["pool_breaks"]
     )
     assert fired > 0
 
@@ -130,7 +129,7 @@ def test_adaptive_study_converges_under_chaos(pool_start):
         max_trials=24,
         ci_target=0.15,
         workers=WORKERS,
-        scheduler=SchedulerPolicy(max_retries=4, backoff_base=0.01, chaos=spec),
+        scheduler=SchedulerPolicy(max_retries=4, chaos=spec),
     )
     # NaN-aware equality: adaptive results hold NaN beyond each cell's
     # stopping point, and both runs must stop at identical points.
@@ -151,7 +150,7 @@ def test_exhausted_retries_degrade_to_partial_result(baseline):
     )
     faulted = Study((_zero_one_scenario(),)).run(
         workers=WORKERS,
-        scheduler=SchedulerPolicy(max_retries=2, backoff_base=0.01, chaos=spec),
+        scheduler=SchedulerPolicy(max_retries=2, chaos=spec),
     )
     report = faulted.provenance["faults"]
     assert report["dead_units"], "expected at least one dead-lettered unit"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,8 @@ from repro.simulation.faults import (
 
 class TestFaultStrategy:
     def test_round_trip(self):
-        strategy = FaultStrategy(kind="delay", probability=0.3, delay=0.1, max_attempt=2)
+        strategy = FaultStrategy(kind="partial", probability=0.3, max_attempt=2)
         assert FaultStrategy.from_dict(strategy.to_dict()) == strategy
-
-    def test_non_delay_omits_delay_field(self):
-        assert "delay" not in FaultStrategy(kind="crash", probability=0.5).to_dict()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -32,7 +31,7 @@ class TestFaultStrategy:
             {"kind": "explode", "probability": 0.5},
             {"kind": "crash", "probability": 1.5},
             {"kind": "crash", "probability": -0.1},
-            {"kind": "delay", "probability": 0.5, "delay": -1.0},
+            {"kind": "delay", "probability": 0.5},
             {"kind": "crash", "probability": 0.5, "max_attempt": 0},
         ],
     )
@@ -58,7 +57,7 @@ class TestChaosSpec:
             seed=7,
             strategies=(
                 FaultStrategy(kind="crash", probability=0.3, max_attempt=2),
-                FaultStrategy(kind="delay", probability=0.5, delay=0.1),
+                FaultStrategy(kind="broken_pool", probability=0.5),
             ),
         )
         assert ChaosSpec.from_json(spec.to_json()) == spec
@@ -94,8 +93,8 @@ class TestFailureInjectorPlan:
     def test_probability_extremes(self):
         always = ChaosSpec(seed=0, strategies=(FaultStrategy(kind="crash", probability=1.0),))
         never = ChaosSpec(seed=0, strategies=(FaultStrategy(kind="crash", probability=0.0),))
-        assert all(FailureInjector(always).plan(u, 0).crash for u in range(10))
-        assert not any(FailureInjector(never).plan(u, 0).crash for u in range(10))
+        assert all(FailureInjector(always).plan(u, 0).fired == ("crash",) for u in range(10))
+        assert not any(FailureInjector(never).plan(u, 0).any for u in range(10))
 
     def test_max_attempt_caps_injection(self):
         spec = ChaosSpec(
@@ -103,7 +102,7 @@ class TestFailureInjectorPlan:
             strategies=(FaultStrategy(kind="crash", probability=1.0, max_attempt=2),),
         )
         injector = FailureInjector(spec)
-        assert injector.plan(4, 0).crash and injector.plan(4, 1).crash
+        assert injector.plan(4, 0).any and injector.plan(4, 1).any
         assert not injector.plan(4, 2).any
 
     def test_strategies_decide_independently(self):
@@ -111,13 +110,12 @@ class TestFailureInjectorPlan:
             seed=9,
             strategies=(
                 FaultStrategy(kind="crash", probability=1.0),
-                FaultStrategy(kind="delay", probability=1.0, delay=0.01),
+                FaultStrategy(kind="partial", probability=1.0),
                 FaultStrategy(kind="drop", probability=1.0),
             ),
         )
         injection = FailureInjector(spec).plan(0, 0)
-        assert injection.fired == ("crash", "delay", "drop")
-        assert injection.crash and injection.drop and injection.delay == 0.01
+        assert injection.fired == ("crash", "partial", "drop")
 
 
 class TestFailureInjectorApply:
@@ -169,6 +167,40 @@ class TestCorruptPayload:
 
     def test_non_array_replaced(self):
         assert corrupt_payload({"a": 1}, np.random.default_rng(0)) is None
+
+
+def _strategy(**fields):
+    return {"seed": 1, "strategies": [{"kind": "crash", "probability": 0.5, **fields}]}
+
+
+#: Outside chaos input that must fail as ParameterError, never coerce.
+MALFORMED_CHAOS = {
+    "seed_float": {"seed": 2.9},
+    "seed_bool": {"seed": True},
+    "seed_str": {"seed": "x"},
+    "probability_str": _strategy(probability="0.5"),
+    "probability_bool": _strategy(probability=True),
+    "probability_null": _strategy(probability=None),
+    "probability_abc": _strategy(probability="abc"),
+    "max_attempt_float": _strategy(max_attempt=2.7),
+    "max_attempt_bool": _strategy(max_attempt=True),
+    "max_attempt_str": _strategy(max_attempt="x"),
+    "retired_strategy": {
+        "strategies": [{"kind": "delay", "probability": 0.3, "delay": 0.1}]
+    },
+}
+
+
+@pytest.fixture(params=sorted(MALFORMED_CHAOS))
+def malformed_chaos(request):
+    return MALFORMED_CHAOS[request.param]
+
+
+def test_malformed_chaos_is_a_parameter_error(malformed_chaos):
+    with pytest.raises(ParameterError):
+        load_chaos(malformed_chaos)
+    with pytest.raises(ParameterError):
+        load_chaos(json.dumps(malformed_chaos))
 
 
 class TestLoadChaos:

@@ -49,7 +49,7 @@ def _chaos_policy():
             FaultStrategy(kind="crash", probability=0.9, max_attempt=2),
         ),
     )
-    return SchedulerPolicy(max_retries=4, backoff_base=0.01, chaos=spec)
+    return SchedulerPolicy(max_retries=4, chaos=spec)
 
 
 @pytest.fixture
@@ -250,6 +250,76 @@ class TestStorePolicy:
             json.dumps({"format": CACHE_FORMAT, "scenario_hash": "0" * 64})
         )
         assert cache.lookup(scenario) is None
+
+
+def _drop_last_size(entry):
+    entry["result"]["values"].pop()
+
+
+#: Field-level manglings of a stored entry; each must read as a miss.
+MANGLINGS = {
+    "format": lambda e: e.update(format="repro-cache/v0"),
+    "scenario_hash": lambda e: e.update(scenario_hash="0" * 64),
+    "result_missing": lambda e: e.pop("result"),
+    "result_not_object": lambda e: e.update(result=[1, 2]),
+    "stream_version_lower": lambda e: e["result"].update(stream_version=STREAM_VERSION - 1),
+    "trial_offset": lambda e: e["result"].update(trial_offset=3),
+    "values_truncated": _drop_last_size,
+    "faults_units_str": lambda e: e.update(faults={"units": "x"}),
+    "faults_dead_units_int": lambda e: e.update(faults={"dead_units": 5}),
+    "faults_events_ints": lambda e: e.update(faults={"events": [1]}),
+    "faults_dead_units_ints": lambda e: e.update(faults={"dead_units": [1]}),
+}
+
+
+@pytest.fixture(params=sorted(MANGLINGS))
+def mangling(request):
+    return MANGLINGS[request.param]
+
+
+def _rewrite_entry(cache, scenario, edit):
+    path = cache.path_for(scenario.content_hash())
+    entry = json.loads(path.read_text())
+    edit(entry)
+    path.write_text(json.dumps(entry))
+
+
+class TestMangledEntries:
+    """A stored entry mangled field by field is a miss, then re-stored."""
+
+    @pytest.fixture(scope="class")
+    def cold_values(self):
+        return Study((_scenario(),)).run(workers=1)["cached"].values
+
+    def test_mangled_entry_is_a_miss_and_is_restored(self, cache, mangling, cold_values):
+        study = Study((_scenario(),))
+        run_cached(study, cache, workers=1)
+        _rewrite_entry(cache, study.scenarios[0], mangling)
+        assert cache.lookup(study.scenarios[0]) is None
+
+        again = run_cached(study, cache, workers=1)
+        assert again.provenance["cache"]["disposition"] == "miss"
+        assert np.array_equal(again["cached"].values, cold_values)
+        entry = cache.lookup(study.scenarios[0])
+        assert entry is not None and np.array_equal(entry.result.values, cold_values)
+
+    def test_parent_format_fault_report_still_hits_and_folds(self, cache):
+        study = Study((_scenario(),))
+        cold = run_cached(study, cache, workers=1, scheduler=_chaos_policy())
+        retired = {"timeouts": 1, "speculative": 2, "dedup_identical": 2, "delays": 1}
+        _rewrite_entry(
+            cache, study.scenarios[0], lambda e: e["faults"].update(retired)
+        )
+        hit = run_cached(study, cache, workers=1)
+        assert hit.provenance["cache"]["disposition"] == "hit"
+        assert hit.provenance["cache"]["stored_faults"]["crashes"] == (
+            cold.provenance["faults"]["crashes"]
+        )
+        ext = run_cached(Study((_scenario(trials=10),)), cache, workers=1)
+        assert ext.provenance["cache"]["disposition"] == "extension"
+        folded = ext.provenance["faults"]
+        assert folded["crashes"] == cold.provenance["faults"]["crashes"]
+        assert not set(retired) & set(folded)
 
 
 class TestStreamVersion:

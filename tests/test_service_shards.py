@@ -182,7 +182,39 @@ def malformed_shard_field(request):
     return request.param
 
 
+@pytest.fixture(
+    params=[
+        ("units", "x"),
+        ("units", True),
+        ("deployments", "x"),
+        ("faults", "x"),
+        ("faults", {"units": "x"}),
+        ("faults", {"dead_units": 5}),
+        ("faults", {"events": [1]}),
+        ("faults", {"dead_units": [1]}),
+        ("faults", {"window": [0.0, 6]}),
+    ],
+    ids=lambda case: f"{case[0]}={case[1]!r}",
+)
+def malformed_result_field(request):
+    """One field of a valid shard result payload replaced by a malformed value."""
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def one_shard_payload(study):
+    return execute_shard(make_shards(study, shards=1)[0], workers=1)
+
+
 class TestIntegrity:
+    def test_malformed_result_is_a_transport_error(
+        self, study, one_shard_payload, malformed_result_field
+    ):
+        field, value = malformed_result_field
+        payload = {**one_shard_payload, field: value}
+        with pytest.raises(TransportError, match=field):
+            fold_shard_results(study, [payload])
+
     def test_malformed_shard_is_a_transport_error(self, study, malformed_shard_field):
         # A float window used to run the truncated trials [0, 2) and a
         # bool group or size index was read as 1.
