@@ -16,7 +16,8 @@ The package layers:
   Even-style ISAP k-connectivity) and the Erdős–Rényi generator;
 * :mod:`repro.keygraphs` — key pools, rings, uniform/binomial
   q-intersection graphs, scheme objects;
-* :mod:`repro.channels` — on/off and disk channel models;
+* :mod:`repro.channels` — on/off and disk channels as parameter records
+  and array masks;
 * :mod:`repro.wsn` — deployed networks, routing, failures, capture attacks;
 * :mod:`repro.core` — Theorem 1, Lemmas 1/7/8/9, design guidelines (Eq. 9);
 * :mod:`repro.simulation` — the Monte Carlo execution substrate: warm

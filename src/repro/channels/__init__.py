@@ -1,18 +1,12 @@
-"""Channel models: on/off (Erdős–Rényi) and disk (random geometric)."""
+"""Channel models as parameter records and array masks.
 
-from repro.channels.base import ChannelModel, ChannelRealization
-from repro.channels.composite import CompositeChannel, CompositeRealization
-from repro.channels.disk import DiskChannel, DiskRealization
-from repro.channels.onoff import OnOffChannel, OnOffRealization, sample_onoff_mask
+Each kind is a frozen record of its parameters with its marginal
+``edge_probability()`` and one array method, ``sample_mask``, that draws
+the channel state of an ``(m, 2)`` array of candidate edges from a
+generator: on/off (Erdős–Rényi) and disk (random geometric).
+"""
 
-__all__ = [
-    "ChannelModel",
-    "ChannelRealization",
-    "CompositeChannel",
-    "CompositeRealization",
-    "DiskChannel",
-    "DiskRealization",
-    "OnOffChannel",
-    "OnOffRealization",
-    "sample_onoff_mask",
-]
+from repro.channels.disk import DiskChannel
+from repro.channels.onoff import OnOffChannel
+
+__all__ = ["DiskChannel", "OnOffChannel"]

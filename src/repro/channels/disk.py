@@ -14,108 +14,37 @@ pairwise link probability exactly ``π r²`` for ``r <= 1/2``).
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.channels.base import ChannelModel, ChannelRealization
+from repro.exceptions import ParameterError
 from repro.utils.rng import RandomState, as_generator
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_in_range, check_positive_int
 
-__all__ = ["DiskChannel", "DiskRealization"]
+__all__ = ["DiskChannel"]
 
 
-class DiskRealization(ChannelRealization):
-    """Fixed node placement; channels are distance-threshold links."""
+def _square_edge_probability(r: float) -> float:
+    """Link probability of two uniform points in the unit square (Philip 2007)."""
+    return r * r * (math.pi - 8.0 * r / 3.0 + r * r / 2.0)
 
-    def __init__(
-        self,
-        num_nodes: int,
-        radius: float,
-        torus: bool,
-        seed: RandomState = None,
-    ) -> None:
-        super().__init__(check_positive_int(num_nodes, "num_nodes"))
-        if not 0.0 < radius <= math.sqrt(2.0):
-            raise ValueError(f"radius must lie in (0, sqrt(2)], got {radius}")
-        self.radius = float(radius)
-        self.torus = bool(torus)
-        rng = as_generator(seed)
-        self.positions = rng.random((self.num_nodes, 2))
 
-    def _pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        delta = np.abs(self.positions[a] - self.positions[b])
-        if self.torus:
-            delta = np.minimum(delta, 1.0 - delta)
-        return np.sqrt((delta * delta).sum(axis=1))
+@dataclasses.dataclass(frozen=True)
+class DiskChannel:
+    """Disk channel with transmission radius ``r`` on the torus or square."""
 
-    def edge_mask(self, edges: np.ndarray) -> np.ndarray:
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.size == 0:
-            return np.zeros(0, dtype=bool)
-        return self._pair_distances(edges[:, 0], edges[:, 1]) <= self.radius
+    radius: float
+    torus: bool = dataclasses.field(default=True, kw_only=True)
 
-    def channel_edges(self) -> np.ndarray:
-        """All links within range, via grid bucketing (``O(n)`` expected).
-
-        Cells of side ``r`` partition the square; only pairs in the same
-        or adjacent cells can be within range, so candidate pairs are
-        gathered per neighboring-cell pair and distance-filtered.
-        """
-        n = self.num_nodes
-        r = self.radius
-        cells_per_side = max(1, int(1.0 / r))
-        cell = np.minimum(
-            (self.positions / (1.0 / cells_per_side)).astype(np.int64),
-            cells_per_side - 1,
+    def __post_init__(self) -> None:
+        radius = check_in_range(
+            self.radius, "radius", low=0.0, high=math.sqrt(2.0), low_inclusive=False
         )
-        buckets: dict = {}
-        for i in range(n):
-            buckets.setdefault((int(cell[i, 0]), int(cell[i, 1])), []).append(i)
-
-        pairs_a, pairs_b = [], []
-        offsets = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
-        for (cx, cy), members in buckets.items():
-            for dx, dy in offsets:
-                nx_, ny_ = cx + dx, cy + dy
-                if self.torus:
-                    nx_ %= cells_per_side
-                    ny_ %= cells_per_side
-                other = buckets.get((nx_, ny_))
-                if other is None:
-                    continue
-                for i in members:
-                    for j in other:
-                        if i < j:
-                            pairs_a.append(i)
-                            pairs_b.append(j)
-        if not pairs_a:
-            return np.empty((0, 2), dtype=np.int64)
-        a = np.array(pairs_a, dtype=np.int64)
-        b = np.array(pairs_b, dtype=np.int64)
-        # Neighboring-cell enumeration can emit a pair twice (via both
-        # cells); dedupe through the canonical encoding.
-        keys = np.unique(a * np.int64(n) + b)
-        a = keys // n
-        b = keys % n
-        keep = self._pair_distances(a, b) <= self.radius
-        out = np.empty((int(keep.sum()), 2), dtype=np.int64)
-        out[:, 0] = a[keep]
-        out[:, 1] = b[keep]
-        return out
-
-
-class DiskChannel(ChannelModel):
-    """Factory for disk-model realizations with transmission radius ``r``."""
-
-    def __init__(self, radius: float, *, torus: bool = True) -> None:
-        if not 0.0 < radius <= math.sqrt(2.0):
-            raise ValueError(f"radius must lie in (0, sqrt(2)], got {radius}")
-        self.radius = float(radius)
-        self.torus = bool(torus)
-
-    def sample(self, num_nodes: int, seed: RandomState = None) -> DiskRealization:
-        return DiskRealization(num_nodes, self.radius, self.torus, seed)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "torus", bool(self.torus))
 
     def edge_probability(self) -> float:
         """Marginal link probability for uniformly placed nodes.
@@ -125,14 +54,16 @@ class DiskChannel(ChannelModel):
         """
         r = self.radius
         if self.torus:
-            if r <= 0.5:
-                return math.pi * r * r
-            raise ValueError(
-                "torus edge probability implemented for radius <= 1/2 only"
+            if r > 0.5:
+                raise ParameterError(
+                    f"torus edge probability implemented for radius <= 1/2 only, got {r}"
+                )
+            return math.pi * r * r
+        if r > 1.0:
+            raise ParameterError(
+                f"square edge probability implemented for radius <= 1 only, got {r}"
             )
-        if r <= 1.0:
-            return r * r * (math.pi - 8.0 * r / 3.0 + r * r / 2.0)
-        raise ValueError("square edge probability implemented for radius <= 1 only")
+        return _square_edge_probability(r)
 
     @classmethod
     def for_edge_probability(cls, prob: float, *, torus: bool = True) -> "DiskChannel":
@@ -141,22 +72,46 @@ class DiskChannel(ChannelModel):
         Enables matched-edge-probability comparisons against the on/off
         model (the open-question experiment of Section IX).
         """
-        if not 0.0 < prob < 1.0:
-            raise ValueError(f"prob must lie in (0, 1), got {prob}")
+        prob = check_in_range(
+            prob, "prob", low=0.0, high=1.0, low_inclusive=False, high_inclusive=False
+        )
         if torus:
             radius = math.sqrt(prob / math.pi)
             if radius > 0.5:
-                raise ValueError("prob too large for the torus closed form")
+                raise ParameterError(
+                    f"prob {prob} too large for the torus closed form (radius <= 1/2)"
+                )
             return cls(radius, torus=True)
         # Bisect the monotone square-region formula.
         lo, hi = 1e-9, 1.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if cls(mid, torus=False).edge_probability() < prob:
+            if _square_edge_probability(mid) < prob:
                 lo = mid
             else:
                 hi = mid
         return cls(0.5 * (lo + hi), torus=False)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DiskChannel(radius={self.radius}, torus={self.torus})"
+    def within_range(self, positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        """Is each candidate edge's pair at distance ``<= r``?
+
+        A pure threshold on *positions* (an ``(n, 2)`` array): the
+        minimum-image distance on the torus, the plain one on the square.
+        """
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        delta = np.abs(positions[edges[:, 0]] - positions[edges[:, 1]])
+        if self.torus:
+            delta = np.minimum(delta, 1.0 - delta)
+        return np.sqrt((delta * delta).sum(axis=1)) <= self.radius
+
+    def sample_mask(
+        self, num_nodes: int, edges: np.ndarray, seed: RandomState = None
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Place *num_nodes* sensors uniformly and mask the candidate edges.
+
+        Draws ``rng.random((n, 2))`` positions and returns
+        ``(within_range(positions, edges), positions)``.
+        """
+        num_nodes = check_positive_int(num_nodes, "num_nodes")
+        positions = as_generator(seed).random((num_nodes, 2))
+        return self.within_range(positions, edges), positions

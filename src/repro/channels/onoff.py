@@ -2,115 +2,45 @@
 
 Each of the ``n(n-1)/2`` channels is *on* with probability ``p``
 independently — exactly the Erdős–Rényi overlay ``G(n, p)`` of the
-paper's Eq. (1).  The realization samples channel states lazily and
-caches them, so masking the key-graph's candidate edges costs
-``O(m_candidates)`` instead of ``O(n^2)``, while repeated queries stay
-consistent (required when the WSN layer re-evaluates the topology after
-failures).
+paper's Eq. (1).  Only the channels of candidate edges (the key graph's)
+matter for the secure topology, so a deployment draws one uniform per
+candidate edge, in row order.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from typing import Optional, Tuple
+
 import numpy as np
 
-from repro.channels.base import ChannelModel, ChannelRealization
-from repro.graphs.generators import erdos_renyi_edges, pair_index_to_edge
 from repro.utils.rng import RandomState, as_generator
-from repro.utils.validation import check_positive_int, check_probability
+from repro.utils.validation import check_probability
 
-__all__ = ["OnOffChannel", "OnOffRealization", "sample_onoff_mask"]
-
-
-def sample_onoff_mask(
-    num_edges: int, prob: float, seed: RandomState = None
-) -> np.ndarray:
-    """One-shot Bernoulli(p) mask over *num_edges* candidate edges.
-
-    The stateless fast path used by the Monte Carlo engine: when each
-    candidate edge is examined exactly once, lazy caching is pure
-    overhead and an i.i.d. vector is exactly equivalent.
-    """
-    if num_edges < 0:
-        raise ValueError(f"num_edges must be >= 0, got {num_edges}")
-    prob = check_probability(prob, "prob")
-    if prob == 1.0:
-        return np.ones(num_edges, dtype=bool)
-    rng = as_generator(seed)
-    return rng.random(num_edges) < prob
+__all__ = ["OnOffChannel"]
 
 
-class OnOffRealization(ChannelRealization):
-    """Lazily sampled, cached on/off channel states for one deployment."""
+@dataclasses.dataclass(frozen=True)
+class OnOffChannel:
+    """On/off channel with on-probability ``prob`` (the paper's ``p``)."""
 
-    def __init__(self, num_nodes: int, prob: float, seed: RandomState = None) -> None:
-        super().__init__(check_positive_int(num_nodes, "num_nodes"))
-        self.prob = check_probability(prob, "prob", allow_zero=False)
-        self._rng = as_generator(seed)
-        # Cache as parallel sorted arrays: known pair keys (u * n + v,
-        # u < v) and their on/off states, queried with searchsorted.
-        self._known_keys = np.empty(0, dtype=np.int64)
-        self._known_states = np.empty(0, dtype=bool)
+    prob: float
 
-    def edge_mask(self, edges: np.ndarray) -> np.ndarray:
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.size == 0:
-            return np.zeros(0, dtype=bool)
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        keys = lo * np.int64(self.num_nodes) + hi
-        # Dedupe the query so repeated pairs inside one batch share one
-        # state, then split hit/miss with one searchsorted pass.
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        pos = np.searchsorted(self._known_keys, uniq)
-        hit = np.zeros(uniq.size, dtype=bool)
-        in_range = pos < self._known_keys.size
-        hit[in_range] = self._known_keys[pos[in_range]] == uniq[in_range]
-        states = np.empty(uniq.size, dtype=bool)
-        states[hit] = self._known_states[pos[hit]]
-        miss = ~hit
-        if miss.any():
-            fresh = self._rng.random(int(miss.sum())) < self.prob
-            states[miss] = fresh
-            merged = np.concatenate([self._known_keys, uniq[miss]])
-            order = np.argsort(merged, kind="stable")
-            self._known_keys = merged[order]
-            self._known_states = np.concatenate([self._known_states, fresh])[order]
-        return states[inverse]
-
-    def channel_edges(self) -> np.ndarray:
-        """Materialize the full channel graph consistently with the cache.
-
-        Enumerates all pairs; pairs already queried keep their cached
-        state, the rest are drawn now and cached.
-        """
-        n = self.num_nodes
-        total = n * (n - 1) // 2
-        pairs = pair_index_to_edge(n, np.arange(total, dtype=np.int64))
-        mask = self.edge_mask(pairs)
-        return pairs[mask]
-
-
-class OnOffChannel(ChannelModel):
-    """Factory for on/off channel realizations with on-probability ``p``."""
-
-    def __init__(self, prob: float) -> None:
-        self.prob = check_probability(prob, "prob", allow_zero=False)
-
-    def sample(self, num_nodes: int, seed: RandomState = None) -> OnOffRealization:
-        return OnOffRealization(num_nodes, self.prob, seed)
+    def __post_init__(self) -> None:
+        prob = check_probability(self.prob, "prob", allow_zero=False)
+        object.__setattr__(self, "prob", prob)
 
     def edge_probability(self) -> float:
+        """Marginal probability that a given channel is on: ``p``."""
         return self.prob
 
-    def sample_channel_graph_edges(
-        self, num_nodes: int, seed: RandomState = None
-    ) -> np.ndarray:
-        """Sample the full channel graph directly as ``G(n, p)`` edges.
+    def sample_mask(
+        self, num_nodes: int, edges: np.ndarray, seed: RandomState = None
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Channel state of each candidate edge: ``rng.random(m) < p``.
 
-        Independent of :meth:`sample`; use when the channel graph itself
-        is the object of study (Lemma 7 experiments).
+        Returns ``(mask, None)``; the on/off kind places no sensors, so
+        *num_nodes* only keeps the signature shared with the disk kind.
         """
-        return erdos_renyi_edges(num_nodes, self.prob, seed)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"OnOffChannel(prob={self.prob})"
+        rng = as_generator(seed)
+        return rng.random(len(edges)) < self.prob, None

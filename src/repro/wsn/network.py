@@ -13,12 +13,11 @@ in-place node failure, which re-derives the surviving topology.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.channels.base import ChannelModel, ChannelRealization
-from repro.channels.disk import DiskRealization
+from repro.channels.disk import DiskChannel
 from repro.channels.onoff import OnOffChannel
 from repro.exceptions import ParameterError
 from repro.graphs.unionfind import is_connected_edges
@@ -42,7 +41,9 @@ class SecureWSN:
     scheme:
         Key predistribution scheme (ring assignment + link rule).
     channel:
-        Channel model; defaults to a perfect channel (``p = 1``).
+        :class:`~repro.channels.onoff.OnOffChannel` or
+        :class:`~repro.channels.disk.DiskChannel`; defaults to a perfect
+        channel (``p = 1``).
     seed:
         Root seed; ring assignment and channel state draw from
         independent spawned streams.
@@ -52,33 +53,36 @@ class SecureWSN:
         self,
         num_nodes: int,
         scheme: QCompositeScheme,
-        channel: Optional[ChannelModel] = None,
+        channel: Optional[Union[OnOffChannel, DiskChannel]] = None,
         seed: RandomState = None,
     ) -> None:
         self.num_nodes = check_positive_int(num_nodes, "num_nodes")
         if self.num_nodes < 2:
             raise ParameterError("a network needs at least 2 sensors")
+        channel = OnOffChannel(1.0) if channel is None else channel
+        if not isinstance(channel, (OnOffChannel, DiskChannel)):
+            raise ParameterError(
+                f"channel must be an OnOffChannel or a DiskChannel, got {channel!r}"
+            )
         self.scheme = scheme
-        self.channel = channel if channel is not None else OnOffChannel(1.0)
+        self.channel = channel
 
         ring_rng, channel_rng = spawn_generators(seed, 2)
         self.rings = scheme.assign_rings(self.num_nodes, ring_rng)
-        self.channel_state: ChannelRealization = self.channel.sample(
-            self.num_nodes, channel_rng
+        # Key-graph candidate edges (canonical, ascending) and the channel
+        # state of each one, drawn once per deployment.
+        self._key_edges = scheme.key_graph_edges(self.rings)
+        self._channel_mask, positions = channel.sample_mask(
+            self.num_nodes, self._key_edges, channel_rng
         )
+        self._secure_edges_all = self._key_edges[self._channel_mask]
 
         self.sensors: List[Sensor] = [
             Sensor(node_id=i, ring=self.rings[i]) for i in range(self.num_nodes)
         ]
-        if isinstance(self.channel_state, DiskRealization):
-            for sensor in self.sensors:
-                x, y = self.channel_state.positions[sensor.node_id]
+        if positions is not None:
+            for sensor, (x, y) in zip(self.sensors, positions):
                 sensor.position = (float(x), float(y))
-
-        # Key-graph candidate edges and the channel decision per candidate.
-        self._key_edges = scheme.key_graph_edges(self.rings)
-        self._channel_mask = self.channel_state.edge_mask(self._key_edges)
-        self._secure_edges_all = self._key_edges[self._channel_mask]
 
     # -- topology ---------------------------------------------------------
 
@@ -86,6 +90,11 @@ class SecureWSN:
     def key_graph_edges(self) -> np.ndarray:
         """Edges of the key graph ``G_q`` (ignores channels and failures)."""
         return self._key_edges
+
+    @property
+    def channel_mask(self) -> np.ndarray:
+        """Channel state (on = ``True``) of each row of :attr:`key_graph_edges`."""
+        return self._channel_mask
 
     def secure_edges(self) -> np.ndarray:
         """Current secure topology edges (channel on ∧ both endpoints alive)."""
@@ -148,10 +157,15 @@ class SecureWSN:
             raise ParameterError("a and b must be distinct sensors")
         if not (self.sensors[a].alive and self.sensors[b].alive):
             return False
-        if not self.scheme.can_establish(self.rings[a], self.rings[b]):
-            return False
-        pair = np.array([[min(a, b), max(a, b)]], dtype=np.int64)
-        return bool(self.channel_state.edge_mask(pair)[0])
+        # Key edges are canonical and ascending: find u's rows, then v.
+        u, v = min(a, b), max(a, b)
+        lo, hi = np.searchsorted(self._key_edges[:, 0], [u, u + 1])
+        row = int(lo + np.searchsorted(self._key_edges[lo:hi, 1], v))
+        return (
+            row < hi
+            and int(self._key_edges[row, 1]) == v
+            and bool(self._channel_mask[row])
+        )
 
     def link_key(self, a: int, b: int) -> Optional[bytes]:
         """Link key for a usable secure link, else ``None``."""

@@ -52,27 +52,29 @@ def evaluate_resilience(
     *,
     k: int = 1,
 ) -> ResilienceOutcome:
-    """Capture random sensors; check k-connectivity over trusted links only.
+    """Capture random live sensors; check k-connectivity over trusted links only.
 
+    Survivors are the live sensors that were not captured; sensors that
+    had already failed are neither capturable nor survivors.
     Non-destructive: the network's failure state is left untouched (the
     evaluation works on a relabeled copy of the surviving topology).
     """
     if num_captured < 0:
         raise ParameterError("num_captured must be >= 0")
-    if num_captured >= network.num_nodes - 1:
+    live = np.array([s.node_id for s in network.sensors if s.alive], dtype=np.int64)
+    if num_captured >= live.size - 1:
         raise ParameterError("need at least two surviving sensors")
     rng = as_generator(seed)
-    captured = set(
-        int(x)
-        for x in rng.choice(network.num_nodes, size=num_captured, replace=False)
-    )
+    # With every sensor alive ``live`` is ``arange(n)``, so this draws
+    # exactly what ``rng.choice(n, ...)`` draws.
+    captured = set(int(x) for x in rng.choice(live, size=num_captured, replace=False))
 
     pool_size = network.scheme.pool_size
     captured_keys = np.zeros(pool_size, dtype=bool)
     for node in captured:
         captured_keys[network.rings[node]] = True
 
-    survivors = [i for i in range(network.num_nodes) if i not in captured]
+    survivors = [i for i in live.tolist() if i not in captured]
     relabel = {node: idx for idx, node in enumerate(survivors)}
 
     trusted: List[tuple] = []

@@ -1,65 +1,45 @@
-"""Tests for CompositeChannel and resilient connectivity."""
+"""Tests for composed channel constraints and resilient connectivity."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.channels.composite import CompositeChannel
 from repro.channels.disk import DiskChannel
 from repro.channels.onoff import OnOffChannel
 from repro.exceptions import ParameterError
 from repro.keygraphs.schemes import QCompositeScheme
+from repro.utils.rng import spawn_generators
 from repro.wsn.network import SecureWSN
 from repro.wsn.resilience import evaluate_resilience
 
 
 class TestCompositeChannel:
+    """Reference [38]'s conjunction of channel constraints: masks AND-ed by hand."""
+
     def test_marginal_is_product(self):
-        chan = CompositeChannel([OnOffChannel(0.5), OnOffChannel(0.4)])
-        assert chan.edge_probability() == pytest.approx(0.2)
-
-    def test_empty_members_rejected(self):
-        with pytest.raises(ValueError):
-            CompositeChannel([])
-
-    def test_mask_is_and_of_members(self):
-        chan = CompositeChannel([OnOffChannel(0.6), OnOffChannel(0.6)])
-        real = chan.sample(50, seed=3)
-        edges = np.array([(u, v) for u in range(50) for v in range(u + 1, 50)])
-        mask = real.edge_mask(edges)
-        m0 = real.members[0].edge_mask(edges)
-        m1 = real.members[1].edge_mask(edges)
-        assert np.array_equal(mask, m0 & m1)
-
-    def test_mask_consistent_on_requery(self):
-        real = CompositeChannel([OnOffChannel(0.5), OnOffChannel(0.5)]).sample(
-            20, seed=4
+        first, second = OnOffChannel(0.5), OnOffChannel(0.4)
+        edges = np.zeros((40000, 2), dtype=np.int64)
+        rng_a, rng_b = spawn_generators(3, 2)
+        mask = (
+            first.sample_mask(2, edges, rng_a)[0]
+            & second.sample_mask(2, edges, rng_b)[0]
         )
-        edges = np.array([[0, 1], [2, 3], [4, 5]])
-        first = real.edge_mask(edges)
-        assert np.array_equal(real.edge_mask(edges), first)
-
-    def test_channel_edges_subset_of_each_member(self):
-        chan = CompositeChannel([OnOffChannel(0.7), DiskChannel(0.5, torus=True)])
-        real = chan.sample(30, seed=5)
-        composite_edges = {tuple(map(int, e)) for e in real.channel_edges()}
-        for member in real.members:
-            member_mask = member.edge_mask(
-                np.array(sorted(composite_edges), dtype=np.int64).reshape(-1, 2)
-            )
-            assert member_mask.all()
+        product = first.edge_probability() * second.edge_probability()
+        assert product == pytest.approx(0.2)
+        assert mask.mean() == pytest.approx(product, abs=0.01)
 
     def test_triple_intersection_in_wsn(self):
         # G_q ∩ G(n,p) ∩ RGG(n,r): reference [38]'s model, end to end.
-        chan = CompositeChannel([OnOffChannel(0.8), DiskChannel(0.6, torus=True)])
-        wsn = SecureWSN(40, QCompositeScheme(15, 200, 2), chan, seed=6)
-        onoff_only = SecureWSN(
-            40, QCompositeScheme(15, 200, 2), OnOffChannel(0.8), seed=6
-        )
-        # Same seed gives same rings; extra constraint can only thin links.
-        assert np.array_equal(wsn.rings, onoff_only.rings)
-        assert wsn.secure_edges().shape[0] <= onoff_only.secure_edges().shape[0]
+        wsn = SecureWSN(40, QCompositeScheme(15, 200, 2), OnOffChannel(0.8), seed=6)
+        secure = wsn.secure_edges()
+        in_range, _ = DiskChannel(0.6, torus=True).sample_mask(40, secure, seed=7)
+        triple = secure[in_range]
+        # The extra constraint can only thin the secure links.
+        assert 0 < triple.shape[0] <= secure.shape[0]
+        assert {tuple(map(int, e)) for e in triple} <= {
+            tuple(map(int, e)) for e in secure
+        }
 
 
 class TestResilience:
@@ -75,6 +55,25 @@ class TestResilience:
         assert out.survivors == 60
         assert out.resiliently_connected == out.connected_ignoring_compromise
         assert out.connected_ignoring_compromise == net.is_connected()
+
+    def test_failed_sensor_is_not_a_survivor(self, net):
+        net.fail_nodes([5])
+        assert net.is_connected()
+        out = evaluate_resilience(net, 0, seed=1)
+        assert out.survivors == net.live_count() == 59
+        assert out.connected_ignoring_compromise == net.is_connected()
+        assert out.resiliently_connected == net.is_connected()
+        for seed in range(5):
+            assert 5 not in evaluate_resilience(net, 20, seed=seed).captured_nodes
+        assert evaluate_resilience(net, 20, seed=2).survivors == 39
+        with pytest.raises(ParameterError):
+            evaluate_resilience(net, 58)
+
+    def test_all_alive_capture_stream_is_unchanged(self, net):
+        for seed in range(5):
+            expect = np.random.default_rng(seed).choice(60, size=15, replace=False)
+            out = evaluate_resilience(net, 15, seed=seed)
+            assert out.captured_nodes == sorted(int(x) for x in expect)
 
     def test_resilient_implies_plain(self, net):
         for seed in range(8):

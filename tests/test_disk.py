@@ -7,64 +7,82 @@ import math
 import numpy as np
 import pytest
 
-from repro.channels.disk import DiskChannel, DiskRealization
+from repro.channels.disk import DiskChannel
+from repro.exceptions import ParameterError
 
 
-def _brute_force_edges(real: DiskRealization) -> set:
-    n = real.num_nodes
+def _brute_force_edges(positions: np.ndarray, chan: DiskChannel) -> set:
+    n = positions.shape[0]
     out = set()
     for u in range(n):
         for v in range(u + 1, n):
-            d = np.abs(real.positions[u] - real.positions[v])
-            if real.torus:
+            d = np.abs(positions[u] - positions[v])
+            if chan.torus:
                 d = np.minimum(d, 1.0 - d)
-            if float(np.sqrt((d * d).sum())) <= real.radius:
+            if float(np.sqrt((d * d).sum())) <= chan.radius:
                 out.add((u, v))
     return out
 
 
+_WRAP_POSITIONS = np.array([(0.01, 0.5), (0.99, 0.5)])  # 0.02 apart on the torus
+
+
 class TestDiskRealization:
     def test_positions_in_unit_square(self):
-        real = DiskChannel(0.2).sample(50, seed=1)
-        assert real.positions.min() >= 0.0 and real.positions.max() <= 1.0
+        mask, positions = DiskChannel(0.2).sample_mask(50, np.empty((0, 2)), seed=1)
+        assert mask.shape == (0,)
+        assert positions.shape == (50, 2)
+        assert positions.min() >= 0.0 and positions.max() <= 1.0
 
     def test_edge_mask_matches_distances(self):
-        real = DiskChannel(0.3, torus=False).sample(30, seed=2)
+        chan = DiskChannel(0.3, torus=False)
         edges = np.array([(u, v) for u in range(30) for v in range(u + 1, 30)])
-        mask = real.edge_mask(edges)
-        brute = _brute_force_edges(real)
+        mask, positions = chan.sample_mask(30, edges, seed=2)
+        brute = _brute_force_edges(positions, chan)
         got = {tuple(map(int, e)) for e, m in zip(edges, mask) if m}
         assert got == brute
 
-    def test_channel_edges_grid_matches_bruteforce_square(self):
-        for seed in range(5):
-            real = DiskChannel(0.25, torus=False).sample(40, seed=seed)
-            got = {tuple(map(int, e)) for e in real.channel_edges()}
-            assert got == _brute_force_edges(real)
-
-    def test_channel_edges_grid_matches_bruteforce_torus(self):
-        for seed in range(5):
-            real = DiskChannel(0.25, torus=True).sample(40, seed=seed)
-            got = {tuple(map(int, e)) for e in real.channel_edges()}
-            assert got == _brute_force_edges(real)
-
     def test_torus_wraps(self):
-        real = DiskChannel(0.2, torus=True).sample(2, seed=3)
-        real.positions[0] = (0.01, 0.5)
-        real.positions[1] = (0.99, 0.5)  # distance 0.02 on the torus
-        assert real.edge_mask(np.array([[0, 1]]))[0]
+        chan = DiskChannel(0.2, torus=True)
+        assert chan.within_range(_WRAP_POSITIONS, np.array([[0, 1]]))[0]
 
     def test_square_does_not_wrap(self):
-        real = DiskChannel(0.2, torus=False).sample(2, seed=3)
-        real.positions[0] = (0.01, 0.5)
-        real.positions[1] = (0.99, 0.5)
-        assert not real.edge_mask(np.array([[0, 1]]))[0]
+        chan = DiskChannel(0.2, torus=False)
+        assert not chan.within_range(_WRAP_POSITIONS, np.array([[0, 1]]))[0]
 
     def test_bad_radius(self):
         with pytest.raises(ValueError):
             DiskChannel(0.0)
         with pytest.raises(ValueError):
             DiskChannel(2.0)
+
+    def test_frozen_record(self):
+        chan = DiskChannel(0.25, torus=False)
+        assert chan == DiskChannel(0.25, torus=False)
+        assert repr(chan) == "DiskChannel(radius=0.25, torus=False)"
+        with pytest.raises(AttributeError):
+            chan.radius = 0.1
+
+
+_MALFORMED = {
+    "radius-zero": lambda: DiskChannel(0.0),
+    "radius-above-sqrt2": lambda: DiskChannel(2.0),
+    "radius-nan": lambda: DiskChannel(float("nan")),
+    "radius-str": lambda: DiskChannel("a"),
+    "prob-zero": lambda: DiskChannel.for_edge_probability(0.0),
+    "prob-one": lambda: DiskChannel.for_edge_probability(1.0),
+    "prob-nan": lambda: DiskChannel.for_edge_probability(float("nan")),
+    "prob-one-square": lambda: DiskChannel.for_edge_probability(1.0, torus=False),
+    "prob-above-torus-form": lambda: DiskChannel.for_edge_probability(0.9),
+    "torus-radius-above-half": lambda: DiskChannel(0.6).edge_probability(),
+    "square-radius-above-one": lambda: DiskChannel(1.2, torus=False).edge_probability(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_is_a_parameter_error(case):
+    with pytest.raises(ParameterError):
+        _MALFORMED[case]()
 
 
 class TestEdgeProbability:

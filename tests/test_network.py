@@ -6,10 +6,12 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.channels.disk import DiskChannel
 from repro.channels.onoff import OnOffChannel
 from repro.exceptions import ParameterError
 from repro.keygraphs.schemes import QCompositeScheme, shared_keys
 from repro.params import QCompositeParams
+from repro.utils.rng import spawn_generators
 from repro.wsn.network import SecureWSN
 from tests.oracle import to_graph
 
@@ -19,6 +21,21 @@ def net() -> SecureWSN:
     return SecureWSN(
         30, QCompositeScheme(10, 100, 2), OnOffChannel(0.6), seed=77
     )
+
+
+@pytest.fixture
+def disk_net() -> SecureWSN:
+    return SecureWSN(
+        30, QCompositeScheme(10, 100, 1), DiskChannel(0.35), seed=78
+    )
+
+
+def _assert_can_communicate_matches_graph(net: SecureWSN) -> None:
+    g = to_graph(net.num_nodes, net.secure_edges())
+    assert g.number_of_edges() > 0
+    for u in range(0, 10):
+        for v in range(u + 1, 10):
+            assert net.can_communicate(u, v) == g.has_edge(u, v)
 
 
 class TestConstruction:
@@ -37,6 +54,11 @@ class TestConstruction:
         wsn = SecureWSN(10, QCompositeScheme(5, 30, 1), seed=1)
         # p = 1: secure edges equal key-graph edges.
         assert np.array_equal(wsn.secure_edges(), wsn.key_graph_edges)
+
+    @pytest.mark.parametrize("channel", [object(), 0.5, "onoff"])
+    def test_unknown_channel_rejected(self, channel):
+        with pytest.raises(ParameterError, match="channel"):
+            SecureWSN(10, QCompositeScheme(5, 30, 1), channel, seed=1)
 
     def test_from_params(self):
         params = QCompositeParams(
@@ -64,7 +86,7 @@ class TestTopologySemantics:
 
     def test_secure_edge_iff_key_and_channel(self, net):
         # Every key edge with an on channel appears; off channels don't.
-        mask = net.channel_state.edge_mask(net.key_graph_edges)
+        mask = net.channel_mask
         expect = {
             tuple(map(int, e))
             for e, m in zip(net.key_graph_edges, mask)
@@ -73,10 +95,10 @@ class TestTopologySemantics:
         assert {tuple(map(int, e)) for e in net.secure_edges()} == expect
 
     def test_can_communicate_matches_graph(self, net):
-        g = to_graph(net.num_nodes, net.secure_edges())
-        for u in range(0, 10):
-            for v in range(u + 1, 10):
-                assert net.can_communicate(u, v) == g.has_edge(u, v)
+        _assert_can_communicate_matches_graph(net)
+
+    def test_can_communicate_matches_graph_disk(self, disk_net):
+        _assert_can_communicate_matches_graph(disk_net)
 
     def test_can_communicate_same_node_raises(self, net):
         with pytest.raises(ParameterError):
@@ -95,6 +117,49 @@ class TestTopologySemantics:
                     assert key is None
                     checked_without = True
         assert checked_with and checked_without
+
+
+_STREAM_CHANNELS = [
+    OnOffChannel(0.4),
+    DiskChannel(0.3, torus=True),
+    DiskChannel(0.3, torus=False),
+]
+
+
+class TestChannelStream:
+    """Rings and channels are pinned to the two spawned streams.
+
+    The expected topology is rebuilt by hand from
+    ``spawn_generators(seed, 2)``: the on/off kind draws one uniform per
+    key-graph edge in row order, the disk kind draws ``(n, 2)`` positions
+    and keeps the edges within range (minimum-image distance on the
+    torus).
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    @pytest.mark.parametrize(
+        "channel", _STREAM_CHANNELS, ids=["onoff", "disk-torus", "disk-square"]
+    )
+    def test_topology_rebuilds_from_spawned_streams(self, channel, seed):
+        n = 40
+        scheme = QCompositeScheme(8, 60, 1)
+        net = SecureWSN(n, scheme, channel, seed=seed)
+        ring_rng, channel_rng = spawn_generators(seed, 2)
+        assert np.array_equal(net.rings, scheme.assign_rings(n, ring_rng))
+        key = net.key_graph_edges
+        if isinstance(channel, OnOffChannel):
+            mask = channel_rng.random(key.shape[0]) < channel.prob
+            assert all(s.position is None for s in net.sensors)
+        else:
+            positions = channel_rng.random((n, 2))
+            delta = np.abs(positions[key[:, 0]] - positions[key[:, 1]])
+            if channel.torus:
+                delta = np.minimum(delta, 1.0 - delta)
+            mask = np.sqrt((delta * delta).sum(axis=1)) <= channel.radius
+            placed = np.array([s.position for s in net.sensors])
+            assert np.array_equal(placed, positions)
+        assert 0 < mask.sum() < key.shape[0]
+        assert np.array_equal(net.secure_edges(), key[mask])
 
 
 class TestFailures:

@@ -5,86 +5,69 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.channels.onoff import OnOffChannel, OnOffRealization, sample_onoff_mask
+from repro.channels.onoff import OnOffChannel
 from repro.exceptions import ParameterError
+from repro.graphs.generators import pair_index_to_edge
+
+
+def _mask(prob: float, num_edges: int, seed: int) -> np.ndarray:
+    edges = np.zeros((num_edges, 2), dtype=np.int64)
+    mask, positions = OnOffChannel(prob).sample_mask(2, edges, seed)
+    assert positions is None
+    return mask
 
 
 class TestSampleOnOffMask:
     def test_shape_and_dtype(self):
-        mask = sample_onoff_mask(100, 0.5, seed=1)
+        mask = _mask(0.5, 100, seed=1)
         assert mask.shape == (100,) and mask.dtype == bool
 
     def test_p_one_all_on(self):
-        assert sample_onoff_mask(50, 1.0, seed=1).all()
-
-    def test_p_zero_all_off(self):
-        assert not sample_onoff_mask(50, 0.0, seed=1).any()
+        assert _mask(1.0, 50, seed=1).all()
 
     def test_rate_close_to_p(self):
-        mask = sample_onoff_mask(20000, 0.3, seed=2)
+        mask = _mask(0.3, 20000, seed=2)
         assert abs(mask.mean() - 0.3) < 0.02
 
-    def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            sample_onoff_mask(-1, 0.5)
-
     def test_empty(self):
-        assert sample_onoff_mask(0, 0.5, seed=1).shape == (0,)
+        assert _mask(0.5, 0, seed=1).shape == (0,)
 
 
 class TestOnOffRealization:
-    def test_repeated_query_consistent(self):
-        real = OnOffRealization(10, 0.5, seed=3)
-        edges = np.array([[0, 1], [2, 3], [4, 5]])
-        first = real.edge_mask(edges)
-        for _ in range(5):
-            assert np.array_equal(real.edge_mask(edges), first)
-
-    def test_orientation_invariant(self):
-        real = OnOffRealization(10, 0.5, seed=4)
-        a = real.edge_mask(np.array([[1, 7]]))
-        b = real.edge_mask(np.array([[7, 1]]))
-        assert a[0] == b[0]
-
     def test_marginal_rate(self):
-        real = OnOffRealization(300, 0.4, seed=5)
         pairs = np.array([(u, v) for u in range(300) for v in range(u + 1, u + 4) if v < 300])
-        mask = real.edge_mask(pairs)
+        mask, _ = OnOffChannel(0.4).sample_mask(300, pairs, seed=5)
         assert abs(mask.mean() - 0.4) < 0.05
-
-    def test_channel_edges_consistent_with_mask(self):
-        real = OnOffRealization(12, 0.5, seed=6)
-        probe = np.array([[0, 1], [5, 9]])
-        states = real.edge_mask(probe)
-        full = {tuple(map(int, e)) for e in real.channel_edges()}
-        assert ((0, 1) in full) == bool(states[0])
-        assert ((5, 9) in full) == bool(states[1])
 
     def test_zero_prob_rejected(self):
         with pytest.raises(ParameterError):
-            OnOffRealization(5, 0.0)
+            OnOffChannel(0.0)
 
     def test_empty_edges(self):
-        real = OnOffRealization(5, 0.5, seed=7)
-        assert real.edge_mask(np.empty((0, 2))).shape == (0,)
+        mask, _ = OnOffChannel(0.5).sample_mask(5, np.empty((0, 2)), seed=7)
+        assert mask.shape == (0,)
 
 
 class TestOnOffChannel:
     def test_edge_probability(self):
         assert OnOffChannel(0.37).edge_probability() == 0.37
 
-    def test_sample_gives_realization(self):
-        real = OnOffChannel(0.5).sample(10, seed=1)
-        assert isinstance(real, OnOffRealization)
-        assert real.num_nodes == 10
-
     def test_channel_graph_edge_count(self):
-        edges = OnOffChannel(0.2).sample_channel_graph_edges(200, seed=2)
-        expect = 0.2 * 200 * 199 / 2
-        assert abs(edges.shape[0] - expect) < 5 * np.sqrt(expect)
+        # Masking every pair of 200 nodes samples the channel graph G(n, p).
+        n = 200
+        pairs = pair_index_to_edge(n, np.arange(n * (n - 1) // 2, dtype=np.int64))
+        mask, _ = OnOffChannel(0.2).sample_mask(n, pairs, seed=2)
+        expect = 0.2 * n * (n - 1) / 2
+        assert abs(int(mask.sum()) - expect) < 5 * np.sqrt(expect)
 
     def test_invalid_probability(self):
         with pytest.raises(ParameterError):
             OnOffChannel(1.5)
         with pytest.raises(ParameterError):
             OnOffChannel(0.0)
+
+    def test_frozen_record(self):
+        chan = OnOffChannel(0.5)
+        assert chan == OnOffChannel(0.5) and repr(chan) == "OnOffChannel(prob=0.5)"
+        with pytest.raises(AttributeError):
+            chan.prob = 0.9
