@@ -3,10 +3,12 @@
 Each bench also checks its kernel against an independent answer: the
 min-label union against networkx components, the overlap counter
 against a sparse incidence Gram product.  The k-connectivity bench
-pins the certificate's acceptance angle: the exact decision
-(Nagamochi–Ibaraki certificate, then the bootstrap-closure scan) must
-agree with the same scan run on the uncertified edge array while the
-certificate keeps the per-decision cost low.
+pins the certificate's acceptance angle at k = 3, the smallest k that
+builds one (k = 2 runs Tarjan on the simple graph): the exact decision
+(Nagamochi–Ibaraki certificate from one maximum-adjacency scan, then
+the bootstrap-closure scan) must agree with the same scan run on the
+uncertified edge array while the certificate keeps the per-decision
+cost low.
 """
 
 from __future__ import annotations

@@ -13,13 +13,16 @@ here):
   digraph, each stopping at ``k`` augmenting paths (Menger).
 
 Every ``k >= 2`` decision first collapses the input to distinct
-canonical ``(u < v)`` pairs without self-loops, then applies the
-**Nagamochi–Ibaraki sparse certificate** H: a scan-first
-forest decomposition (:mod:`repro.kernels`) with at most ``k·(n-1)``
-edges.  Scan-first forests keep more than the global decision: for
-every vertex set ``S`` with ``|S| < k``, ``G - S`` and ``H - S`` have
-the same connected components, so ``min(κ(x, y), k)`` is the same in
-G and H for every pair.
+canonical ``(u < v)`` pairs without self-loops, the simple graph G.
+At ``k = 2`` Tarjan runs on G itself: it is linear, so a certificate
+would only add work.  At ``k >= 3`` the closure gets the
+**Nagamochi–Ibaraki sparse certificate** H: the first ``k`` forests of
+one maximum-adjacency scan (:mod:`repro.kernels`), at most ``k·(n-1)``
+edges, each a scan-first forest of what the earlier ones leave of G.
+Scan-first forests keep more than the global decision: for every
+vertex set ``S`` with ``|S| < k``, ``G - S`` and ``H - S`` have the
+same connected components, so ``min(κ(x, y), k)`` is the same in G and
+H for every pair.
 
 **The closure lemma** (``k >= 3``).  Fix a pivot ``v`` and grow a set
 ``A`` from ``{v} ∪ N(v)``, absorbing every vertex with at least ``k``
@@ -47,9 +50,9 @@ size ``< k`` avoids ``v``", which transfers between G and H because
 their components agree after removing any such ``S``; a flow "yes" on
 H is a "yes" on G ⊇ H; a flow "no" on H between non-adjacent vertices
 gives ``κ(H) < k``, and H is a certificate, so ``κ(G) < k``.  The
-uncertified deciders (:func:`_closure_scan_edges` with G as its own
-certificate, ``is_biconnected_edges`` on G) are the reference the
-certificate-equivalence corpus checks against.
+uncertified closure (:func:`_closure_scan_edges` with G as its own
+certificate) is the reference the certificate-equivalence corpus
+checks against.
 
 **Pristine labels in closed form.**  ISAP needs exact
 distance-to-sink labels on the unused network.  In the split digraph
@@ -62,6 +65,8 @@ remains for ISAP's global relabel, which runs on a used network.
 """
 
 from __future__ import annotations
+
+from typing import List, Optional
 
 import numpy as np
 
@@ -107,7 +112,7 @@ class _ScanNetwork:
 
     __slots__ = ("n", "indptr", "nbrs", "start", "to", "cap", "rev", "touched")
 
-    def __init__(self, num_nodes: int, edges) -> None:
+    def __init__(self, num_nodes: int, edges: np.ndarray) -> None:
         n = self.n = num_nodes
         indptr, nbrs = csr_adjacency(n, edges)
         m2 = nbrs.size  # 2m directed slots
@@ -141,7 +146,7 @@ class _ScanNetwork:
         self.nbrs = nbrs.tolist()
         self.start = np.concatenate((in_start, out_start, [total])).tolist()
         self.to, self.cap, self.rev = to.tolist(), cap.tolist(), rev.tolist()
-        self.touched: list = []  # arcs augmented since the last reset
+        self.touched: List[int] = []  # arcs augmented since the last reset
 
     def reset(self) -> None:
         """Undo every augmentation since the last reset (unit caps)."""
@@ -151,7 +156,7 @@ class _ScanNetwork:
             cap[rev[a]] -= 1
         del self.touched[:]
 
-    def pristine_labels(self, sink: int) -> list:
+    def pristine_labels(self, sink: int) -> List[int]:
         """Exact distance-to-``in(sink)`` labels on pristine capacities.
 
         The closed form of the module docstring, from one BFS over the
@@ -178,7 +183,7 @@ class _ScanNetwork:
             d[sink + n] = 3
         return d
 
-    def sink_labels(self, sink: int) -> list:
+    def sink_labels(self, sink: int) -> List[int]:
         """Exact distance-to-*sink* labels on the current residual.
 
         Reverse BFS: an arc ``x -> y`` with residual capacity relaxes
@@ -205,7 +210,9 @@ class _ScanNetwork:
                         queue.append(x)
         return d
 
-    def at_least(self, s: int, t: int, k: int, shared_labels=None) -> bool:
+    def at_least(
+        self, s: int, t: int, k: int, shared_labels: Optional[List[int]] = None
+    ) -> bool:
         """Whether κ(s, t) >= k, as a flow ``out(s) -> in(t)``.
 
         Resets the residual (undo log) first.  *shared_labels* must be
@@ -226,7 +233,7 @@ class _ScanNetwork:
         relabels = 0
         budget = big  # global-relabel trigger; exactness does not depend on it
         node = source
-        path: list = []
+        path: List[int] = []
         while d[source] < big:
             if node == sink:
                 for a in path:
@@ -359,8 +366,9 @@ def is_k_connected_edges(num_nodes: int, edges: np.ndarray, k: int) -> bool:
     The study compiler's metric cascade already holds candidate edges
     as arrays, and this decision works on them directly.  Repeated
     edges (in either orientation) and self-loops are ignored.  For
-    ``k >= 2`` the Nagamochi–Ibaraki sparse certificate is applied
-    before Tarjan or any flow network runs; both kernels are called
+    ``k = 2`` Tarjan runs on the simple graph; for ``k >= 3`` the
+    Nagamochi–Ibaraki sparse certificate is applied before any flow
+    network is built.  The union and the certificate are called
     through :func:`repro.kernels.get_backend`.  Follows the
     standard convention that a k-connected graph needs at least
     ``k + 1`` nodes; ``k <= 0`` is vacuously true.
@@ -389,7 +397,7 @@ def is_k_connected_edges(num_nodes: int, edges: np.ndarray, k: int) -> bool:
     if int(degrees.min()) < k:
         return False
 
-    work = backend.sparse_certificate(num_nodes, edges, k)
     if k == 2:
-        return is_biconnected_edges(num_nodes, work)
-    return _closure_scan_edges(num_nodes, edges, work, k)
+        return is_biconnected_edges(num_nodes, edges)
+    cert = backend.sparse_certificate(num_nodes, edges, k)
+    return _closure_scan_edges(num_nodes, edges, cert, k)

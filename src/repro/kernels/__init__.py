@@ -1,9 +1,9 @@
 """The three hot-path kernels every Monte Carlo workload runs on.
 
 The min-label connectivity union, candidate-pair overlap counting and
-the exact k-connectivity decision with its Nagamochi–Ibaraki sparse
-certificate live on :class:`~repro.kernels.reference.ReferenceBackend`
-(pure numpy).  Everything above (``graphs/``, ``keygraphs/``,
+the exact k-connectivity decision (Tarjan at ``k = 2``; at ``k >= 3``
+a Nagamochi–Ibaraki sparse certificate, then the closure scan) live on
+:class:`~repro.kernels.reference.ReferenceBackend` (pure numpy).  Everything above (``graphs/``, ``keygraphs/``,
 ``study/``) calls them through the one instance :func:`get_backend`
 returns, so a profiler can wrap the class's methods in one place and
 see every kernel call.

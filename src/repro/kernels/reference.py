@@ -8,21 +8,23 @@ workload in this repository:
 2. **candidate-pair overlap counting** — shared-key multiplicities per
    co-holding node pair from the key → holders incidence (the sampling
    cost of every deployment);
-3. **the exact k-connectivity decision** — Tarjan biconnectivity for
-   ``k = 2`` and, for ``k >= 3``, a bootstrap closure around one pivot
-   that asks a truncated-ISAP flow query only where the closure stalls,
-   each after a Nagamochi–Ibaraki sparse-certificate preprocessing pass
-   (the decision cost of every ``k >= 2`` sweep).
+3. **the exact k-connectivity decision** — Tarjan biconnectivity on
+   the simple graph for ``k = 2`` (linear, so no preprocessing pays)
+   and, for ``k >= 3``, a Nagamochi–Ibaraki sparse certificate followed
+   by a bootstrap closure around one pivot that asks a truncated-ISAP
+   flow query only where the closure stalls (the decision cost of
+   every ``k >= 2`` sweep).
 
 The module functions implement them:
 
 * :func:`min_label_components` is pointer-jumping min-label
   propagation;
 * :func:`overlap_counts` is the inverted-index counter: one sort of
-  combined ``key * n + node`` codes, group-size-batched pair-event
-  expansion, and a pair-code sort plus run-length count;
+  combined ``key * n + node`` codes, pair-event expansion batched by
+  holder count (one stable sort of the group sizes), and a pair-code
+  sort plus run-length count;
 * :func:`scan_first_certificate` is the Nagamochi–Ibaraki sparse
-  certificate via k rounds of scan-first (BFS) spanning forests.
+  certificate: the first k forests of one maximum-adjacency scan.
 
 :class:`ReferenceBackend` bundles them behind the methods every call
 site uses (through :func:`repro.kernels.get_backend`).  The contracts
@@ -32,7 +34,7 @@ graphs.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -77,6 +79,18 @@ def min_label_components(
             labels = jumped
 
 
+#: ``np.triu_indices(m, 1)`` per group size, built on first use.
+_TRIU: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _triu_pairs(m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of an m × m."""
+    pairs = _TRIU.get(m)
+    if pairs is None:
+        pairs = _TRIU[m] = np.triu_indices(m, k=1)
+    return pairs
+
+
 def overlap_counts(
     node_ids: np.ndarray, key_ids: np.ndarray, num_nodes: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -87,10 +101,11 @@ def overlap_counts(
     ``triu`` expansion of a group emits canonical pair codes
     ``a * n + b`` (``a < b``) directly.  Keys are processed in batches
     of equal holder count, so each batch is one ``(num_keys, m)``
-    gather plus one ``triu``-index expansion — no per-key Python
-    iteration.  Pair multiplicities are a second in-place sort plus a
-    run-length count.  Both sorts run on int32 when every code fits
-    (the common case), on int64 otherwise; the outputs are int64.
+    gather plus one ``triu``-index expansion (cached per size) — no
+    per-key Python iteration.  Pair multiplicities are a second
+    in-place sort plus a run-length count.  Both sorts run on int32
+    when every code fits (the common case), on int64 otherwise; the
+    outputs are int64.
     """
     n = int(num_nodes)
     narrow = (
@@ -108,20 +123,30 @@ def overlap_counts(
     sorted_nodes = codes - sorted_keys * n
 
     # Group boundaries: starts[i] .. starts[i+1] hold one key's holders.
-    change = np.flatnonzero(np.diff(sorted_keys)) + 1
+    # (Boundaries and run lengths come from boolean masks and plain
+    # differences: ``flatnonzero`` of an integer array and ``np.diff``
+    # with ``append`` cost several times more at these sizes.)
+    change = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
     starts = np.concatenate(([0], change, [sorted_keys.size]))
     group_sizes = np.diff(starts)
 
+    # Keys batched by holder count: one stable sort keeps each batch's
+    # keys ascending (on the smallest dtype that holds the sizes, which
+    # makes it a radix sort); keys held by one node emit no pair.
+    size_type = np.min_scalar_type(int(group_sizes.max()))
+    by_size = np.argsort(group_sizes.astype(size_type), kind="stable")
+    sizes = group_sizes[by_size]
+    cuts = np.flatnonzero(sizes[1:] != sizes[:-1]) + 1
+    bounds = np.concatenate(([0], cuts, [sizes.size])).tolist()
     pair_chunks = []
-    for m in np.unique(group_sizes):
-        m = int(m)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        m = int(sizes[lo])
         if m < 2:
             continue
-        sel = np.flatnonzero(group_sizes == m)
-        # (len(sel), m) matrix of holder ids for every key of this size.
-        gather = starts[sel][:, None] + np.arange(m, dtype=np.int64)[None, :]
+        # (hi - lo, m) matrix of holder ids for every key of this size.
+        gather = starts[by_size[lo:hi]][:, None] + np.arange(m, dtype=np.int64)
         holders = sorted_nodes[gather]
-        ia, ib = np.triu_indices(m, k=1)
+        ia, ib = _triu_pairs(m)
         pair_chunks.append((holders[:, ia] * n + holders[:, ib]).ravel())
 
     if not pair_chunks:
@@ -132,22 +157,36 @@ def overlap_counts(
     first[0] = True
     np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
     run_starts = np.flatnonzero(first)
-    counts = np.diff(run_starts, append=pairs.size)
-    return pairs[run_starts].astype(np.int64), counts.astype(np.int64)
+    counts = np.empty(run_starts.size, dtype=np.int64)
+    counts[:-1] = run_starts[1:] - run_starts[:-1]
+    counts[-1] = pairs.size - run_starts[-1]
+    return pairs[run_starts].astype(np.int64), counts
 
 
 def scan_first_certificate(
     num_nodes: int, edges: np.ndarray, k: int
 ) -> np.ndarray:
-    """Union of ``k`` successive scan-first-search spanning forests.
+    """Union of the first ``k`` maximum-adjacency forests (one pass).
 
-    ``F_i`` is a BFS spanning forest of ``G - (F_1 ∪ … ∪ F_{i-1})``
-    (BFS is a scan-first search: scanning a vertex visits every still
-    unvisited residual neighbor).  By Cheriyan–Kao–Thurimella the union
-    ``F_1 ∪ … ∪ F_k`` is k-vertex-connected iff ``G`` is, and it has at
-    most ``k * (num_nodes - 1)`` edges — so the flow queries of the
-    exact decision run on O(k·n) edges no matter how dense ``G`` was.
-    Inputs already within the bound are returned as-is.
+    Nagamochi–Ibaraki's forest decomposition: vertices are scanned one
+    at a time, always one of highest priority ``min(r, k)``, where
+    ``r[y]`` counts the already scanned neighbors of ``y`` (``k + 1``
+    LIFO buckets, ties toward the smallest id among untouched
+    vertices).  Scanning ``x`` walks its edges to unscanned vertices;
+    the edge that raises ``r[y]`` to ``i`` joins forest ``F_i``, and
+    edges that would raise it past ``k`` are dropped.
+
+    For every ``i <= k`` a vertex with ``r < i`` is scanned only when no
+    unscanned vertex has ``r >= i``, so ``F_i`` is a scan-first forest
+    of ``G - (F_1 ∪ … ∪ F_{i-1})``: scanning a vertex claims, through
+    the residual edges, every unscanned neighbor not yet reached at
+    level ``i``.  By Cheriyan–Kao–Thurimella the union
+    ``F_1 ∪ … ∪ F_k`` is then k-vertex-connected iff ``G`` is (and keeps
+    the components of ``G - S`` for every ``|S| < k``).  Each ``F_i``
+    gives every vertex at most one edge and the first vertex scanned
+    none, so the result has at most ``k * (num_nodes - 1)`` edges, in
+    input row order.  Inputs already within the bound are returned
+    as-is.
     """
     m = int(edges.shape[0])
     if m == 0 or k < 1 or m <= k * (num_nodes - 1):
@@ -158,40 +197,50 @@ def scan_first_certificate(
     v = edges[:, 1]
     endpoints = np.concatenate((u, v))
     order = np.argsort(endpoints, kind="stable")
-    adj_nbr = np.concatenate((v, u))[order].tolist()
+    adj_nbr: List[int] = np.concatenate((v, u))[order].tolist()
     eids = np.arange(m, dtype=np.int64)
-    adj_eid = np.concatenate((eids, eids))[order].tolist()
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(endpoints, minlength=num_nodes), out=indptr[1:])
-    indptr = indptr.tolist()
+    adj_eid: List[int] = np.concatenate((eids, eids))[order].tolist()
+    indptr_arr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(endpoints, minlength=num_nodes), out=indptr_arr[1:])
+    indptr: List[int] = indptr_arr.tolist()
 
-    used = [False] * m
-    remaining = m
-    for _ in range(k):
-        if remaining == 0:
-            break
-        visited = [False] * num_nodes
-        for root in range(num_nodes):
-            if visited[root]:
+    r = [0] * num_nodes  # scanned neighbors, capped at k
+    scanned = [False] * num_nodes
+    # buckets[j] stacks vertices whose r reached j; an entry is stale
+    # once its vertex is scanned or has moved up.  Bucket 0 pops the
+    # smallest untouched id first.
+    buckets: List[List[int]] = [list(range(num_nodes - 1, -1, -1))]
+    buckets.extend([] for _ in range(k))
+    kept: List[int] = []
+    top = 0
+    for _ in range(num_nodes):
+        while True:
+            stack = buckets[top]
+            while stack:
+                x = stack.pop()
+                if not scanned[x] and r[x] == top:
+                    break
+            else:
+                top -= 1
                 continue
-            visited[root] = True
-            queue = [root]
-            qi = 0
-            while qi < len(queue):
-                x = queue[qi]
-                qi += 1
-                for idx in range(indptr[x], indptr[x + 1]):
-                    w = adj_nbr[idx]
-                    if visited[w]:
-                        continue
-                    e = adj_eid[idx]
-                    if used[e]:
-                        continue
-                    visited[w] = True
-                    used[e] = True
-                    remaining -= 1
-                    queue.append(w)
-    return edges[np.asarray(used, dtype=bool)]
+            break
+        scanned[x] = True
+        for idx in range(indptr[x], indptr[x + 1]):
+            y = adj_nbr[idx]
+            if scanned[y]:
+                continue
+            level = r[y]
+            if level == k:
+                continue
+            level += 1
+            r[y] = level
+            kept.append(adj_eid[idx])
+            buckets[level].append(y)
+            if level > top:
+                top = level
+    keep = np.zeros(m, dtype=bool)
+    keep[kept] = True
+    return edges[keep]
 
 
 class ReferenceBackend:
@@ -237,8 +286,10 @@ class ReferenceBackend:
         Returns a subset of the ``(m, 2)`` int64 canonical edge array
         with at most ``k * (num_nodes - 1)`` edges such that the
         certificate subgraph is k-vertex-connected iff the input graph
-        is.  Row order of surviving edges is preserved; inputs already
-        at or below the bound are returned unchanged.
+        is: the first ``k`` forests of one maximum-adjacency scan
+        (:func:`scan_first_certificate`).  Row order of surviving edges
+        is preserved; inputs already at or below the bound are returned
+        unchanged.  The exact decision calls it for ``k >= 3`` only.
         """
         return scan_first_certificate(num_nodes, edges, k)
 
@@ -247,11 +298,11 @@ class ReferenceBackend:
 
         Delegates to
         :func:`repro.graphs.vertex_connectivity.is_k_connected_edges`,
-        which runs the min-label union for ``k = 1`` and, for ``k >= 2``,
-        :meth:`sparse_certificate` followed by Tarjan biconnectivity
-        (``k = 2``) or the bootstrap-closure scan, which walks the
-        uncertified edges and runs its truncated-ISAP flow queries on
-        the certificate (``k >= 3``).
+        which runs the min-label union for ``k = 1``, Tarjan
+        biconnectivity on the simple graph for ``k = 2`` and, for
+        ``k >= 3``, :meth:`sparse_certificate` followed by the
+        bootstrap-closure scan, which walks the uncertified edges and
+        runs its truncated-ISAP flow queries on the certificate.
         """
         # Imported at call time: repro.graphs imports this package.
         from repro.graphs.vertex_connectivity import is_k_connected_edges

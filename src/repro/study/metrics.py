@@ -372,10 +372,10 @@ class DeploymentEvaluator:
                 )
             if int(self.degrees(channel, q, p).min()) < metric.k:
                 return 0.0  # batched min-degree pre-filter
-            # Exact decision through the kernel set: the Nagamochi–
-            # Ibaraki certificate pass runs first, then array-first
-            # Tarjan (k = 2) or the bootstrap-closure scan (k >= 3),
-            # all on edge arrays.
+            # Exact decision through the kernel set, on edge arrays:
+            # Tarjan on the simple graph (k = 2), or the Nagamochi–
+            # Ibaraki certificate then the bootstrap-closure scan
+            # (k >= 3).
             return float(
                 get_backend().k_connected(
                     dep.num_nodes, self._edges(channel, q, p), metric.k

@@ -60,19 +60,23 @@ class CaptureAttackResult:
 def capture_attack(
     network: SecureWSN, num_captured: int, seed: RandomState = None
 ) -> CaptureAttackResult:
-    """Capture *num_captured* random sensors and audit all external links.
+    """Capture *num_captured* random live sensors and audit all external links.
 
     Only links between two non-captured sensors count ("external"):
     links touching a captured sensor are trivially lost with the node
     and are excluded, following Chan et al.'s resilience metric.
+    Sensors that already failed can be neither captured nor linked.
     """
     num_captured = check_nonnegative_int(num_captured, "num_captured")
-    if num_captured >= network.num_nodes:
-        raise ParameterError("cannot capture the entire network")
+    live = np.array([s.node_id for s in network.sensors if s.alive], dtype=np.int64)
+    if num_captured >= live.size:
+        raise ParameterError("cannot capture every live sensor")
     rng = as_generator(seed)
-    captured = np.sort(
-        rng.choice(network.num_nodes, size=num_captured, replace=False)
-    ).astype(np.int64)
+    # With every sensor alive ``live`` is ``arange(n)``, so this draws
+    # exactly what ``rng.choice(n, ...)`` draws.
+    captured = np.sort(rng.choice(live, size=num_captured, replace=False)).astype(
+        np.int64
+    )
 
     pool_size = network.scheme.pool_size
     captured_mask = np.zeros(pool_size, dtype=bool)

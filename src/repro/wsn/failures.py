@@ -41,8 +41,15 @@ def random_node_failures(
 def apply_random_failures(
     network: SecureWSN, failure_prob: float, seed: RandomState = None
 ) -> np.ndarray:
-    """Fail each live sensor independently; return the failed ids."""
-    failed = random_node_failures(network.num_nodes, failure_prob, seed)
+    """Fail each live sensor independently; return the newly failed ids.
+
+    One uniform is drawn per sensor, live or not, so the stream does
+    not depend on the failure state; sensors that had already failed
+    stay failed and are not returned.
+    """
+    drawn = random_node_failures(network.num_nodes, failure_prob, seed)
+    alive = np.array([s.alive for s in network.sensors], dtype=bool)
+    failed = drawn[alive[drawn]]
     network.fail_nodes(failed.tolist())
     return failed
 
@@ -73,19 +80,21 @@ def worst_case_failure_search(
 ) -> Tuple[bool, List[int]]:
     """Search for a ``num_failures``-node set whose removal disconnects the net.
 
-    Exhaustive when the number of candidate sets is at most
-    *max_combinations*; otherwise a uniform random sample of that many
-    sets is probed.  Returns ``(survives_all_probed, witness)`` where
-    *witness* is a disconnecting set if one was found (else empty).
+    Candidate sets are drawn from the live sensors (failed ones are
+    already gone).  Exhaustive when the number of candidate sets is at
+    most *max_combinations*; otherwise a uniform random sample of that
+    many sets is probed.  Returns ``(survives_all_probed, witness)``
+    where *witness* is a disconnecting set if one was found (else empty).
 
     Note: with an exhaustive search, ``survives_all_probed=True`` is a
-    proof that the network is ``(num_failures + 1)``-connected or better
-    (provided it was connected to begin with).
+    proof that the live network is ``(num_failures + 1)``-connected or
+    better (provided it was connected to begin with).
     """
     num_failures = check_nonnegative_int(num_failures, "num_failures")
-    n = network.num_nodes
+    live = [s.node_id for s in network.sensors if s.alive]
+    n = len(live)
     if num_failures >= n:
-        raise ParameterError("cannot fail at least as many sensors as exist")
+        raise ParameterError("cannot fail at least as many sensors as are live")
     if num_failures == 0:
         return network.is_connected(), []
 
@@ -95,11 +104,14 @@ def worst_case_failure_search(
 
     candidates: Iterable[Tuple[int, ...]]
     if total <= max_combinations:
-        candidates = itertools.combinations(range(n), num_failures)
+        candidates = itertools.combinations(live, num_failures)
     else:
         rng = as_generator(seed)
+        live_ids = np.array(live, dtype=np.int64)
+        # With every sensor alive this draws what ``rng.choice(n, ...)``
+        # draws.
         candidates = (
-            tuple(sorted(rng.choice(n, size=num_failures, replace=False).tolist()))
+            tuple(sorted(rng.choice(live_ids, num_failures, replace=False).tolist()))
             for _ in range(max_combinations)
         )
 

@@ -5,13 +5,16 @@ Three pillars:
 1. the kernel set — :func:`repro.kernels.get_backend` returns one
    instance whose class carries every kernel, so every call site (and a
    profiler wrapping the class) sees the same methods;
-2. the Nagamochi–Ibaraki sparse certificate — structural guarantees
-   (subset, <= k(n-1) edges) and the certificate-equivalence property:
-   ``is_k_connected_edges`` (certificate first) agrees bit-for-bit with
-   the uncertified deciders on the full edge array (Tarjan for k = 2,
-   the closure scan for k >= 3) on random ER and key-ring graphs across a
-   k grid, including the k <= 2 shortcut paths, n < k + 1 edge cases
-   and malformed edge arrays;
+2. the Nagamochi–Ibaraki sparse certificate (the first k forests of
+   one maximum-adjacency scan) — structural guarantees (subset,
+   <= k(n-1) edges), the exhaustive small-graph property that ``G - S``
+   and ``H - S`` have the same components for every ``|S| < k``, and
+   the certificate-equivalence property: ``is_k_connected_edges``
+   (Tarjan on the simple graph at k = 2, certificate then closure scan
+   at k >= 3) agrees bit-for-bit with the uncertified deciders on the
+   full edge array on random ER and key-ring graphs across a k grid,
+   including the k <= 2 shortcut paths, n < k + 1 edge cases and
+   malformed edge arrays;
 3. worker invariance — study metrics on the shared Figure-1 fixture
    (every kernel on) are identical serial and pooled, warm pool on and
    off.
@@ -105,6 +108,33 @@ class TestSparseCertificate:
             cert = scan_first_certificate(40, edges, 1)
             assert cert.shape[0] == 39
             assert nx.is_connected(to_graph(40, cert))
+
+    def test_components_agree_after_every_small_removal(self):
+        # Exhaustive: for every S with |S| < k, G - S and H - S have the
+        # same components (what the closure's G/H split relies on).
+        backend = get_backend()
+        rng = np.random.default_rng(22)
+        checks = cut = 0
+        for n in (6, 8, 10):
+            for p in (0.3, 0.5, 0.8):
+                for _ in range(8):
+                    edges = erdos_renyi_edges(n, p, rng)
+                    for k in (1, 2, 3, 4):
+                        cert = scan_first_certificate(n, edges, k)
+                        cut += cert.shape[0] < edges.shape[0]
+                        for size in range(k):
+                            for removed in itertools.combinations(range(n), size):
+                                keep = np.ones(n, dtype=bool)
+                                keep[list(removed)] = False
+                                labels = [
+                                    backend.min_label_components(
+                                        n, *(e[keep[e[:, 0]] & keep[e[:, 1]]].T)
+                                    )[keep]
+                                    for e in (edges, cert)
+                                ]
+                                assert np.array_equal(*labels), (n, k, removed)
+                                checks += 1
+        assert checks > 10000 and cut > 50, (checks, cut)
 
     def test_certificate_preserves_kappa_up_to_k(self):
         # The certificate preserves the decision for every k' <= k.

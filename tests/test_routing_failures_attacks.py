@@ -28,6 +28,14 @@ def dense_net() -> SecureWSN:
     return SecureWSN(25, QCompositeScheme(15, 60, 2), OnOffChannel(0.9), seed=5)
 
 
+@pytest.fixture
+def half_failed_net() -> SecureWSN:
+    """60 sensors with sensors 0-29 already failed."""
+    net = SecureWSN(60, QCompositeScheme(25, 300, 2), OnOffChannel(0.9), seed=11)
+    net.fail_nodes(range(30))
+    return net
+
+
 class TestRouting:
     def test_route_hops_are_secure_links(self, dense_net):
         route = find_secure_route(dense_net, 0, 24)
@@ -119,6 +127,36 @@ class TestFailures:
         with pytest.raises(ParameterError):
             worst_case_failure_search(dense_net, 25)
 
+    def test_apply_fails_only_live_sensors(self, half_failed_net):
+        # The draw is one uniform per sensor, as before; ids that had
+        # already failed are not reported as newly failed.
+        drawn = random_node_failures(60, 0.5, seed=3)
+        assert np.any(drawn < 30)
+        failed = apply_random_failures(half_failed_net, 0.5, seed=3)
+        assert failed.tolist() == [i for i in drawn.tolist() if i >= 30]
+        assert half_failed_net.live_count() == 30 - failed.size
+
+    def test_worst_case_probes_only_live_sensors(self, half_failed_net, monkeypatch):
+        import repro.wsn.failures as failures
+
+        probed = []
+        real = failures.connectivity_after_failures
+
+        def record(network, failed):
+            probed.append(tuple(failed))
+            return real(network, failed)
+
+        monkeypatch.setattr(failures, "connectivity_after_failures", record)
+        survives, witness = worst_case_failure_search(half_failed_net, 1)
+        if survives:
+            assert sorted(probed) == [(i,) for i in range(30, 60)]
+        assert all(i >= 30 for i in witness)
+        probed.clear()
+        worst_case_failure_search(half_failed_net, 3, max_combinations=40, seed=4)
+        assert probed and all(min(combo) >= 30 for combo in probed)
+        with pytest.raises(ParameterError):
+            worst_case_failure_search(half_failed_net, 30)
+
     def test_worst_case_zero_failures(self, dense_net):
         survives, witness = worst_case_failure_search(dense_net, 0)
         assert witness == []
@@ -144,6 +182,21 @@ class TestCaptureAttack:
     def test_capture_whole_network_raises(self, dense_net):
         with pytest.raises(ParameterError):
             capture_attack(dense_net, 25)
+
+    def test_captures_only_live_sensors(self, half_failed_net):
+        for seed in range(20):
+            result = capture_attack(half_failed_net, 10, seed=seed)
+            assert len(result.captured_nodes) == 10
+            assert min(result.captured_nodes) >= 30, seed
+        with pytest.raises(ParameterError):
+            capture_attack(half_failed_net, 30)
+
+    def test_all_alive_capture_stream_unchanged(self, dense_net):
+        # With no failed sensor the draw is rng.choice(n, ...), as it
+        # always was.
+        expected = np.sort(np.random.default_rng(7).choice(25, 6, replace=False))
+        result = capture_attack(dense_net, 6, seed=7)
+        assert result.captured_nodes == expected.tolist()
 
     def test_more_captures_more_compromise(self):
         wsn = SecureWSN(60, QCompositeScheme(20, 200, 1), seed=9)

@@ -1,11 +1,12 @@
 """Tests for the exact κ(G) >= k decision — the k-connectivity oracle.
 
-:func:`is_k_connected_edges` (certificate, then Tarjan for k = 2 or the
-bootstrap-closure scan for k >= 3) is the correctness keystone of the
-k-connectivity experiments, so it is cross-validated against
-``networkx.node_connectivity`` on hundreds of random graphs, including
-near-threshold Erdős–Rényi graphs where separators are small and
-plentiful.
+:func:`is_k_connected_edges` (Tarjan on the simple graph for k = 2; the
+sparse certificate, then the bootstrap-closure scan for k >= 3) is the
+correctness keystone of the k-connectivity experiments, so it is
+cross-validated against ``networkx.node_connectivity`` on hundreds of
+random graphs, including near-threshold Erdős–Rényi graphs where
+separators are small and plentiful, and dense graphs where the
+certificate drops most edges.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.vertex_connectivity import (
@@ -104,6 +105,19 @@ class TestIsKConnected:
     def test_k2_matches_biconnectivity(self, diamond_graph, bowtie_graph):
         assert is_k_connected_edges(4, diamond_graph, 2)
         assert not is_k_connected_edges(5, bowtie_graph, 2)
+
+    def test_k2_never_builds_a_certificate(self, rng, monkeypatch):
+        from repro.kernels.reference import ReferenceBackend
+
+        def refuse(self, num_nodes, edges, k):
+            raise AssertionError("the k = 2 decision built a certificate")
+
+        monkeypatch.setattr(ReferenceBackend, "sparse_certificate", refuse)
+        for _ in range(40):
+            n = int(rng.integers(4, 30))
+            g = _random_graph(n, float(rng.uniform(0.1, 0.9)), rng)
+            expected = nx.node_connectivity(g) >= 2
+            assert is_k_connected_edges(n, edges_of(g), 2) == expected
 
     def test_min_degree_shortcut(self):
         # Star: center degree n-1 but leaves have degree 1.
@@ -244,8 +258,52 @@ def kconn_cases(draw):
     return g, k
 
 
+@st.composite
+def dense_cases(draw, max_nodes: int):
+    """``(graph, k)``: dense G(n, p) well past the certificate bound.
+
+    With ``p >= 0.5`` and ``n >= 20`` the input has more than ``k(n-1)``
+    edges, so the certificate cuts edges; half the cases delete every
+    edge between two sides of a planted ``(k - 1)``-vertex separator,
+    so the answer is "no" with every degree still far above ``k``.
+    """
+    k = draw(st.sampled_from([3, 4]))
+    n = draw(st.integers(20, max_nodes))
+    p = draw(st.floats(0.5, 0.9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = nx.empty_graph(n)
+    g.add_edges_from(map(tuple, random_gnp_graph(n, p, rng).tolist()))
+    if draw(st.booleans()):
+        side = rng.permutation(n)
+        split = int(rng.integers(k + 2, n - k - 1))
+        left, right = side[k - 1 : split], side[split:]
+        g.remove_edges_from((int(a), int(b)) for a in left for b in right)
+    assume(g.number_of_edges() > k * (n - 1))
+    return g, k
+
+
 class TestClosureDifferential:
     """The closure scan against ``networkx.node_connectivity``."""
+
+    @staticmethod
+    def _check_dense(case):
+        g, k = case
+        n, edges = g.number_of_nodes(), edges_of(g)
+        assert edges.shape[0] > k * (n - 1)
+        expected = nx.node_connectivity(g) >= k
+        assert is_k_connected_edges(n, edges, k) == expected
+        assert _closure_scan_edges(n, edges, edges, k) == expected
+
+    @given(dense_cases(max_nodes=26))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_networkx_on_dense_inputs(self, case):
+        self._check_dense(case)
+
+    @pytest.mark.slow
+    @given(dense_cases(max_nodes=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_networkx_on_large_dense_inputs(self, case):
+        self._check_dense(case)
 
     @given(kconn_cases())
     @settings(max_examples=150, deadline=None)
