@@ -1,7 +1,7 @@
 """R006: typed exceptions only on supervised execution paths.
 
-The fault-tolerant scheduler, the shard transports, and the study/CLI
-boundaries all classify failures by exception type (retryable unit
+The fault-tolerant scheduler and the study/service/CLI boundaries
+all classify failures by exception type (retryable unit
 failures, shard mismatches, parameter errors rendered without a
 traceback).  A bare ``raise ValueError`` in ``keygraphs/``,
 ``simulation/``, ``study/`` or ``service/`` bypasses that

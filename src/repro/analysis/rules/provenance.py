@@ -45,9 +45,6 @@ class ProvenanceCompleteness(Rule):
             "chaos": "faults",
             "max_retries": "scheduler",
             "cache": "cache",
-            "transport": "transport",
-            "shards": "shards",
-            "shard_axis": "shard_axis",
         },
         # Recorded inside the result payload by construction: these
         # rewrite scenario fields, and ScenarioResult.to_dict embeds
@@ -56,7 +53,7 @@ class ProvenanceCompleteness(Rule):
         # Cannot alter result values: I/O locations, rendering, service
         # plumbing, and the linter's own flags.
         "operational_flags": [
-            "save", "file", "name", "shard", "job", "output",
+            "save", "file", "name", "job",
             "spool", "wait", "timeout", "events", "max_concurrent",
             "max_jobs", "idle_timeout",
             "paths", "select", "ignore", "format", "baseline",

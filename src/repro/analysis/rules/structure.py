@@ -5,8 +5,8 @@ import ``repro.graphs.graph`` (the Python object-graph layer) or take
 or return a ``Graph``-typed value, so only numpy arrays cross the
 kernel contracts.
 
-R005 keeps worker-reachable modules import-clean: subprocess workers
-(warm pool, ``repro worker``) import these modules under spawn, so
+R005 keeps worker-reachable modules import-clean: the warm pool's
+worker processes import these modules under spawn, so
 import-time environment reads or global-state mutation would snapshot
 coordinator state at the wrong moment and diverge between hosts.
 """

@@ -254,45 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
             "runs only the missing trial window"
         ),
     )
-    p.add_argument(
-        "--transport",
-        default=None,
-        choices=("inprocess", "subprocess"),
-        help=(
-            "run the study as shards over this transport (subprocess = "
-            "`repro worker` child interpreters, the remote stand-in); "
-            "results fold bit-identically to a one-shot run"
-        ),
-    )
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard count per deployment family (default 4 on the trial axis)",
-    )
-    p.add_argument(
-        "--shard-axis",
-        default="trial",
-        choices=("trial", "size"),
-        help=(
-            "axis to shard along: contiguous trial windows (default), or "
-            "size-grid entries for growth sweeps"
-        ),
-    )
-
-    p = sub.add_parser(
-        "worker", help="execute one shard JSON (service transport worker)"
-    )
-    p.add_argument("shard", help="path to a repro-shard/v1 JSON file")
-    p.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="write the shard result JSON here (default: SHARD.result.json)",
-    )
-    p.add_argument("--workers", type=int, default=None, help="process count")
-
     p = sub.add_parser(
         "serve", help="run the long-running study service on a spool directory"
     )
@@ -315,12 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         metavar="N",
         help="jobs executing at once, sharing the warm pool (default 2)",
-    )
-    p.add_argument(
-        "--transport",
-        default=None,
-        choices=("inprocess", "subprocess"),
-        help="execute jobs as shards over this transport",
     )
     p.add_argument(
         "--max-jobs",
@@ -536,9 +491,9 @@ def _run_study_file(args: argparse.Namespace) -> int:
     study = Study.from_dict(data)
     scheduler = _build_scheduler_policy(args)
     if args.target_ci is not None:
-        if args.cache or args.transport:
+        if args.cache:
             raise ExperimentError(
-                "--target-ci does not combine with --cache/--transport; "
+                "--target-ci does not combine with --cache; "
                 "submit adaptive jobs to `repro serve` instead"
             )
         from repro.study import AdaptivePolicy, run_adaptive_study
@@ -556,8 +511,12 @@ def _run_study_file(args: argparse.Namespace) -> int:
             "--max-trials/--block-trials configure adaptive runs; "
             "pass --target-ci to enable one"
         )
-    elif args.cache or args.transport:
-        result = _run_study_service_path(study, args, scheduler)
+    elif args.cache:
+        from repro.service.cache import ResultCache, run_cached
+
+        result = run_cached(
+            study, ResultCache(args.cache), workers=args.workers, scheduler=scheduler
+        )
     else:
         result = study.run(workers=args.workers, scheduler=scheduler)
     print(render_study_result(result))
@@ -576,12 +535,6 @@ def _run_study_file(args: argparse.Namespace) -> int:
         print(
             f"\ncache: {cache_info['disposition']} "
             f"({cache_info['executed_units']} work units executed{detail})"
-        )
-    if "transport" in result.provenance:
-        print(
-            f"transport: {result.provenance['transport']} "
-            f"({result.provenance.get('shards', '?')} shards along the "
-            f"{result.provenance.get('shard_axis', '?')} axis)"
         )
     faults = result.provenance.get("faults")
     if isinstance(faults, dict):
@@ -606,87 +559,20 @@ def _run_study_file(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_study_service_path(study, args: argparse.Namespace, scheduler):
-    """``repro study`` with --cache/--transport: the service execution path."""
-    from repro.service.cache import ResultCache, run_cached
-    from repro.service.shards import get_transport, run_sharded
-
-    transport = None
-    if args.transport is not None:
-        transport = get_transport(
-            args.transport,
-            workers=args.workers,
-            scheduler=scheduler if args.transport == "inprocess" else None,
-        )
-        if args.transport == "subprocess" and scheduler is not None:
-            raise ExperimentError(
-                "scheduler flags do not forward to subprocess workers; "
-                "set REPRO_CHAOS in the environment instead"
-            )
-    if args.cache:
-        return run_cached(
-            study,
-            ResultCache(args.cache),
-            workers=args.workers,
-            scheduler=scheduler,
-            transport=transport,
-            axis=args.shard_axis,
-            shards=args.shards,
-        )
-    return run_sharded(
-        study,
-        transport,
-        axis=args.shard_axis,
-        shards=args.shards,
-        workers=args.workers,
-        scheduler=scheduler,
-    )
-
-
-def _run_worker(args: argparse.Namespace) -> int:
-    from repro.service.shards import execute_shard
-
-    path = pathlib.Path(args.shard)
-    if not path.exists():
-        raise ExperimentError(f"no such shard file: {path}")
-    try:
-        shard = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"shard file {path} does not parse as JSON: {exc}")
-    payload = execute_shard(shard, workers=args.workers)
-    out = (
-        pathlib.Path(args.output)
-        if args.output
-        else path.with_suffix(".result.json")
-    )
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload))
-    print(str(out))
-    return 0
-
-
 def _run_serve(args: argparse.Namespace) -> int:
     from repro.service.cache import ResultCache
     from repro.service.queue import StudyService
-    from repro.service.shards import get_transport
 
     cache = ResultCache(args.cache) if args.cache else None
-    transport = (
-        get_transport(args.transport, workers=args.workers)
-        if args.transport
-        else None
-    )
     service = StudyService(
         args.spool,
         cache=cache,
         workers=args.workers,
         max_concurrent=args.max_concurrent,
-        transport=transport,
     )
     print(
         f"serving spool {service.spool} "
-        f"(cache: {args.cache or 'off'}, transport: "
-        f"{args.transport or 'direct'}, max-concurrent: {args.max_concurrent})",
+        f"(cache: {args.cache or 'off'}, max-concurrent: {args.max_concurrent})",
         flush=True,
     )
     executed = service.serve_forever(
@@ -936,9 +822,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "study":
         return _run_study_file(args)
-
-    if args.command == "worker":
-        return _run_worker(args)
 
     if args.command == "serve":
         return _run_serve(args)

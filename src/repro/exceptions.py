@@ -95,20 +95,10 @@ class ShardMismatchError(ExperimentError):
 
     Raised by :meth:`repro.study.result.ScenarioResult.merge` when the
     content hashes of the two scenarios differ, and by
-    :meth:`ScenarioResult.from_dict` when a serialized shard's embedded
+    :meth:`ScenarioResult.from_dict` when a serialized result's embedded
     ``scenario_hash`` does not match the scenario it carries.  Inherits
     from :class:`ExperimentError` so existing merge-boundary handlers
     keep working.
-    """
-
-
-class TransportError(ReproError):
-    """A shard transport failed to execute or round-trip a shard.
-
-    Raised by :mod:`repro.service.shards` when a worker invocation fails
-    (non-zero exit, unreadable result payload), when a shard result's
-    payload checksum does not match, or when folded shards do not cover
-    the requested trial window.
     """
 
 

@@ -227,8 +227,9 @@ def rings_to_incidence(rings, pool_size: int) -> np.ndarray:
     """Convert rings to a dense ``(n, P)`` uint8 membership matrix.
 
     Accepts either the ``(n, K)`` array of uniform rings or the ragged
-    list of binomial rings.  Used by the dense (Gram-matrix) overlap
-    backend and by tests.
+    list of binomial rings.  The test oracle (``tests/oracle.py``)
+    counts overlaps from its Gram matrix, independently of the
+    sort-based overlap kernel.
     """
     pool_size = check_positive_int(pool_size, "pool_size")
     if isinstance(rings, np.ndarray):

@@ -3,9 +3,8 @@
 The serving layer over the merge substrate (PR 4) and the
 fault-tolerant per-unit scheduler (PR 6):
 
-* :mod:`repro.service.shards` — self-describing shard JSONs and the
-  pluggable transports (in-process, subprocess worker) that execute
-  them, folded back bit-identically with overlay/merge;
+* :mod:`repro.service.shards` — trial-window shards of a compiled
+  study, run in process and folded back bit-identically with merge;
 * :mod:`repro.service.cache` — the content-addressed result cache and
   its overlap resolution (cache hit + ``run_extension`` delta);
 * :mod:`repro.service.queue` — the long-running study service behind

@@ -15,9 +15,9 @@ Dispositions of :func:`run_cached`, per study:
 * ``hit`` — every scenario's stored window covers its request; zero
   work units execute.
 * ``extension`` — stored windows cover a proper prefix;
-  :meth:`Study.run_extension` (optionally sharded over a transport)
-  computes only the missing ``[covered, requested)`` delta, merged and
-  stored back.
+  :meth:`Study.run_extension` (optionally split into in-process trial
+  shards) computes only the missing ``[covered, requested)`` delta,
+  merged and stored back.
 * ``miss`` — no usable stored prefix; full run, stored.
 * ``bypass`` — the study is uncacheable (mixed per-scenario trial
   counts); it runs plainly, nothing is stored.
@@ -38,7 +38,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import pathlib
+import tempfile
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -50,7 +52,7 @@ from repro.simulation.scheduler import (
     combine_fault_reports,
 )
 from repro.service import events
-from repro.service.shards import ShardTransport, run_sharded
+from repro.service.shards import InProcessTransport, run_sharded
 from repro.study.compiler import Study
 from repro.study.result import ScenarioResult, StudyResult
 from repro.study.scenario import Scenario
@@ -76,8 +78,9 @@ class ResultCache:
     """File-backed store mapping scenario content hash → result JSON.
 
     Layout: ``root/<hash[:2]>/<hash>.json`` (fan-out keeps directories
-    small at scale).  Writes go through a same-directory temp file +
-    ``rename`` so concurrent readers never observe a torn entry.
+    small at scale).  Each write goes through its own same-directory
+    temp file + ``rename``, so concurrent readers never observe a torn
+    entry and concurrent writers never move each other's files.
     """
 
     def __init__(self, root: Union[str, pathlib.Path]) -> None:
@@ -191,9 +194,14 @@ class ResultCache:
         }
         if faults is not None:
             payload["faults"] = faults
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload))
-        tmp.replace(path)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as stream:
+                stream.write(json.dumps(payload))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return True
 
 
@@ -211,19 +219,17 @@ def _unit_count(provenance: Mapping[str, object]) -> int:
 
 def _plain_run(
     study: Study,
-    transport: Optional[ShardTransport],
-    axis: str,
+    transport: Optional[InProcessTransport],
     shards: Optional[int],
     workers: Optional[int],
     scheduler: Optional[SchedulerPolicy],
     window: Optional[Tuple[int, int]] = None,
 ) -> StudyResult:
-    """Full or delta execution, routed through the transport if given."""
+    """Full or delta execution, split into shards if a transport is given."""
     if transport is not None:
         return run_sharded(
             study,
             transport,
-            axis=axis,
             shards=shards,
             workers=workers,
             scheduler=scheduler,
@@ -242,8 +248,7 @@ def run_cached(
     *,
     workers: Optional[int] = None,
     scheduler: Optional[SchedulerPolicy] = None,
-    transport: Optional[ShardTransport] = None,
-    axis: str = "trial",
+    transport: Optional[InProcessTransport] = None,
     shards: Optional[int] = None,
 ) -> StudyResult:
     """Answer *study* from *cache*, computing only what is missing.
@@ -252,7 +257,9 @@ def run_cached(
     per-scenario values equal a cold one-shot run of *study* exactly —
     truncation slices absolute-indexed trial slots, extension reruns
     the identical seeded windows, and merge concatenates them in order.
-    Provenance gains a ``"cache"`` entry recording the disposition,
+    With a *transport*, executed work runs as up to *shards* trial
+    shards per group (:func:`~repro.service.shards.run_sharded`) under
+    the transport's workers and scheduler.  Provenance gains a ``"cache"`` entry recording the disposition,
     per-scenario content hashes, covered/requested trials, the delta
     window, and the executed-unit count.
     """
@@ -265,7 +272,7 @@ def run_cached(
     if len(requested_counts) != 1:
         # Mixed trial counts have no single family window to resolve
         # overlap on.
-        result = _plain_run(study, transport, axis, shards, workers, scheduler)
+        result = _plain_run(study, transport, shards, workers, scheduler)
         events.emit("cache_bypass", scenarios=sorted(hashes))
         provenance = dict(result.provenance)
         provenance["cache"] = {
@@ -323,7 +330,7 @@ def run_cached(
             delta_window=list(delta_window),
         )
         delta = _plain_run(
-            study, transport, axis, shards, workers, scheduler, window=delta_window
+            study, transport, shards, workers, scheduler, window=delta_window
         )
         results = {}
         for sc in study.scenarios:
@@ -343,7 +350,7 @@ def run_cached(
             scenarios=sorted(hashes),
             requested_trials=requested,
         )
-        full = _plain_run(study, transport, axis, shards, workers, scheduler)
+        full = _plain_run(study, transport, shards, workers, scheduler)
         results = {sc.name: full[sc.name] for sc in study.scenarios}
         run_faults = _fault_report(full.provenance)
         executed_units = _unit_count(full.provenance)
@@ -357,8 +364,6 @@ def run_cached(
     provenance = dict(base_provenance)
     provenance.pop("trial_window", None)  # the merged result is full-window
     provenance["units"] = executed_units
-    if transport is not None:
-        provenance.setdefault("transport", transport.name)
     cache_info: Dict[str, object] = {
         "disposition": disposition,
         "store": str(cache.root),

@@ -2,7 +2,7 @@
 
 A tiny process-local pub/sub bus: producers deep in the stack — the
 fault-tolerant scheduler (unit completed, fault quarantined), the
-adaptive driver (cell converged, round finished), the shard transport
+adaptive driver (cell converged, round finished), the shard runner
 (shard dispatched/folded), the result cache (hit/miss/extension), and
 the job queue (job lifecycle) — call :func:`emit`; consumers such as
 ``repro serve`` (which journals each job's events to a JSONL stream

@@ -3,11 +3,11 @@
 ``repro serve --spool DIR`` watches ``DIR/jobs/`` for study JSONs,
 claims each atomically (rename into ``DIR/active/`` — safe against a
 second server on the same spool), and executes up to
-``max_concurrent`` jobs in worker threads.  Every job runs through the
-cached execution path (:func:`repro.service.cache.run_cached`) when
-the server has a cache, so repeated and overlapping submissions are
-answered as hits/extensions, and through the PR 6 scheduler for
-per-unit supervision.  Concurrent jobs share the warm process pool:
+``max_concurrent`` jobs in worker threads.  Every fixed-trial job runs
+through the cached execution path (:func:`repro.service.cache.run_cached`)
+when the server has a cache, so repeated and overlapping submissions
+are answered as hits/extensions; adaptive jobs bypass the cache.  All
+jobs run under the PR 6 scheduler for per-unit supervision.  Concurrent jobs share the warm process pool:
 :mod:`repro.simulation.pool` hands each run the same executor under a
 lease, so two jobs interleave work units instead of spawning rival
 pools.
@@ -51,7 +51,6 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.exceptions import ParameterError
 from repro.service import events
 from repro.service.cache import ResultCache, run_cached
-from repro.service.shards import ShardTransport
 from repro.simulation.scheduler import SchedulerPolicy
 from repro.study.adaptive import AdaptivePolicy, run_adaptive_study
 from repro.study.compiler import Study
@@ -76,7 +75,14 @@ def _now() -> float:
 
 
 class StudyService:
-    """Watches a spool directory and executes submitted studies."""
+    """Watches a spool directory and executes submitted studies.
+
+    A fixed-trial job is answered through :func:`run_cached` when the
+    service has a *cache*, and by a plain :meth:`Study.run` otherwise.
+    An adaptive job (one with ``target_ci``) always runs
+    :func:`run_adaptive_study` and bypasses the cache: its ragged
+    per-cell trial counts are not a storable prefix.
+    """
 
     def __init__(
         self,
@@ -86,7 +92,6 @@ class StudyService:
         workers: Optional[int] = None,
         max_concurrent: int = 2,
         scheduler: Optional[SchedulerPolicy] = None,
-        transport: Optional[ShardTransport] = None,
         poll_interval: float = 0.2,
     ) -> None:
         if not isinstance(max_concurrent, int) or max_concurrent < 1:
@@ -105,7 +110,6 @@ class StudyService:
         # Supervised runs are bit-identical to plain ones when every
         # unit completes, so defaulting costs nothing but bookkeeping.
         self.scheduler = scheduler if scheduler is not None else SchedulerPolicy()
-        self.transport = transport
         self.poll_interval = poll_interval
         self._status_lock = threading.Lock()
 
@@ -181,16 +185,6 @@ class StudyService:
             return run_cached(
                 study,
                 self.cache,
-                workers=self.workers,
-                scheduler=self.scheduler,
-                transport=self.transport,
-            )
-        if self.transport is not None:
-            from repro.service.shards import run_sharded
-
-            return run_sharded(
-                study,
-                self.transport,
                 workers=self.workers,
                 scheduler=self.scheduler,
             )

@@ -22,8 +22,9 @@ for any worker count and any block layout.
 
 :meth:`Study.run_extension` emits the same work units from an
 arbitrary starting trial index — the incremental rounds of adaptive
-trial allocation (:mod:`repro.study.adaptive`) and the shard unit of
-multi-host execution.  Extension shards merge into accumulated results
+trial allocation (:mod:`repro.study.adaptive`), the result cache's
+delta windows and the in-process trial shards of
+:mod:`repro.service.shards`.  Extension shards merge into accumulated results
 via :meth:`~repro.study.result.ScenarioResult.merge`, bit-for-bit
 equal to a one-shot run at the total trial count.  :meth:`Study.run`
 is the same emitter over each group's full window ``[0, trials)``;

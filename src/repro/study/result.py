@@ -25,9 +25,9 @@ windows (rejecting mismatched scenarios, overlapping ranges, gaps, and
 incompatible axis shapes).  Because every ``(size, ring, trial)`` cell
 is seeded by its absolute trial index and values are assign-only, a
 merge of windows ``[0, b)`` and ``[b, t)`` is bit-for-bit the tensor a
-one-shot run at ``t`` trials produces — the substrate both the adaptive
-driver (:mod:`repro.study.adaptive`) and sharded multi-host execution
-build on.  Cells that a shard did not evaluate hold ``NaN``; the
+one-shot run at ``t`` trials produces — the substrate the adaptive
+driver (:mod:`repro.study.adaptive`), the result cache's extensions and
+trial-window shards (:mod:`repro.service`) build on.  Cells that a shard did not evaluate hold ``NaN``; the
 estimator accessors skip them, so per-cell trial counts may be ragged
 (the adaptive driver stops extending converged cells).
 """
@@ -188,63 +188,6 @@ class ScenarioResult:
             values=np.concatenate((first.values, second.values), axis=-3),
             metric_labels=self.metric_labels,
             trial_offset=first.trial_offset,
-        )
-
-    def overlay(self, other: "ScenarioResult") -> "ScenarioResult":
-        """Fold another shard of the *same* trial window into this one.
-
-        The complement of :meth:`merge`: merge joins disjoint trial
-        windows, overlay joins disjoint *cells* of one window.  Size- or
-        column-axis shards each evaluate a subset of cells over the full
-        window (the rest hold NaN); overlaying them fills each NaN slot
-        from whichever shard evaluated it.  Cells both shards evaluated
-        must agree bit-for-bit — deployments are seeded by absolute
-        trial index, so any disagreement means the shards did not come
-        from the same deterministic stream.
-        """
-        if not isinstance(other, ScenarioResult):
-            raise ExperimentError(
-                f"can only overlay ScenarioResult, got {type(other).__name__}"
-            )
-        if (
-            self.scenario.content_hash() != other.scenario.content_hash()
-            or self.scenario.trials != other.scenario.trials
-        ):
-            raise ShardMismatchError(
-                f"cannot overlay results of mismatched scenarios "
-                f"{self.scenario.name!r} / {other.scenario.name!r} "
-                f"(content hashes {self.scenario.content_hash()[:12]} vs "
-                f"{other.scenario.content_hash()[:12]})"
-            )
-        if self.metric_labels != other.metric_labels:
-            raise ExperimentError(
-                f"cannot overlay: metric labels differ "
-                f"({self.metric_labels} vs {other.metric_labels})"
-            )
-        if self.trial_offset != other.trial_offset or (
-            self.values.shape != other.values.shape
-        ):
-            raise ExperimentError(
-                f"cannot overlay: trial windows differ "
-                f"({self.trial_range} shape {self.values.shape} vs "
-                f"{other.trial_range} shape {other.values.shape}); "
-                f"use merge() for adjacent windows"
-            )
-        mine_nan = np.isnan(self.values)
-        theirs_nan = np.isnan(other.values)
-        both = ~mine_nan & ~theirs_nan
-        if both.any() and not np.array_equal(
-            self.values[both], other.values[both]
-        ):
-            raise ExperimentError(
-                f"cannot overlay: {int(both.sum())} cells evaluated by both "
-                f"shards of scenario {self.scenario.name!r} disagree"
-            )
-        return ScenarioResult(
-            scenario=self.scenario,
-            values=np.where(mine_nan, other.values, self.values),
-            metric_labels=self.metric_labels,
-            trial_offset=self.trial_offset,
         )
 
     def truncated(self, trials: int) -> "ScenarioResult":
@@ -471,8 +414,8 @@ class ScenarioResult:
         return float((a[valid] == b[valid]).mean())
 
     def to_dict(self) -> Dict[str, object]:
-        # Unevaluated slots serialize as null, not NaN: shard JSONs are
-        # the multi-host interchange format, and bare NaN tokens are
+        # Unevaluated slots serialize as null, not NaN: saved results
+        # are read by other JSON tools, and bare NaN tokens are
         # invalid under RFC 8259 (jq / JSON.parse reject them).
         # ``from_dict``'s float64 coercion maps null back to NaN.
         nan_mask = np.isnan(self.values)
@@ -566,10 +509,9 @@ class StudyResult:
         Both results must cover the same scenarios (matched by name, in
         any order); each pair merges per
         :meth:`ScenarioResult.merge`, with its adjacency and
-        compatibility validation.  This is the shard-combination step
-        of adaptive extension rounds and of sharded multi-host
-        execution: run disjoint trial windows anywhere, merge in trial
-        order.  Additive provenance (deployment counts) is summed; the
+        compatibility validation: run disjoint trial windows (for
+        example two :meth:`~repro.study.compiler.Study.run_extension`
+        calls), merge in trial order.  Additive provenance (deployment counts) is summed; the
         rest is taken from ``self``.
         """
         if sorted(self.names()) != sorted(other.names()):

@@ -4,7 +4,7 @@ The load-bearing contracts: a :class:`ClassMix` scenario round-trips
 through JSON and hashes stably; homogeneous scenarios keep their
 historical deployment keys byte-identical; class-mix sweeps stay
 deterministic and bit-identical across every execution substrate
-(one-shot, adaptive extension, trial/size sharding, content-addressed
+(one-shot, adaptive extension, trial sharding, content-addressed
 cache); and the two registry experiments reproduce the heterogeneous
 zero-one / min-degree laws (their agreement with independent per-trial
 sampling is checked in ``tests/test_oracle.py``).
@@ -227,11 +227,12 @@ class TestHetBitIdentityAcrossInfra:
         assert adaptive.values.shape == one_shot.values.shape
         assert np.array_equal(adaptive.values, one_shot.values)
 
-    @pytest.mark.parametrize("axis", ["trial", "size"])
-    def test_sharded_equals_one_shot(self, axis):
+    # Shards split the trial axis; the id names it.
+    @pytest.mark.parametrize("shards", [pytest.param(2, id="trial")])
+    def test_sharded_equals_one_shot(self, shards):
         study = Study((het_scenario(),))
         baseline = study.run(workers=WORKERS)["het"]
-        sharded = run_sharded(study, axis=axis, shards=2, workers=WORKERS)["het"]
+        sharded = run_sharded(study, shards=shards, workers=WORKERS)["het"]
         assert np.array_equal(baseline.values, sharded.values)
 
     def test_cache_dispositions_bit_identical(self, tmp_path):

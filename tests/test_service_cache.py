@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +22,12 @@ from repro.exceptions import ParameterError
 from repro.service.cache import CACHE_FORMAT, CacheEntry, ResultCache, run_cached
 from repro.service import events
 from repro.simulation.faults import ChaosSpec, FaultStrategy
-from repro.simulation.scheduler import SchedulerPolicy, combine_fault_reports
+from repro.service.shards import InProcessTransport, run_sharded
+from repro.simulation.scheduler import (
+    FaultReport,
+    SchedulerPolicy,
+    combine_fault_reports,
+)
 from repro.study.compiler import Study
 from repro.study.result import ScenarioResult
 from repro.study.scenario import STREAM_VERSION, MetricSpec, Scenario
@@ -229,6 +236,40 @@ class TestStorePolicy:
         assert shard.trial_offset == 2
         assert cache.store(shard) is False
 
+    def test_concurrent_first_stores_of_one_key(self, cache, monkeypatch):
+        # Two writers of the same new entry, each holding its rename
+        # until both have written: the interleaving in which a shared
+        # temp-file name let one writer's rename move the other's file,
+        # so the second rename raised FileNotFoundError.
+        result = Study((_scenario(),)).run(workers=WORKERS)["cached"]
+        both_written = threading.Barrier(2, timeout=30)
+        real_replace = os.replace
+
+        def paired_replace(src, dst):
+            both_written.wait()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", paired_replace)
+        errors = []
+
+        def writer():
+            try:
+                assert cache.store(result) is True
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        entry = cache.lookup(result.scenario)
+        assert entry is not None
+        assert np.array_equal(entry.result.values, result.values)
+        path = cache.path_for(result.scenario.content_hash())
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
     def test_store_keeps_the_widest_result(self, cache):
         wide = Study((_scenario(trials=10),)).run(workers=WORKERS)["cached"]
         narrow = Study((_scenario(trials=4),)).run(workers=WORKERS)["cached"]
@@ -377,6 +418,64 @@ class TestReadPath:
         ResultCache(cache.root).store(wide)  # a second handle on the store
         assert cache.store(narrow) is False
         assert cache.lookup(_scenario()).trials == 10
+
+
+class TestShardedRoute:
+    """``run_cached`` over two in-process trial shards per group."""
+
+    @staticmethod
+    def _run(study, cache, transport):
+        return run_cached(
+            study, cache, workers=WORKERS, transport=transport, shards=2
+        )
+
+    def test_miss_extension_hit_bit_identical(self, cache):
+        transport = InProcessTransport(workers=WORKERS)
+        short, full = Study((_scenario(),)), Study((_scenario(trials=10),))
+        one_shot = full.run(workers=WORKERS)["cached"]
+        prefix = short.run(workers=WORKERS)["cached"]
+        assert np.array_equal(one_shot.truncated(6).values, prefix.values)
+
+        cold = self._run(short, cache, transport)
+        assert cold.provenance["cache"]["disposition"] == "miss"
+        assert cold.provenance["shards"] == 2
+        assert cold["cached"].scenario == short.scenarios[0]
+        assert np.array_equal(cold["cached"].values, prefix.values)
+
+        ext = self._run(full, cache, transport)
+        assert ext.provenance["cache"]["disposition"] == "extension"
+        assert ext.provenance["cache"]["delta_window"] == [6, 10]
+        assert ext["cached"].scenario == full.scenarios[0]
+        assert np.array_equal(ext["cached"].values, one_shot.values)
+
+        for study, expected in ((full, one_shot), (short, prefix)):
+            hit = self._run(study, cache, transport)
+            assert hit.provenance["cache"]["disposition"] == "hit"
+            assert hit.provenance["cache"]["executed_units"] == 0
+            assert hit.provenance["units"] == 0
+            assert np.array_equal(hit["cached"].values, expected.values)
+
+    def test_chaos_faults_fold_exactly_once(self, cache):
+        transport = InProcessTransport(workers=WORKERS, scheduler=_chaos_policy())
+        short, full = Study((_scenario(),)), Study((_scenario(trials=10),))
+        cold = self._run(short, cache, transport)
+        ext = self._run(full, cache, transport)
+        assert ext.provenance["cache"]["disposition"] == "extension"
+        # The delta alone, rerun outside the cache: chaos decisions are
+        # seeded per (unit, attempt), so it reports the same faults.
+        delta = run_sharded(full, transport, shards=2, window=(6, 10))
+        cold_faults = cold.provenance["faults"]
+        delta_faults = delta.provenance["faults"]
+        assert cold_faults["crashes"] > 0 and delta_faults["crashes"] > 0
+        for name in FaultReport._COUNTERS:
+            assert ext.provenance["faults"][name] == (
+                cold_faults[name] + delta_faults[name]
+            ), name
+
+        hit = self._run(full, cache, transport)
+        assert hit.provenance["cache"]["disposition"] == "hit"
+        assert "faults" not in hit.provenance
+        assert hit.provenance["cache"]["stored_faults"] == ext.provenance["faults"]
 
 
 class TestBypass:
