@@ -20,18 +20,16 @@ Dispositions of :func:`run_cached`, per study:
   merged and stored back.
 * ``miss`` — no usable stored prefix; full run, stored.
 * ``bypass`` — the study is uncacheable (mixed per-scenario trial
-  counts); it runs plainly, nothing is stored.
+  counts); it runs plainly, unsharded, and nothing is stored.
 
 Only complete (NaN-free) results are stored: a partial result (dead
 units, adaptive raggedness) is not a valid prefix to extend, because a
 one-shot run at the larger count would have evaluated the skipped
-cells.  Fault reports ride along with stored results and are folded —
-deduplicated by :func:`~repro.simulation.scheduler.combine_fault_reports`
-— into the final provenance of any run that executes new work, so a
-cached-then-extended study reports each historical fault exactly once.
-A pure *hit* executes nothing: its ``provenance["faults"]`` never
-resurrects stored reports (the run itself was fault-free); the folded
-history stays inspectable under ``provenance["cache"]["stored_faults"]``.
+cells.  Entries hold values only.  A run reports the units,
+deployments and faults of the work *it* executed: a hit reports none,
+and an extension folds the stored prefix into its delta with
+:meth:`~repro.study.result.StudyResult.merge`, which adds nothing for
+the prefix.
 """
 
 from __future__ import annotations
@@ -41,16 +39,12 @@ import json
 import os
 import pathlib
 import tempfile
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import ParameterError
-from repro.simulation.scheduler import (
-    SchedulerPolicy,
-    check_fault_report,
-    combine_fault_reports,
-)
+from repro.simulation.scheduler import SchedulerPolicy
 from repro.service import events
 from repro.service.shards import InProcessTransport, run_sharded
 from repro.study.compiler import Study
@@ -64,10 +58,9 @@ CACHE_FORMAT = "repro-cache/v1"
 
 @dataclasses.dataclass(frozen=True)
 class CacheEntry:
-    """One stored scenario result and the faults it survived."""
+    """One stored scenario result."""
 
     result: ScenarioResult
-    faults: Optional[Dict[str, object]]
 
     @property
     def trials(self) -> int:
@@ -94,12 +87,11 @@ class ResultCache:
         """The stored entry for *scenario*'s family, or ``None``.
 
         Unreadable or mismatched entries (hand-edited, interrupted
-        writes from pre-atomic-write versions, hash collisions, a
-        malformed fault report) are treated as misses, never as errors
-        — the cache must only ever make runs cheaper.  Such an entry is
-        also removed: :meth:`store` trusts a cheap coverage read, so a
-        malformed entry left in place could block the store that
-        replaces it.
+        writes from pre-atomic-write versions, hash collisions) are
+        treated as misses, never as errors — the cache must only ever
+        make runs cheaper.  Such an entry is also removed: :meth:`store`
+        trusts a cheap coverage read, so a malformed entry left in place
+        could block the store that replaces it.
         """
         key = scenario.content_hash()
         path = self.path_for(key)
@@ -131,13 +123,9 @@ class ResultCache:
             return None
         if result.scenario.content_hash() != key or result.trial_offset != 0:
             return None
-        faults = data.get("faults")
-        if faults is not None:
-            try:
-                check_fault_report(faults)
-            except ParameterError:
-                return None
-        return CacheEntry(result=result, faults=faults)
+        # Entries of earlier versions also carry a "faults" history;
+        # it is ignored.
+        return CacheEntry(result=result)
 
     def _stored_trials(self, key: str) -> int:
         """Trial coverage of the entry stored under *key*; 0 if unusable.
@@ -166,11 +154,7 @@ class ResultCache:
         except (OSError, ValueError, KeyError, TypeError, IndexError, AttributeError):
             return 0
 
-    def store(
-        self,
-        result: ScenarioResult,
-        faults: Optional[Dict[str, object]] = None,
-    ) -> bool:
+    def store(self, result: ScenarioResult) -> bool:
         """Store *result* if it improves on what is held; report whether.
 
         Skipped (returns ``False``) when the result is partial
@@ -192,8 +176,6 @@ class ResultCache:
             "scenario_hash": key,
             "result": result.to_dict(),
         }
-        if faults is not None:
-            payload["faults"] = faults
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as stream:
@@ -203,18 +185,6 @@ class ResultCache:
             os.unlink(tmp)
             raise
         return True
-
-
-def _fault_report(provenance: Mapping[str, object]) -> Optional[Dict[str, object]]:
-    """The run's structured fault report, typed; ``None`` when absent."""
-    faults = provenance.get("faults")
-    return faults if isinstance(faults, dict) else None
-
-
-def _unit_count(provenance: Mapping[str, object]) -> int:
-    """The run's executed-unit count, typed; 0 when absent/malformed."""
-    units = provenance.get("units", 0)
-    return int(units) if isinstance(units, int) else 0
 
 
 def _plain_run(
@@ -227,14 +197,7 @@ def _plain_run(
 ) -> StudyResult:
     """Full or delta execution, split into shards if a transport is given."""
     if transport is not None:
-        return run_sharded(
-            study,
-            transport,
-            shards=shards,
-            workers=workers,
-            scheduler=scheduler,
-            window=window,
-        )
+        return run_sharded(study, transport, shards=shards, window=window)
     if window is not None:
         return study.run_extension(
             window[0], window[1], workers=workers, scheduler=scheduler
@@ -258,10 +221,11 @@ def run_cached(
     truncation slices absolute-indexed trial slots, extension reruns
     the identical seeded windows, and merge concatenates them in order.
     With a *transport*, executed work runs as up to *shards* trial
-    shards per group (:func:`~repro.service.shards.run_sharded`) under
-    the transport's workers and scheduler.  Provenance gains a ``"cache"`` entry recording the disposition,
-    per-scenario content hashes, covered/requested trials, the delta
-    window, and the executed-unit count.
+    shards (:func:`~repro.service.shards.run_sharded`) under the
+    transport's workers and scheduler; a bypassed study runs unsharded
+    under them.  Provenance gains a ``"cache"`` entry recording the
+    disposition, per-scenario content hashes, covered/requested
+    trials, the delta window, and the executed-unit count.
     """
     if not isinstance(cache, ResultCache):
         raise ParameterError(
@@ -271,14 +235,16 @@ def run_cached(
     requested_counts = {sc.trials for sc in study.scenarios}
     if len(requested_counts) != 1:
         # Mixed trial counts have no single family window to resolve
-        # overlap on.
-        result = _plain_run(study, transport, shards, workers, scheduler)
+        # overlap on, nor one trial range to shard.
+        if transport is not None:
+            workers, scheduler = transport.workers, transport.scheduler
+        result = study.run(workers=workers, scheduler=scheduler)
         events.emit("cache_bypass", scenarios=sorted(hashes))
         provenance = dict(result.provenance)
         provenance["cache"] = {
             "disposition": "bypass",
             "scenario_hashes": hashes,
-            "executed_units": _unit_count(provenance),
+            "executed_units": provenance["units"],
         }
         return StudyResult(results=result.results, provenance=provenance)
 
@@ -288,106 +254,62 @@ def run_cached(
         (entry.trials if entry is not None else 0 for entry in entries.values()),
         default=0,
     )
-    # Fault history rides the cache entries; ``run_faults`` is what the
-    # work executed by THIS call reported.  The two are folded together
-    # for the store-back (each historical fault stored exactly once),
-    # but only runs that executed new work surface the fold as their
-    # own ``provenance["faults"]`` — a pure hit executed nothing, so
-    # resurrecting stored crash reports there would claim faults that
-    # never happened in this invocation.
-    stored_faults: List[Optional[Dict[str, object]]] = []
-    run_faults: Optional[Dict[str, object]] = None
-
-    if covered >= requested:
-        disposition = "hit"
-        results = {}
-        for sc in study.scenarios:
-            entry = entries[sc.name]
-            assert entry is not None
-            results[sc.name] = entry.result.truncated(requested)
-            stored_faults.append(entry.faults)
-        executed_units = 0
-        delta_window = None
-        base_provenance: Dict[str, object] = {
-            "engine": "study/v1",
-            "units": 0,
-            "deployments": 0,
-        }
-        events.emit(
-            "cache_hit",
-            scenarios=sorted(hashes),
-            covered_trials=covered,
-            requested_trials=requested,
-        )
-    elif covered > 0:
-        disposition = "extension"
-        delta_window = (covered, requested)
-        events.emit(
-            "cache_extension",
-            scenarios=sorted(hashes),
-            covered_trials=covered,
-            requested_trials=requested,
-            delta_window=list(delta_window),
-        )
-        delta = _plain_run(
-            study, transport, shards, workers, scheduler, window=delta_window
-        )
-        results = {}
-        for sc in study.scenarios:
-            entry = entries[sc.name]
-            assert entry is not None
-            base = entry.result.truncated(covered)
-            results[sc.name] = base.merge(delta[sc.name])
-            stored_faults.append(entry.faults)
-        run_faults = _fault_report(delta.provenance)
-        executed_units = _unit_count(delta.provenance)
-        base_provenance = dict(delta.provenance)
-    else:
+    delta_window: Optional[Tuple[int, int]] = None
+    if covered == 0:
         disposition = "miss"
-        delta_window = None
         events.emit(
             "cache_miss",
             scenarios=sorted(hashes),
             requested_trials=requested,
         )
-        full = _plain_run(study, transport, shards, workers, scheduler)
-        results = {sc.name: full[sc.name] for sc in study.scenarios}
-        run_faults = _fault_report(full.provenance)
-        executed_units = _unit_count(full.provenance)
-        base_provenance = dict(full.provenance)
+        result = _plain_run(study, transport, shards, workers, scheduler)
+    else:
+        # Every entry covers at least ``covered`` trials.
+        stored = StudyResult(
+            results=tuple(
+                entry.result.truncated(min(covered, requested))  # type: ignore[union-attr]
+                for entry in entries.values()
+            ),
+            provenance={"engine": "study/v1", "units": 0, "deployments": 0},
+        )
+        if covered >= requested:
+            disposition = "hit"
+            result = stored
+            events.emit(
+                "cache_hit",
+                scenarios=sorted(hashes),
+                covered_trials=covered,
+                requested_trials=requested,
+            )
+        else:
+            disposition = "extension"
+            delta_window = (covered, requested)
+            events.emit(
+                "cache_extension",
+                scenarios=sorted(hashes),
+                covered_trials=covered,
+                requested_trials=requested,
+                delta_window=list(delta_window),
+            )
+            delta = _plain_run(
+                study, transport, shards, workers, scheduler, window=delta_window
+            )
+            # The delta leads the fold: its provenance describes this
+            # call's execution, and the stored prefix adds no work to it.
+            result = delta.merge(stored)
+    if disposition != "hit":
+        for res in result.results:
+            cache.store(res)
 
-    combined_faults = combine_fault_reports([*stored_faults, run_faults])
-    if disposition != "hit":  # a hit's stored entries already cover it
-        for sc in study.scenarios:
-            cache.store(results[sc.name], faults=combined_faults)
-
-    provenance = dict(base_provenance)
+    provenance = dict(result.provenance)
     provenance.pop("trial_window", None)  # the merged result is full-window
-    provenance["units"] = executed_units
-    cache_info: Dict[str, object] = {
+    provenance["cache"] = {
         "disposition": disposition,
         "store": str(cache.root),
         "scenario_hashes": hashes,
         "covered_trials": covered,
         "requested_trials": requested,
         "delta_window": list(delta_window) if delta_window else None,
-        "executed_units": executed_units,
+        "executed_units": provenance["units"],
     }
-    if disposition == "hit":
-        # Zero work units ran: the answer's fault history stays visible
-        # under the cache record, but provenance["faults"] — what THIS
-        # run's execution reported — must not resurrect it.
-        if combined_faults is not None:
-            cache_info["stored_faults"] = combined_faults
-    elif combined_faults is not None:
-        # New work merged with (possibly faulted) stored results: fold
-        # history + this run's report, each historical fault exactly
-        # once (see combine_fault_reports dedup).
-        provenance["faults"] = combined_faults
-    elif "faults" in provenance:
-        del provenance["faults"]
-    provenance["cache"] = cache_info
-    return StudyResult(
-        results=tuple(results[sc.name] for sc in study.scenarios),
-        provenance=provenance,
-    )
+    return StudyResult(results=result.results, provenance=provenance)

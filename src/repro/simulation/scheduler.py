@@ -47,7 +47,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import heapq
-import json
 import pickle
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
@@ -74,7 +73,6 @@ __all__ = [
     "run_units",
     "resolve_scheduler_policy",
     "combine_fault_reports",
-    "check_fault_report",
     "payload_checksum",
 ]
 
@@ -232,107 +230,33 @@ class FaultReport:
         return out
 
 
-def _is_window(window: object) -> bool:
-    return (
-        isinstance(window, (list, tuple))
-        and len(window) == 2
-        and all(type(bound) is int for bound in window)
-    )
-
-
-def check_fault_report(report: object) -> None:
-    """Validate a stored fault-report dict (a cache entry's or a shard's).
-
-    Counters must be non-bool ints, ``dead_units`` and ``events`` lists
-    of objects with scalar ids, and any ``window`` two ints.  Unknown
-    keys are ignored, so reports carrying counters this version no
-    longer keeps still load.  Raises
-    :class:`~repro.exceptions.ParameterError` naming the malformed
-    fields, so :func:`combine_fault_reports` never meets one.
-    """
-    if not isinstance(report, dict):
-        raise ParameterError(f"fault report must be an object, got {type(report).__name__}")
-    bad = [name for name in FaultReport._COUNTERS if type(report.get(name, 0)) is not int]
-    if "window" in report and not _is_window(report["window"]):
-        bad.append("window")
-    for field, ids in (("dead_units", ("unit_index",)), ("events", ("unit", "attempt", "kind"))):
-        entries = report.get(field, [])
-        if not isinstance(entries, list) or not all(
-            isinstance(entry, dict)
-            and not any(isinstance(entry.get(key), (list, dict)) for key in ids)
-            and ("window" not in entry or _is_window(entry["window"]))
-            for entry in entries
-        ):
-            bad.append(field)
-    if bad:
-        raise ParameterError(f"fault report has malformed fields {bad}")
-
-
 def combine_fault_reports(reports: Sequence[Optional[Dict[str, object]]]) -> Optional[Dict[str, object]]:
-    """Fold fault-report dicts from rounds / shards / resubmissions.
+    """Sum the fault-report dicts of disjoint executions.
 
     Counters sum; dead-letter and event lists concatenate (events stay
-    capped).  ``None`` entries (rounds that ran unsupervised) are
-    skipped; all-``None`` input folds to ``None``.  Reports read from
-    outside the process must pass :func:`check_fault_report` first.
-
-    Folding is idempotent against service-level resubmission: a report
-    that appears twice (the cache folds a stored report back in next to
-    a delta run that already included it) is counted once, keyed on its
-    canonical JSON form.  Within distinct reports, events and dead
-    units are deduplicated on ``(trial window, unit, attempt, kind)`` —
-    unit indices are positional per round, so the ``"window"`` stamp
-    the compiler writes into each report is what keeps genuinely
-    different rounds from colliding.
+    capped).  Unit indices are positional per run, so each entry is
+    stamped with its report's trial ``"window"`` (the compiler writes
+    one into every report) unless it already carries one.  ``None``
+    entries (runs that went unsupervised) are skipped; all-``None``
+    input folds to ``None``.  Every report must describe work no other
+    report covers: :meth:`~repro.study.result.StudyResult.merge`, the
+    one caller, folds each executed trial window exactly once.
     """
-    live: List[Dict[str, object]] = []
-    seen_reports = set()
-    for report in reports:
-        if not report:
-            continue
-        key = json.dumps(report, sort_keys=True, default=str)
-        if key in seen_reports:
-            continue
-        seen_reports.add(key)
-        live.append(report)
+    live = [report for report in reports if report]
     if not live:
         return None
     total = FaultReport()
-    seen_dead = set()
-    seen_events = set()
     for report in live:
         for name in FaultReport._COUNTERS:
-            setattr(total, name, getattr(total, name) + int(report.get(name, 0)))  # type: ignore[arg-type]
-        window = tuple(report.get("window", ()))  # type: ignore[arg-type]
-        for dead in report.get("dead_units", ()):  # type: ignore[union-attr]
-            dead_window = tuple(dead.get("window", window))
-            key = (dead_window, dead.get("unit_index"), str(dead.get("last_error")))
-            if key in seen_dead:
-                continue
-            seen_dead.add(key)
-            if dead_window and "window" not in dead:
-                # Stamp the source window onto the entry itself, so a
-                # combined report folded again later (cache extension
-                # upon cache extension) still distinguishes rounds.
-                dead = dict(dead)
-                dead["window"] = list(dead_window)
-            total.dead_units.append(dead)
-        for event in report.get("events", ()):  # type: ignore[union-attr]
-            event_window = tuple(event.get("window", window))
-            key = (
-                event_window,
-                event.get("unit"),
-                event.get("attempt"),
-                event.get("kind"),
-            )
-            if key in seen_events:
-                continue
-            seen_events.add(key)
-            if event_window and "window" not in event:
-                event = dict(event)
-                event["window"] = list(event_window)
-            if len(total.events) < _EVENT_CAP:
-                total.events.append(event)
+            setattr(total, name, getattr(total, name) + int(report.get(name, 0)))  # type: ignore[call-overload]
+        window = report.get("window")
+        for field in ("dead_units", "events"):
+            entries = getattr(total, field)
+            for entry in report.get(field, ()):  # type: ignore[attr-defined]
+                if window is not None and "window" not in entry:
+                    entry = dict(entry, window=list(window))  # type: ignore[call-overload]
+                entries.append(entry)
+    del total.events[_EVENT_CAP:]
     return total.to_dict()
 
 
@@ -373,8 +297,8 @@ def _execute_unit(
     """Run one attempt worker-side, threading the chaos middleware.
 
     The checksum is computed *before* post-execution injection, so a
-    ``partial``-strategy corruption is detectable at the supervisor —
-    exactly like a transport-layer checksum on a real shard service.
+    ``partial``-strategy corruption is detectable at the supervisor,
+    which re-validates every payload it receives.
     """
     unit_index, attempt, unit, inline = task
     injector = FailureInjector(ChaosSpec.from_dict(chaos)) if chaos is not None else None

@@ -19,7 +19,7 @@ Each round executes
 trial window ``[t, t + block)`` with the established ``(size_index,
 ring_index, trial)`` SeedSequence addressing and merges the shard into
 the accumulating result
-(:meth:`~repro.study.result.ScenarioResult.merge`), so a converged
+(:meth:`~repro.study.result.StudyResult.merge`), so a converged
 adaptive run is bit-for-bit identical to a one-shot run at the same
 per-cell trial counts — determinism is never traded for adaptivity.
 Converged cells hold ``NaN`` beyond their stopping point; estimator
@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.exceptions import ParameterError
 from repro.simulation.estimators import wilson_half_width
-from repro.simulation.scheduler import SchedulerPolicy, combine_fault_reports
+from repro.simulation.scheduler import SchedulerPolicy
 from repro.study.compiler import ActiveMap, Study
 from repro.study.result import ScenarioResult, StudyResult
 from repro.study.scenario import Scenario
@@ -275,7 +275,7 @@ def _cell_converged(
 
 
 def _active_columns(
-    plans, acc: Dict[str, ScenarioResult], policy: AdaptivePolicy
+    plans, acc: StudyResult, policy: AdaptivePolicy
 ) -> ActiveMap:
     """Unconverged ``(size, K, curve)`` cells, keyed per schedulable column."""
     active: ActiveMap = {}
@@ -315,10 +315,12 @@ def run_adaptive_study(
     stops paying for the others.
 
     *scheduler* opts every round into fault-tolerant per-unit
-    supervision (see :meth:`Study.run`); per-round fault reports are
-    folded into one combined ``"faults"`` provenance entry.
+    supervision (see :meth:`Study.run`).  Each round folds into the
+    accumulated result through :meth:`StudyResult.merge`, so its
+    ``units``, ``deployments`` and ``"faults"`` provenance count every
+    round.
 
-    Returns a :class:`StudyResult` whose provenance carries the
+    Returns a :class:`StudyResult` whose provenance also carries the
     policy, the per-round windows, and the final allocation summary
     (see :func:`trial_allocation`).
     """
@@ -338,15 +340,8 @@ def run_adaptive_study(
             f"measured metric labels: {sorted(known_labels)}"
         )
 
-    first = study.run(workers=workers, scheduler=scheduler)
-    acc: Dict[str, ScenarioResult] = {
-        res.scenario.name: res for res in first.results
-    }
-    deployments = int(first.provenance.get("deployments", 0))  # type: ignore[arg-type]
+    acc = study.run(workers=workers, scheduler=scheduler)
     rounds: List[Dict[str, object]] = []
-    fault_reports: List[Optional[Dict[str, object]]] = [
-        first.provenance.get("faults")  # type: ignore[list-item]
-    ]
 
     for plan in study.compile():
         members = plan.scenarios
@@ -373,10 +368,7 @@ def run_adaptive_study(
             shard = group.run_extension(
                 total, stop, active=active, workers=workers, scheduler=scheduler
             )
-            for member in members:
-                acc[member.name] = acc[member.name].merge(shard[member.name])
-            deployments += int(shard.provenance.get("deployments", 0))  # type: ignore[arg-type]
-            fault_reports.append(shard.provenance.get("faults"))  # type: ignore[arg-type]
+            acc = acc.merge(shard)
             rounds.append(
                 {
                     "scenarios": [m.name for m in members],
@@ -403,22 +395,13 @@ def run_adaptive_study(
                 max_trials=policy.max_trials,
             )
 
-    result = StudyResult(
-        results=tuple(acc[s.name] for s in study.scenarios),
-        provenance=dict(first.provenance),
-    )
-    allocation = trial_allocation(result)
-    provenance = dict(first.provenance)
-    provenance["deployments"] = deployments
+    provenance = dict(acc.provenance)
     provenance["adaptive"] = {
         "policy": policy.to_dict(),
         "rounds": rounds,
-        **allocation,
+        **trial_allocation(acc),
     }
-    combined_faults = combine_fault_reports(fault_reports)
-    if combined_faults is not None:
-        provenance["faults"] = combined_faults
-    return StudyResult(results=result.results, provenance=provenance)
+    return StudyResult(results=acc.results, provenance=provenance)
 
 
 def trial_allocation(result: StudyResult) -> Dict[str, object]:

@@ -24,11 +24,11 @@ for any worker count and any block layout.
 arbitrary starting trial index — the incremental rounds of adaptive
 trial allocation (:mod:`repro.study.adaptive`), the result cache's
 delta windows and the in-process trial shards of
-:mod:`repro.service.shards`.  Extension shards merge into accumulated results
-via :meth:`~repro.study.result.ScenarioResult.merge`, bit-for-bit
-equal to a one-shot run at the total trial count.  :meth:`Study.run`
-is the same emitter over each group's full window ``[0, trials)``;
-both send every unit to the per-unit supervisor
+:mod:`repro.service.shards`.  Extension shards fold into accumulated
+results through :meth:`~repro.study.result.StudyResult.merge`,
+bit-for-bit equal to a one-shot run at the total trial count.
+:meth:`Study.run` is the same emitter over each group's full window
+``[0, trials)``; both send every unit to the per-unit supervisor
 (:func:`~repro.simulation.scheduler.run_units`) in one call.
 """
 
@@ -481,9 +481,9 @@ class Study:
         }
         if policy is not None:
             provenance["scheduler"] = policy.to_dict()
-            # The window stamp qualifies per-round positional unit
-            # indices when reports from several rounds/shards are folded
-            # (see combine_fault_reports).
+            # Unit indices are positional per run; the window stamp
+            # keeps the events of different trial windows apart once
+            # StudyResult.merge folds their reports.
             faults = report.to_dict()
             faults["window"] = [
                 min((start for start, _ in windows), default=0),

@@ -44,6 +44,7 @@ import numpy as np
 from repro.exceptions import ExperimentError, ParameterError, ShardMismatchError
 from repro.simulation.estimators import BernoulliEstimate
 from repro.simulation.results import _field, _mapping, _read_json
+from repro.simulation.scheduler import combine_fault_reports
 from repro.study.scenario import STREAM_VERSION, Curve, Scenario
 from repro.utils.tables import format_table
 
@@ -442,7 +443,7 @@ class ScenarioResult:
         raw_scenario = _mapping(_field(data, "scenario", what), f"{what} 'scenario'")
         # Before the scenario parses or its hash is checked: an older
         # stream's file gets this message, not an unknown-field or
-        # "edited in transport" one.
+        # hash-mismatch one.
         stream = data.get("stream_version")
         if type(stream) is not int or stream != STREAM_VERSION:
             raise ExperimentError(
@@ -473,10 +474,10 @@ class ScenarioResult:
         embedded = data.get("scenario_hash")
         if embedded is not None and embedded != scenario.content_hash():
             raise ShardMismatchError(
-                f"shard for scenario {scenario.name!r} embeds content hash "
+                f"result for scenario {scenario.name!r} embeds content hash "
                 f"{str(embedded)[:12]} but its scenario hashes to "
-                f"{scenario.content_hash()[:12]}; the payload was edited or "
-                f"mixed up in transport"
+                f"{scenario.content_hash()[:12]}; the file was edited after "
+                f"it was saved"
             )
         return cls(
             scenario=scenario,
@@ -504,27 +505,38 @@ class StudyResult:
         return [r.scenario.name for r in self.results]
 
     def merge(self, other: "StudyResult") -> "StudyResult":
-        """Merge two partial study results scenario-by-scenario.
+        """Fold another trial window of the same study into this one.
 
-        Both results must cover the same scenarios (matched by name, in
-        any order); each pair merges per
+        The one fold of the library: trial shards, adaptive rounds and
+        cache extensions all go through it.  Each scenario of *other*
+        merges into the same-named scenario of ``self`` per
         :meth:`ScenarioResult.merge`, with its adjacency and
-        compatibility validation: run disjoint trial windows (for
-        example two :meth:`~repro.study.compiler.Study.run_extension`
-        calls), merge in trial order.  Additive provenance (deployment counts) is summed; the
-        rest is taken from ``self``.
+        compatibility checks.  *other* may cover a subset of ``self``'s
+        scenarios (an adaptive round extends one deployment family);
+        the rest pass through unchanged, and a scenario ``self`` lacks
+        is an error.  Executed work adds up: ``units`` and
+        ``deployments`` are summed and the ``faults`` reports are
+        combined (:func:`~repro.simulation.scheduler.combine_fault_reports`).
+        All other provenance is taken from ``self``.
         """
-        if sorted(self.names()) != sorted(other.names()):
+        theirs = {res.scenario.name: res for res in other.results}
+        if not set(theirs) <= set(self.names()):
             raise ExperimentError(
                 f"cannot merge study results over different scenario sets: "
-                f"{sorted(self.names())} vs {sorted(other.names())}"
+                f"{sorted(self.names())} vs {sorted(theirs)}"
             )
-        merged = tuple(res.merge(other[res.scenario.name]) for res in self.results)
+        merged = tuple(
+            res.merge(theirs[res.scenario.name]) if res.scenario.name in theirs else res
+            for res in self.results
+        )
         provenance = dict(self.provenance)
-        if "deployments" in provenance and "deployments" in other.provenance:
-            provenance["deployments"] = int(provenance["deployments"]) + int(
-                other.provenance["deployments"]  # type: ignore[arg-type]
-            )
+        for key in ("units", "deployments"):
+            mine, extra = self.provenance.get(key, 0), other.provenance.get(key, 0)
+            provenance[key] = int(mine) + int(extra)  # type: ignore[call-overload]
+        reports = [self.provenance.get("faults"), other.provenance.get("faults")]
+        faults = combine_fault_reports(reports)  # type: ignore[arg-type]
+        if faults is not None:
+            provenance["faults"] = faults
         return StudyResult(results=merged, provenance=provenance)
 
     def to_dict(self) -> Dict[str, object]:

@@ -48,7 +48,7 @@ __all__ = ["CHANNEL_KINDS", "METRIC_KINDS", "STREAM_VERSION", "ClassMix", "Metri
 
 #: Version of the sampled random stream.  A change to the draw order
 #: bumps it (and regenerates both golden digest files), so cache keys
-#: and shard hash checks never mix trials from two streams.
+#: and saved-result checks never mix trials from two streams.
 STREAM_VERSION = 1
 
 Curve = Tuple[int, float]
@@ -768,9 +768,9 @@ class Scenario:
     def content_hash(self) -> str:
         """sha256 hex digest of the trials-excluded canonical JSON form.
 
-        This is the content address used by the result cache and shard
-        transport: every shard, extension, and merged union of the same
-        experiment shares one hash, while any other field difference
+        This is the content address used by the result cache and the
+        merge checks: every shard, extension, and merged union of the
+        same experiment shares one hash, while any other field difference
         (seed, curves, metrics, grid, ...) produces a different one.
         :data:`STREAM_VERSION` is folded in too, so results sampled by
         an older stream never match.

@@ -19,6 +19,7 @@ import pytest
 
 from repro.exceptions import ExperimentError, ParameterError
 from repro.simulation.estimators import wilson_half_width, wilson_interval
+from repro.simulation.scheduler import SchedulerPolicy
 from repro.study import (
     AdaptivePolicy,
     MetricSpec,
@@ -270,14 +271,39 @@ class TestMergeValidation:
         with pytest.raises(ExperimentError, match="different scenario sets"):
             study_a.merge(other)
 
+    def test_study_result_merge_folds_a_subset_and_sums_work(self):
+        ra, rb = self._pair()
+        other = manual_result(
+            plain_scenario(name="other", trials=4), np.ones((2, 4, 2, 1))
+        )
+        report = {"units": 1, "completed": 1, "attempts": 1, "window": [0, 4]}
+        both = StudyResult(
+            results=(ra, other),
+            provenance={"units": 2, "deployments": 8, "faults": report, "engine": "x"},
+        )
+        extension = StudyResult(
+            results=(rb,),
+            provenance={"units": 1, "deployments": 6, "faults": dict(report, window=[4, 7])},
+        )
+        merged = both.merge(extension)
+        assert merged.names() == ["plain", "other"]
+        assert merged["plain"].trial_range == (0, 7)
+        assert merged["other"] is other
+        assert merged.provenance["units"] == 3
+        assert merged.provenance["deployments"] == 14
+        assert merged.provenance["faults"]["units"] == 2
+        assert merged.provenance["engine"] == "x"
+        with pytest.raises(ExperimentError, match="different scenario sets"):
+            extension.merge(both)
+
     def test_merged_result_roundtrips_through_json(self):
         ra, rb = self._pair()
         vb = rb.values.copy()
         vb[0, :, 0, 0] = np.nan  # ragged cell, as adaptive runs produce
         rb = manual_result(rb.scenario, vb, offset=4)
         merged = ra.merge(rb)
-        # Shard JSONs are the multi-host interchange format: they must
-        # be strict RFC 8259 (no bare NaN tokens), so non-Python
+        # Saved results are read by other JSON tools: they must be
+        # strict RFC 8259 (no bare NaN tokens), so non-Python
         # consumers can parse them.  Unevaluated slots become null.
         text = json.dumps(merged.to_dict(), allow_nan=False)
         restored = ScenarioResult.from_dict(json.loads(text))
@@ -525,6 +551,31 @@ class TestAdaptiveDriver:
 
 
 # -- zero_one adaptive mode -------------------------------------------
+
+
+class TestProvenanceCounts:
+    def test_units_and_faults_count_every_round(self):
+        study = Study(
+            (
+                plain_scenario("a", trials=8, num_nodes=60, pool_size=600,
+                               ring_sizes=(10,), curves=((1, 0.5),)),
+                plain_scenario("b", trials=8, seed=12, num_nodes=60, pool_size=600,
+                               ring_sizes=(10,), curves=((1, 0.9),)),
+            )
+        )
+        result = run_adaptive_study(
+            study,
+            AdaptivePolicy(ci_target=0.001, max_trials=18, block_trials=6),
+            workers=1,
+            scheduler=SchedulerPolicy(),
+        )
+        # Two units in the first round, then two one-unit rounds per
+        # group: the provenance used to keep the first round's count.
+        assert len(result.provenance["adaptive"]["rounds"]) == 4
+        assert result.provenance["units"] == 6
+        assert result.provenance["faults"]["units"] == 6
+        assert result.provenance["faults"]["completed"] == 6
+        assert result.provenance["deployments"] == 2 * 18
 
 
 class TestZeroOneAdaptive:

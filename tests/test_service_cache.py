@@ -3,8 +3,8 @@
 The contract: whatever the cache holds, ``run_cached`` returns values
 bit-identical to a cold one-shot run — a hit truncates absolute-indexed
 trial slots, an extension reruns only the identically-seeded missing
-window, and fault reports from stored and delta runs fold without
-double-counting.  Exercised with the warm pool on and off and with
+window, and a run reports the units and faults of the work it executed
+itself, never those of stored entries.  Exercised with the warm pool on and off and with
 chaos injection active, mirroring the PR 6 convergence proofs.
 """
 
@@ -121,41 +121,50 @@ class TestDispositionsBitIdentical:
         assert np.array_equal(base_ext["cached"].values, ext["cached"].values)
 
 
+def _plain(name, seed, curve, trials):
+    return Scenario(
+        name=name,
+        num_nodes=60,
+        pool_size=600,
+        ring_sizes=(10,),
+        curves=(curve,),
+        trials=trials,
+        seed=seed,
+        metrics=(MetricSpec("connectivity"),),
+    )
+
+
 class TestFaultDedup:
     def test_extension_does_not_double_count_stored_faults(self, cache):
         study = Study((_scenario(),))
-        cold = run_cached(study, cache, workers=WORKERS, scheduler=_chaos_policy())
-        cold_faults = cold.provenance["faults"]
+        run_cached(study, cache, workers=WORKERS, scheduler=_chaos_policy())
 
         extended = Study((_scenario(trials=10),))
         ext = run_cached(
             extended, cache, workers=WORKERS, scheduler=_chaos_policy()
         )
-        ext_faults = ext.provenance["faults"]
-        # The stored report rides along exactly once; the delta round
-        # adds its own on top.  A double-count would at least double
-        # the cold attempt total.
-        assert ext_faults["attempts"] > cold_faults["attempts"]
-        assert ext_faults["attempts"] < 2 * cold_faults["attempts"] + 1
+        # The extension reports the delta window's execution alone:
+        # the same faults as that window run outside the cache (chaos
+        # decisions are seeded per (unit, attempt)).
+        delta = extended.run_extension(
+            6, 10, workers=WORKERS, scheduler=_chaos_policy()
+        )
+        for name in FaultReport._COUNTERS:
+            assert ext.provenance["faults"][name] == delta.provenance["faults"][name]
+        assert ext.provenance["units"] == delta.provenance["units"]
 
         # Re-requesting the extended study is a pure hit: this run
-        # executed nothing, so it reports no faults of its own — the
-        # folded history comes back unchanged from the store under the
-        # cache record, not re-summed and not resurrected as "faults".
+        # executed nothing, so it reports no faults.
         again = run_cached(extended, cache, workers=WORKERS)
         assert again.provenance["cache"]["disposition"] == "hit"
         assert "faults" not in again.provenance
-        stored = again.provenance["cache"]["stored_faults"]
-        assert stored["attempts"] == ext_faults["attempts"]
 
     def test_hit_after_faulted_run_has_fault_free_provenance(self, cache):
         """Regression: cached-with-faults → fault-free rerun provenance.
 
-        A chaos-supervised cold run stores its fault report with the
-        result.  A later fault-free rerun answered entirely from the
-        cache must not claim those crashes as its own execution: no
-        top-level ``"faults"``, zero units — while the history stays
-        inspectable under ``cache.stored_faults``.
+        A later fault-free rerun answered entirely from the cache must
+        not claim the cold run's crashes as its own execution: no
+        ``"faults"``, zero units.
         """
         study = Study((_scenario(),))
         cold = run_cached(study, cache, workers=WORKERS, scheduler=_chaos_policy())
@@ -166,7 +175,6 @@ class TestFaultDedup:
         assert info["disposition"] == "hit"
         assert info["executed_units"] == 0
         assert "faults" not in rerun.provenance
-        assert info["stored_faults"]["crashes"] == cold.provenance["faults"]["crashes"]
         assert np.array_equal(cold["cached"].values, rerun["cached"].values)
 
     def test_fault_free_history_leaves_hit_provenance_clean(self, cache):
@@ -177,23 +185,6 @@ class TestFaultDedup:
         assert hit.provenance["cache"]["disposition"] == "hit"
         assert "faults" not in hit.provenance
         assert "stored_faults" not in hit.provenance["cache"]
-
-    def test_combine_is_idempotent_on_duplicates(self):
-        report = {
-            "units": 2,
-            "attempts": 3,
-            "completed": 2,
-            "crashes": 1,
-            "window": [0, 6],
-            "events": [
-                {"unit": 0, "attempt": 0, "kind": "crash", "detail": "boom"}
-            ],
-            "dead_units": [],
-        }
-        twice = combine_fault_reports([report, json.loads(json.dumps(report))])
-        assert twice["attempts"] == 3
-        assert twice["crashes"] == 1
-        assert len(twice["events"]) == 1
 
     def test_distinct_windows_both_survive(self):
         base = {
@@ -207,18 +198,30 @@ class TestFaultDedup:
         second = dict(base, window=[6, 10])
         combined = combine_fault_reports([first, second])
         # Same (unit, attempt, kind) in different trial windows are
-        # genuinely different events.
+        # genuinely different events; each keeps its window stamp.
         assert combined["attempts"] == 2
-        assert len(combined["events"]) == 2
-        # The service folds folded reports: a stored combined report
-        # re-entering the fold verbatim stays fully deduplicated, and
-        # even a constituent resurfacing cannot duplicate its events
-        # (they carry their window stamps).
-        refolded = combine_fault_reports([combined, json.loads(json.dumps(combined))])
-        assert refolded["attempts"] == 2
-        assert len(refolded["events"]) == 2
-        with_constituent = combine_fault_reports([combined, first])
-        assert len(with_constituent["events"]) == 2
+        assert [event["window"] for event in combined["events"]] == [[0, 6], [6, 10]]
+
+    def test_each_call_reports_the_units_it_ran(self, cache):
+        # {a, b} at 8 trials (a miss), {a} at 16, then {a, b} at 16:
+        # both a and b get extended by the third call, whose faults
+        # used to add the first call's report twice (7 units, not 2).
+        policy = SchedulerPolicy()
+        a8, b8 = _plain("a", 11, (1, 0.5), 8), _plain("b", 12, (1, 0.9), 8)
+        a16, b16 = a8.with_trials(16), b8.with_trials(16)
+        calls = [Study((a8, b8)), Study((a16,)), Study((a16, b16))]
+        results = [run_cached(s, cache, workers=1, scheduler=policy) for s in calls]
+        assert [r.provenance["cache"]["disposition"] for r in results] == [
+            "miss", "extension", "extension"
+        ]
+        assert [r.provenance["cache"]["executed_units"] for r in results] == [2, 1, 2]
+        for result in results:
+            info = result.provenance["cache"]
+            assert result.provenance["faults"]["units"] == info["executed_units"]
+            assert result.provenance["units"] == info["executed_units"]
+        one_shot = Study((a16, b16)).run(workers=1)
+        for name in ("a", "b"):
+            assert np.array_equal(results[-1][name].values, one_shot[name].values)
 
 
 class TestStorePolicy:
@@ -306,10 +309,6 @@ MANGLINGS = {
     "stream_version_lower": lambda e: e["result"].update(stream_version=STREAM_VERSION - 1),
     "trial_offset": lambda e: e["result"].update(trial_offset=3),
     "values_truncated": _drop_last_size,
-    "faults_units_str": lambda e: e.update(faults={"units": "x"}),
-    "faults_dead_units_int": lambda e: e.update(faults={"dead_units": 5}),
-    "faults_events_ints": lambda e: e.update(faults={"events": [1]}),
-    "faults_dead_units_ints": lambda e: e.update(faults={"dead_units": [1]}),
 }
 
 
@@ -345,22 +344,27 @@ class TestMangledEntries:
         assert entry is not None and np.array_equal(entry.result.values, cold_values)
 
     def test_parent_format_fault_report_still_hits_and_folds(self, cache):
+        # Entries written by earlier versions carry a "faults" history,
+        # well-formed or not; it is ignored.
         study = Study((_scenario(),))
-        cold = run_cached(study, cache, workers=1, scheduler=_chaos_policy())
-        retired = {"timeouts": 1, "speculative": 2, "dedup_identical": 2, "delays": 1}
+        cold = run_cached(study, cache, workers=1)
         _rewrite_entry(
-            cache, study.scenarios[0], lambda e: e["faults"].update(retired)
+            cache,
+            study.scenarios[0],
+            lambda e: e.update(faults={"crashes": 3, "dead_units": 5, "timeouts": 1}),
         )
         hit = run_cached(study, cache, workers=1)
         assert hit.provenance["cache"]["disposition"] == "hit"
-        assert hit.provenance["cache"]["stored_faults"]["crashes"] == (
-            cold.provenance["faults"]["crashes"]
+        assert "faults" not in hit.provenance
+        assert np.array_equal(hit["cached"].values, cold["cached"].values)
+        ext = run_cached(
+            Study((_scenario(trials=10),)), cache, workers=1, scheduler=SchedulerPolicy()
         )
-        ext = run_cached(Study((_scenario(trials=10),)), cache, workers=1)
         assert ext.provenance["cache"]["disposition"] == "extension"
-        folded = ext.provenance["faults"]
-        assert folded["crashes"] == cold.provenance["faults"]["crashes"]
-        assert not set(retired) & set(folded)
+        assert ext.provenance["faults"]["crashes"] == 0
+        assert ext.provenance["faults"]["units"] == ext.provenance["units"]
+        stored = json.loads(cache.path_for(study.scenarios[0].content_hash()).read_text())
+        assert "faults" not in stored
 
 
 class TestStreamVersion:
@@ -458,24 +462,21 @@ class TestShardedRoute:
     def test_chaos_faults_fold_exactly_once(self, cache):
         transport = InProcessTransport(workers=WORKERS, scheduler=_chaos_policy())
         short, full = Study((_scenario(),)), Study((_scenario(trials=10),))
-        cold = self._run(short, cache, transport)
+        self._run(short, cache, transport)
         ext = self._run(full, cache, transport)
         assert ext.provenance["cache"]["disposition"] == "extension"
         # The delta alone, rerun outside the cache: chaos decisions are
-        # seeded per (unit, attempt), so it reports the same faults.
+        # seeded per (unit, attempt), so it reports the same faults —
+        # and the extension reports nothing beyond them.
         delta = run_sharded(full, transport, shards=2, window=(6, 10))
-        cold_faults = cold.provenance["faults"]
         delta_faults = delta.provenance["faults"]
-        assert cold_faults["crashes"] > 0 and delta_faults["crashes"] > 0
+        assert delta_faults["crashes"] > 0
         for name in FaultReport._COUNTERS:
-            assert ext.provenance["faults"][name] == (
-                cold_faults[name] + delta_faults[name]
-            ), name
+            assert ext.provenance["faults"][name] == delta_faults[name], name
 
         hit = self._run(full, cache, transport)
         assert hit.provenance["cache"]["disposition"] == "hit"
         assert "faults" not in hit.provenance
-        assert hit.provenance["cache"]["stored_faults"] == ext.provenance["faults"]
 
 
 class TestBypass:
@@ -489,6 +490,14 @@ class TestBypass:
         result = run_cached(study, cache, workers=WORKERS)
         assert result.provenance["cache"]["disposition"] == "bypass"
         assert cache.lookup(study.scenarios[0]) is None
+        # A transport cannot shard mixed counts: the bypass runs unsharded.
+        sharded = run_cached(
+            study, cache, transport=InProcessTransport(workers=WORKERS), shards=2
+        )
+        assert sharded.provenance["cache"]["disposition"] == "bypass"
+        assert "shards" not in sharded.provenance
+        for name in ("cached", "other"):
+            assert np.array_equal(sharded[name].values, result[name].values)
 
     def test_rejects_non_cache(self):
         with pytest.raises(ParameterError, match="ResultCache"):

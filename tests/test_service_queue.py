@@ -144,6 +144,40 @@ class TestServiceLifecycle:
         result = StudyResult.load(status["result"])
         assert "adaptive" in result.provenance
 
+    def test_adaptive_job_status_counts_every_round(self, tmp_path):
+        # Two deployment groups; the status used to record the first
+        # round's units only.
+        def plain(name, seed, curve):
+            return Scenario(
+                name=name,
+                num_nodes=60,
+                pool_size=600,
+                ring_sizes=(10,),
+                curves=(curve,),
+                trials=8,
+                seed=seed,
+                metrics=(MetricSpec("connectivity"),),
+            )
+
+        spool = tmp_path / "spool"
+        service = StudyService(spool, workers=1)
+        _submit(
+            spool,
+            "job-rounds",
+            {
+                "format": JOB_FORMAT,
+                "study": Study((plain("a", 11, (1, 0.5)), plain("b", 12, (1, 0.9)))).to_dict(),
+                "options": {"target_ci": 0.001, "max_trials": 18, "block_trials": 6},
+            },
+        )
+        service.serve_forever(max_jobs=1, idle_timeout=10)
+        status = service.read_status("job-rounds")
+        assert status["state"] == "done"
+        result = StudyResult.load(status["result"])
+        assert len(result.provenance["adaptive"]["rounds"]) == 4
+        assert status["units"] == 6
+        assert status["faults"]["units"] == status["faults"]["completed"] == 6
+
     def test_malformed_options_fail_the_job(self, tmp_path, malformed_options):
         spool = tmp_path / "spool"
         service = StudyService(spool, workers=1)

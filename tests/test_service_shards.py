@@ -30,6 +30,19 @@ from repro.study.scenario import MetricSpec, Scenario
 WORKERS = 2
 
 
+def _plain_scenario(name, seed, curve, trials=8):
+    return Scenario(
+        name=name,
+        num_nodes=60,
+        pool_size=600,
+        ring_sizes=(10,),
+        curves=(curve,),
+        trials=trials,
+        seed=seed,
+        metrics=(MetricSpec("connectivity"),),
+    )
+
+
 def _growth_scenario(trials=6, name="growth", seed=11):
     return Scenario(
         name=name,
@@ -62,24 +75,22 @@ def _assert_identical(baseline, result, study):
 
 
 class TestMakeShards:
-    def test_trial_axis_windows_tile_the_range(self, study):
-        shards = make_shards(study.compile(), shards=3)
-        assert {gi for gi, _ in shards} == {0}
-        windows = [window for _, window in shards]
+    def test_trial_axis_windows_tile_the_range(self):
+        windows = make_shards((0, 6), shards=3)
         assert windows[0][0] == 0 and windows[-1][1] == 6
         for (_, prev_stop), (start, _) in zip(windows, windows[1:]):
             assert start == prev_stop
 
-    def test_window_restricts_the_split(self, study):
-        shards = make_shards(study.compile(), shards=2, window=(4, 6))
-        assert shards == [(0, (4, 5)), (0, (5, 6))]
+    def test_window_restricts_the_split(self):
+        assert make_shards((4, 6), shards=2) == [(4, 5), (5, 6)]
+        assert make_shards((4, 6), shards=5) == [(4, 5), (5, 6)]
 
-    def test_rejects_bad_counts_and_windows(self, study):
-        plans = study.compile()
-        with pytest.raises(ParameterError, match="shards"):
-            make_shards(plans, shards=0)
+    def test_rejects_bad_counts_and_windows(self):
+        for bad in (0, True):
+            with pytest.raises(ParameterError, match="shards"):
+                make_shards((0, 6), shards=bad)
         with pytest.raises(ParameterError, match="window"):
-            make_shards(plans, window=(3, 3))
+            make_shards((3, 3))
 
 
 class TestInProcessBitIdentity:
@@ -98,8 +109,8 @@ class TestInProcessBitIdentity:
         assert result.provenance["faults"]["completed"] > 0
 
     def test_multi_scenario_study(self):
-        # "a" and "b" share a deployment family; "c" is a second group,
-        # whose shards run a study of its scenarios alone.
+        # "a" and "b" share a deployment family; "c" is a second group.
+        # Each shard is a trial window of the whole study.
         multi = Study(
             (
                 _growth_scenario(name="a"),
@@ -111,7 +122,34 @@ class TestInProcessBitIdentity:
         base = multi.run(workers=WORKERS)
         result = run_sharded(multi, shards=2, workers=WORKERS)
         _assert_identical(base, result, multi)
-        assert result.provenance["shards"] == 4
+        assert result.provenance["shards"] == 2
+        assert result.provenance["deployments"] == base.provenance["deployments"]
+
+    def test_two_group_faults_count_every_unit(self):
+        # Two groups with the same trial window used to produce equal
+        # fault reports, and the second was dropped as a duplicate.
+        two = Study(
+            (
+                _plain_scenario("a", 11, (1, 0.5)),
+                _plain_scenario("b", 12, (1, 0.9)),
+            )
+        )
+        assert len(two.compile()) == 2
+        result = run_sharded(
+            two, shards=2, workers=1, scheduler=SchedulerPolicy()
+        )
+        assert result.provenance["units"] == 4
+        assert result.provenance["faults"]["units"] == result.provenance["units"]
+        assert result.provenance["faults"]["completed"] == 4
+
+    def test_mixed_trial_counts_are_rejected(self):
+        mixed = Study((_growth_scenario(name="a"), _growth_scenario(trials=4, name="b")))
+        with pytest.raises(ParameterError, match="one trial count"):
+            run_sharded(mixed, shards=2, workers=WORKERS)
+        # An explicit window is one range for every scenario.
+        delta = run_sharded(mixed, shards=2, workers=WORKERS, window=(6, 8))
+        assert delta.provenance["trial_window"] == [6, 8]
+        assert delta["b"].trial_range == (6, 8)
 
     def test_provenance_records_hashes_and_units(self, study):
         result = run_sharded(study, shards=2, workers=WORKERS)
@@ -122,12 +160,8 @@ class TestInProcessBitIdentity:
 
 class TestIntegrity:
     def test_missing_shard_is_a_coverage_error(self, study):
-        plans = study.compile()
-        shards = make_shards(plans, shards=3)
-        parts = [
-            execute_shard(plans[gi], window, workers=WORKERS)
-            for gi, window in shards[:-1]
-        ]
+        windows = make_shards((0, 6), shards=3)
+        parts = [execute_shard(study, window, WORKERS) for window in windows[:-1]]
         with pytest.raises(ExperimentError, match="cover trial window"):
             fold_shard_results(study, parts)
 
