@@ -47,7 +47,7 @@ from repro.exceptions import ParameterError
 from repro.simulation.scheduler import SchedulerPolicy
 from repro.service import events
 from repro.service.shards import InProcessTransport, run_sharded
-from repro.study.compiler import Study
+from repro.study.compiler import Study, run_provenance
 from repro.study.result import ScenarioResult, StudyResult
 from repro.study.scenario import Scenario
 
@@ -223,27 +223,28 @@ def run_cached(
     With a *transport*, executed work runs as up to *shards* trial
     shards (:func:`~repro.service.shards.run_sharded`) under the
     transport's workers and scheduler; a bypassed study runs unsharded
-    under them.  Provenance gains a ``"cache"`` entry recording the
-    disposition, per-scenario content hashes, covered/requested
-    trials, the delta window, and the executed-unit count.
+    under them.  Provenance has the base keys of an executed run
+    (:func:`~repro.study.compiler.run_provenance`) counting only the
+    work this call executed, plus a ``"cache"`` entry recording the
+    disposition, the store, covered/requested trials, the delta
+    window and the executed-unit count.
     """
     if not isinstance(cache, ResultCache):
         raise ParameterError(
             f"cache must be a ResultCache, got {type(cache).__name__}"
         )
-    hashes = {sc.name: sc.content_hash() for sc in study.scenarios}
+    if transport is not None:
+        workers, scheduler = transport.workers, transport.scheduler
+    names = sorted(sc.name for sc in study.scenarios)
     requested_counts = {sc.trials for sc in study.scenarios}
     if len(requested_counts) != 1:
         # Mixed trial counts have no single family window to resolve
         # overlap on, nor one trial range to shard.
-        if transport is not None:
-            workers, scheduler = transport.workers, transport.scheduler
         result = study.run(workers=workers, scheduler=scheduler)
-        events.emit("cache_bypass", scenarios=sorted(hashes))
+        events.emit("cache_bypass", scenarios=names)
         provenance = dict(result.provenance)
         provenance["cache"] = {
             "disposition": "bypass",
-            "scenario_hashes": hashes,
             "executed_units": provenance["units"],
         }
         return StudyResult(results=result.results, provenance=provenance)
@@ -259,7 +260,7 @@ def run_cached(
         disposition = "miss"
         events.emit(
             "cache_miss",
-            scenarios=sorted(hashes),
+            scenarios=names,
             requested_trials=requested,
         )
         result = _plain_run(study, transport, shards, workers, scheduler)
@@ -270,14 +271,14 @@ def run_cached(
                 entry.result.truncated(min(covered, requested))  # type: ignore[union-attr]
                 for entry in entries.values()
             ),
-            provenance={"engine": "study/v1", "units": 0, "deployments": 0},
+            provenance=run_provenance(workers),
         )
         if covered >= requested:
             disposition = "hit"
             result = stored
             events.emit(
                 "cache_hit",
-                scenarios=sorted(hashes),
+                scenarios=names,
                 covered_trials=covered,
                 requested_trials=requested,
             )
@@ -286,7 +287,7 @@ def run_cached(
             delta_window = (covered, requested)
             events.emit(
                 "cache_extension",
-                scenarios=sorted(hashes),
+                scenarios=names,
                 covered_trials=covered,
                 requested_trials=requested,
                 delta_window=list(delta_window),
@@ -302,11 +303,9 @@ def run_cached(
             cache.store(res)
 
     provenance = dict(result.provenance)
-    provenance.pop("trial_window", None)  # the merged result is full-window
     provenance["cache"] = {
         "disposition": disposition,
         "store": str(cache.root),
-        "scenario_hashes": hashes,
         "covered_trials": covered,
         "requested_trials": requested,
         "delta_window": list(delta_window) if delta_window else None,

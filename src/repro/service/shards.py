@@ -18,7 +18,7 @@ stay in memory; nothing is serialized between execution and fold.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,8 +122,9 @@ def run_sharded(
     *window* every scenario must declare the same trial count (the
     range to split); with it the result is an extension shard covering
     ``[start, stop)`` like :meth:`Study.run_extension` — the cache's
-    delta path.  Provenance records the shard count and per-scenario
-    content hashes next to the folded units, deployments and faults.
+    delta path.  Provenance is the fold's (summed units, deployments
+    and faults) plus the shard count; each result's ``trial_range``
+    is the window it covers.
     """
     if transport is not None:
         workers, scheduler = transport.workers, transport.scheduler
@@ -147,11 +148,6 @@ def run_sharded(
         parts.append(execute_shard(study, trial_window, workers, scheduler))
     folded = fold_shard_results(study, parts, window=window)
     events.emit("shard_folded", shards=len(windows), units=folded.provenance["units"])
-    provenance: Dict[str, object] = dict(folded.provenance)
+    provenance = dict(folded.provenance)
     provenance["shards"] = len(windows)
-    provenance["scenario_hashes"] = {sc.name: sc.content_hash() for sc in study.scenarios}
-    if window is None:
-        del provenance["trial_window"]
-    else:
-        provenance["trial_window"] = [int(window[0]), int(window[1])]
     return StudyResult(results=folded.results, provenance=provenance)

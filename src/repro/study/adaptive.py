@@ -320,9 +320,11 @@ def run_adaptive_study(
     ``units``, ``deployments`` and ``"faults"`` provenance count every
     round.
 
-    Returns a :class:`StudyResult` whose provenance also carries the
-    policy, the per-round windows, and the final allocation summary
-    (see :func:`trial_allocation`).
+    Returns a :class:`StudyResult` whose provenance adds one
+    ``"adaptive"`` entry: the policy, the per-round windows, and the
+    final allocation summary (see :func:`trial_allocation`).  How
+    many trials each cell holds is read from the results
+    (``trial_range``, ``cell_trials()``), not from provenance.
     """
     if policy is None:
         policy = AdaptivePolicy(**policy_kwargs)  # type: ignore[arg-type]

@@ -57,7 +57,14 @@ from repro.study.result import ScenarioResult, StudyResult
 from repro.study.scenario import ClassMix, Scenario
 from repro.utils.rng import grid_seed_sequence
 
-__all__ = ["Study", "GroupPlan", "ActiveMap", "run_scenario", "split_trial_blocks"]
+__all__ = [
+    "Study",
+    "GroupPlan",
+    "ActiveMap",
+    "run_provenance",
+    "run_scenario",
+    "split_trial_blocks",
+]
 
 
 def split_trial_blocks(
@@ -135,23 +142,6 @@ class GroupPlan:
     def num_rings(self) -> int:
         """Ring-axis length (uniform across sizes by scenario validation)."""
         return len(self.ring_grid[0])
-
-    @property
-    def num_nodes(self) -> int:
-        """Node count of a plain (single-size) plan."""
-        return self.sizes[0]
-
-    @property
-    def pool_size(self) -> int:
-        return self.pool_sizes[0]
-
-    @property
-    def ring_sizes(self) -> Tuple[int, ...]:
-        return self.ring_grid[0]
-
-    @property
-    def q_min(self) -> int:
-        return min(self.q_mins)
 
     @property
     def num_columns(self) -> int:
@@ -295,6 +285,28 @@ def _slice_scenario_results(
     return by_name
 
 
+def run_provenance(
+    workers: Optional[int], units: int = 0, deployments: int = 0
+) -> Dict[str, object]:
+    """The base provenance of every study result.
+
+    Provenance holds two kinds of fact.  Work sums (``units``,
+    ``deployments`` and a policy's ``faults``) add up in
+    :meth:`StudyResult.merge`; call constants (``engine``,
+    ``workers``, a policy's ``scheduler``, and the entry point's own
+    ``cache``, ``adaptive`` or ``shards`` entry) describe the call.
+    Nothing window-shaped is stored: trial coverage is each result's
+    ``trial_range`` and ``cell_trials()``.
+    """
+    provenance: Dict[str, object] = {
+        "engine": "study/v1",
+        "workers": default_workers() if workers is None else max(1, int(workers)),
+        "units": units,
+        "deployments": deployments,
+    }
+    return provenance
+
+
 @dataclasses.dataclass(frozen=True)
 class Study:
     """One or more scenarios compiled into a shared-deployment plan."""
@@ -350,7 +362,6 @@ class Study:
             None,
             workers,
             scheduler,
-            {"groups": [self._group_provenance(plan) for plan in plans]},
         )
 
     def run_extension(
@@ -394,7 +405,6 @@ class Study:
             active,
             workers,
             scheduler,
-            {"trial_window": [trial_start, trial_stop]},
         )
 
     def _run_windows(
@@ -404,7 +414,6 @@ class Study:
         active: Optional[ActiveMap],
         workers: Optional[int],
         scheduler: Optional[SchedulerPolicy],
-        window_provenance: Dict[str, object],
     ) -> StudyResult:
         """Run trials ``windows[g]`` of each group *g*.
 
@@ -414,8 +423,10 @@ class Study:
         divided over every scheduled column), and all blocks go to the
         supervisor in one call.  The value tensors are seeded with
         ``NaN``, so dead units and inactive curves leave unevaluated
-        cells the merge substrate understands.  *window_provenance*
-        follows the engine fields in provenance.
+        cells the merge substrate understands.  Provenance is
+        :func:`run_provenance` plus, under a scheduler policy, the
+        policy and its fault report; the windows themselves are read
+        back from each result's ``trial_range``.
         """
         workers = default_workers() if workers is None else max(1, int(workers))
         scheduled: List[Tuple[int, int, int]] = []
@@ -470,15 +481,13 @@ class Study:
             offset = windows[gi][0]
             tensors[gi][si, ri, start - offset : stop - offset, :] = values
 
-        provenance: Dict[str, object] = {
-            "engine": "study/v1",
-            "workers": workers,
-            **window_provenance,
-            "units": len(blocks),
-            "deployments": int(
+        provenance = run_provenance(
+            workers,
+            units=len(blocks),
+            deployments=int(
                 sum(windows[gi][1] - windows[gi][0] for gi, _, _ in scheduled)
             ),
-        }
+        )
         if policy is not None:
             provenance["scheduler"] = policy.to_dict()
             # Unit indices are positional per run; the window stamp
@@ -495,35 +504,6 @@ class Study:
             results=tuple(by_name[s.name] for s in self.scenarios),
             provenance=provenance,
         )
-
-    @staticmethod
-    def _group_provenance(plan: GroupPlan) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "scenarios": [s.name for s in plan.scenarios],
-            "trials": plan.trials,
-            "seed": plan.seed,
-        }
-        if plan.class_mix is not None:
-            out["classes"] = plan.class_mix.to_dict()
-        if plan.sized:
-            out.update(
-                {
-                    "num_nodes_grid": list(plan.sizes),
-                    "pool_sizes": list(plan.pool_sizes),
-                    "ring_sizes": [list(rings) for rings in plan.ring_grid],
-                    "q_mins": list(plan.q_mins),
-                }
-            )
-        else:
-            out.update(
-                {
-                    "num_nodes": plan.num_nodes,
-                    "pool_size": plan.pool_size,
-                    "ring_sizes": list(plan.ring_sizes),
-                    "q_min": plan.q_min,
-                }
-            )
-        return out
 
     # -- JSON round-trip ----------------------------------------------
 

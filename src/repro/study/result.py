@@ -514,10 +514,13 @@ class StudyResult:
         compatibility checks.  *other* may cover a subset of ``self``'s
         scenarios (an adaptive round extends one deployment family);
         the rest pass through unchanged, and a scenario ``self`` lacks
-        is an error.  Executed work adds up: ``units`` and
-        ``deployments`` are summed and the ``faults`` reports are
-        combined (:func:`~repro.simulation.scheduler.combine_fault_reports`).
-        All other provenance is taken from ``self``.
+        is an error.  Provenance stores only work sums and call
+        constants (:func:`~repro.study.compiler.run_provenance`).  The
+        sums add up: ``units`` and ``deployments`` are summed and the
+        ``faults`` reports are combined
+        (:func:`~repro.simulation.scheduler.combine_fault_reports`).
+        The constants are taken from ``self``.  Trial coverage is not
+        provenance: it is each merged result's ``trial_range``.
         """
         theirs = {res.scenario.name: res for res in other.results}
         if not set(theirs) <= set(self.names()):
@@ -555,6 +558,15 @@ class StudyResult:
                 f"study result 'scenarios' must be a JSON array, got {type(scenarios).__name__}"
             )
         provenance = _mapping(data.get("provenance", {}), "study result 'provenance'")
+        for key in ("units", "deployments"):
+            count = provenance.get(key, 0)
+            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+                raise ExperimentError(
+                    f"study result provenance {key!r} must be a non-negative int, "
+                    f"got {count!r}"
+                )
+        if "faults" in provenance:
+            _mapping(provenance["faults"], "study result provenance 'faults'")
         return cls(
             results=tuple(ScenarioResult.from_dict(r) for r in scenarios),
             provenance=dict(provenance),

@@ -28,6 +28,7 @@ from repro.simulation.scheduler import (
     SchedulerPolicy,
     combine_fault_reports,
 )
+from repro.study.adaptive import AdaptivePolicy, run_adaptive_study
 from repro.study.compiler import Study
 from repro.study.result import ScenarioResult
 from repro.study.scenario import STREAM_VERSION, MetricSpec, Scenario
@@ -222,6 +223,95 @@ class TestFaultDedup:
         one_shot = Study((a16, b16)).run(workers=1)
         for name in ("a", "b"):
             assert np.array_equal(results[-1][name].values, one_shot[name].values)
+
+
+def _probe_study(trials=8, trials_b=None):
+    b_trials = trials if trials_b is None else trials_b
+    return Study(
+        (_plain("a", 11, (1, 0.5), trials), _plain("b", 12, (1, 0.9), b_trials))
+    )
+
+
+def _cached(cache, policy, *trial_counts):
+    """Run the probe study through the cache at each count; return the last."""
+    for trials in trial_counts:
+        result = run_cached(_probe_study(trials), cache, workers=1, scheduler=policy)
+    return result
+
+
+#: entry point -> (run(cache, policy), its own provenance key, trial
+#: ranges asked for, per scenario).
+PROVENANCE_PATHS = {
+    "run": (
+        lambda cache, policy: _probe_study().run(workers=1, scheduler=policy),
+        None,
+        [(0, 8), (0, 8)],
+    ),
+    "run_extension": (
+        lambda cache, policy: _probe_study().run_extension(
+            8, 12, workers=1, scheduler=policy
+        ),
+        None,
+        [(8, 12), (8, 12)],
+    ),
+    "cached_miss": (
+        lambda cache, policy: _cached(cache, policy, 8), "cache", [(0, 8), (0, 8)]
+    ),
+    "cached_extension": (
+        lambda cache, policy: _cached(cache, policy, 8, 12),
+        "cache",
+        [(0, 12), (0, 12)],
+    ),
+    "cached_hit": (
+        lambda cache, policy: _cached(cache, policy, 8, 8), "cache", [(0, 8), (0, 8)]
+    ),
+    "cached_bypass": (
+        lambda cache, policy: run_cached(
+            _probe_study(trials_b=6), cache, workers=1, scheduler=policy
+        ),
+        "cache",
+        [(0, 8), (0, 6)],
+    ),
+    "adaptive": (
+        lambda cache, policy: run_adaptive_study(
+            _probe_study(),
+            AdaptivePolicy(ci_target=0.001, max_trials=18, block_trials=6),
+            workers=1,
+            scheduler=policy,
+        ),
+        "adaptive",
+        [(0, 18), (0, 18)],
+    ),
+    "sharded": (
+        lambda cache, policy: run_sharded(
+            _probe_study(), shards=2, workers=1, scheduler=policy
+        ),
+        "shards",
+        [(0, 8), (0, 8)],
+    ),
+}
+
+
+class TestProvenanceShape:
+    """Every entry point stores work sums and call constants, nothing else."""
+
+    @pytest.mark.parametrize("policy", [None, SchedulerPolicy()], ids=["plain", "policy"])
+    @pytest.mark.parametrize("path", sorted(PROVENANCE_PATHS))
+    def test_one_shape_on_every_path(self, cache, path, policy):
+        run, own_key, ranges = PROVENANCE_PATHS[path]
+        result = run(cache, policy)
+        provenance = result.provenance
+        expected = {"engine", "workers", "units", "deployments"}
+        if own_key is not None:
+            expected.add(own_key)
+        if policy is not None and provenance["units"] > 0:
+            expected |= {"scheduler", "faults"}
+        assert set(provenance) == expected
+        own = provenance.get(own_key)
+        if isinstance(own, dict):
+            assert not {"groups", "trial_window", "scenario_hashes"} & set(own)
+        # Trial coverage is read from the results, never from provenance.
+        assert [result[name].trial_range for name in ("a", "b")] == ranges
 
 
 class TestStorePolicy:

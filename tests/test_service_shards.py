@@ -148,13 +148,10 @@ class TestInProcessBitIdentity:
             run_sharded(mixed, shards=2, workers=WORKERS)
         # An explicit window is one range for every scenario.
         delta = run_sharded(mixed, shards=2, workers=WORKERS, window=(6, 8))
-        assert delta.provenance["trial_window"] == [6, 8]
-        assert delta["b"].trial_range == (6, 8)
+        assert [res.trial_range for res in delta.results] == [(6, 8), (6, 8)]
 
-    def test_provenance_records_hashes_and_units(self, study):
+    def test_provenance_records_units(self, study):
         result = run_sharded(study, shards=2, workers=WORKERS)
-        hashes = result.provenance["scenario_hashes"]
-        assert hashes == {sc.name: sc.content_hash() for sc in study.scenarios}
         assert result.provenance["units"] > 0
 
 

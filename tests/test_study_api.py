@@ -75,6 +75,20 @@ class TestJsonRoundTrip:
         assert np.array_equal(tripped["small"].values, result["small"].values)
         assert tripped["small"].scenario == small_scenario()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("units", "x"), ("faults", [1, 2]), ("units", -5), ("deployments", True)],
+    )
+    def test_study_result_rejects_malformed_work_sums(self, key, value):
+        # Loaded, each would fail untyped in merge or fold a negative
+        # count (-5 + 1 units = -4).
+        from repro.study import StudyResult
+
+        data = Study((small_scenario(),)).run(workers=1).to_dict()
+        data["provenance"][key] = value
+        with pytest.raises(ExperimentError, match=key):
+            StudyResult.from_dict(data)
+
 
 @pytest.fixture(
     params=[
@@ -208,7 +222,7 @@ class TestGroupingAndResults:
         plans = study.compile()
         assert len(plans) == 1
         assert [s.name for s in plans[0].scenarios] == ["a", "b"]
-        assert plans[0].q_min == 2
+        assert plans[0].q_mins == (2,)
 
     def test_distinct_families_do_not_group(self):
         a = small_scenario(name="a")
