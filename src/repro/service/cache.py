@@ -25,17 +25,33 @@ Dispositions of :func:`run_cached`, per study:
 Only complete (NaN-free) results are stored: a partial result (dead
 units, adaptive raggedness) is not a valid prefix to extend, because a
 one-shot run at the larger count would have evaluated the skipped
-cells.  Entries hold values only.  A run reports the units,
-deployments and faults of the work *it* executed: a hit reports none,
-and an extension folds the stored prefix into its delta with
+cells.  A run reports the units, deployments and faults of the work
+*it* executed: a hit reports none, and an extension folds the stored
+prefix into its delta with
 :meth:`~repro.study.result.StudyResult.merge`, which adds nothing for
 the prefix.
+
+Entries (format ``repro-cache/v2``) hold values only, as raw bytes::
+
+    {"format": "repro-cache/v2", "scenario_hash": "<key>",
+     "scenario": {...}, "shape": [sizes, rings, trials, curves, metrics],
+     "values": "<base64 of the little-endian float64 tensor>"}
+
+``scenario`` is there for people reading the store; it is never parsed
+back.  The requested :class:`Scenario` already hashes to the key, so a
+lookup only checks the envelope, the non-trial axes of ``shape`` and
+the byte length, and rebuilds each result from the requested scenario
+itself: a hit runs no scenario parsing, validation or re-hashing.
+Entries of any other format (the JSON-list ``repro-cache/v1`` ones
+included) read as misses once and are replaced by the run that
+follows.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import base64
 import json
+import math
 import os
 import pathlib
 import tempfile
@@ -51,24 +67,13 @@ from repro.study.compiler import Study, run_provenance
 from repro.study.result import ScenarioResult, StudyResult
 from repro.study.scenario import Scenario
 
-__all__ = ["CACHE_FORMAT", "CacheEntry", "ResultCache", "run_cached"]
+__all__ = ["CACHE_FORMAT", "ResultCache", "run_cached"]
 
-CACHE_FORMAT = "repro-cache/v1"
-
-
-@dataclasses.dataclass(frozen=True)
-class CacheEntry:
-    """One stored scenario result."""
-
-    result: ScenarioResult
-
-    @property
-    def trials(self) -> int:
-        return self.result.num_trials
+CACHE_FORMAT = "repro-cache/v2"
 
 
 class ResultCache:
-    """File-backed store mapping scenario content hash → result JSON.
+    """File-backed store mapping scenario content hash → value tensor.
 
     Layout: ``root/<hash[:2]>/<hash>.json`` (fan-out keeps directories
     small at scale).  Each write goes through its own same-directory
@@ -83,15 +88,33 @@ class ResultCache:
     def path_for(self, key: str) -> pathlib.Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def lookup(self, scenario: Scenario) -> Optional[CacheEntry]:
-        """The stored entry for *scenario*'s family, or ``None``.
+    @staticmethod
+    def _envelope(text: str, key: str) -> Optional[Dict[str, object]]:
+        """The parsed entry if it is this format's entry for *key*."""
+        try:
+            data = json.loads(text)
+        except ValueError:
+            return None
+        if (
+            not isinstance(data, dict)
+            or data.get("format") != CACHE_FORMAT
+            or data.get("scenario_hash") != key
+        ):
+            return None
+        return data
 
-        Unreadable or mismatched entries (hand-edited, interrupted
-        writes from pre-atomic-write versions, hash collisions) are
-        treated as misses, never as errors — the cache must only ever
-        make runs cheaper.  Such an entry is also removed: :meth:`store`
-        trusts a cheap coverage read, so a malformed entry left in place
-        could block the store that replaces it.
+    def lookup(self, scenario: Scenario) -> Optional[np.ndarray]:
+        """The stored value tensor of *scenario*'s family, or ``None``.
+
+        The content hash already proves the entry's identity, so the
+        stored scenario is never parsed back: the entry's ``shape`` must
+        match *scenario*'s axes around a non-empty trial axis, and its
+        values must decode to exactly that many NaN-free float64 cells.
+        Anything else (a hand edit, an interrupted write of an older
+        version, an entry of another format) is a miss, never an error —
+        the cache must only ever make runs cheaper.  Such an entry is
+        also removed, so the store that replaces it is never blocked by
+        it.
         """
         key = scenario.content_hash()
         path = self.path_for(key)
@@ -99,60 +122,53 @@ class ResultCache:
             text = path.read_text()
         except OSError:
             return None
-        entry = self._parse(text, key)
-        if entry is None:
+        data = self._envelope(text, key)
+        values = None if data is None else self._decode(data, scenario)
+        if values is None:
             try:
                 path.unlink()
             except OSError:
                 pass
-        return entry
+        return values
 
     @staticmethod
-    def _parse(text: str, key: str) -> Optional[CacheEntry]:
+    def _decode(data: Dict[str, object], scenario: Scenario) -> Optional[np.ndarray]:
+        shape = data.get("shape")
+        axes = scenario.value_axes()
+        if (
+            not isinstance(shape, list)
+            or len(shape) != len(axes) + 1
+            or any(type(n) is not int for n in shape)
+            or tuple(shape[:-3] + shape[-2:]) != axes
+            or shape[-3] < 1
+        ):
+            return None
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError:
+            raw = base64.b64decode(data["values"], validate=True)  # type: ignore[arg-type]
+        except (KeyError, TypeError, ValueError):
             return None
-        if not isinstance(data, dict) or data.get("format") != CACHE_FORMAT:
+        if len(raw) != 8 * math.prod(shape):
             return None
-        if data.get("scenario_hash") != key:
+        values = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        if np.isnan(values).any():
             return None
-        try:
-            result = ScenarioResult.from_dict(data["result"])  # type: ignore[arg-type]
-        except Exception:
-            return None
-        if result.scenario.content_hash() != key or result.trial_offset != 0:
-            return None
-        # Entries of earlier versions also carry a "faults" history;
-        # it is ignored.
-        return CacheEntry(result=result)
+        return values
 
     def _stored_trials(self, key: str) -> int:
         """Trial coverage of the entry stored under *key*; 0 if unusable.
 
-        Reads the entry's envelope and the nesting of its value array
-        (trials are the third axis from the end) without rebuilding a
-        :class:`ScenarioResult`.  Re-read on every store: another
-        process sharing the cache may have written a wider entry since
-        this run's lookup.
+        Reads the entry's envelope and ``shape`` without decoding its
+        values.  Re-read on every store: another process sharing the
+        cache may have written a wider entry since this run's lookup.
         """
         try:
-            data = json.loads(self.path_for(key).read_text())
-            result = data["result"]
-            if (
-                data["format"] != CACHE_FORMAT
-                or data["scenario_hash"] != key
-                or result.get("trial_offset", 0) != 0
-            ):
-                return 0
-            shape = []
-            values = result["values"]
-            while isinstance(values, list) and values:
-                shape.append(len(values))
-                values = values[0]
-            return int(shape[-3])
-        except (OSError, ValueError, KeyError, TypeError, IndexError, AttributeError):
+            data = self._envelope(self.path_for(key).read_text(), key)
+        except OSError:
             return 0
+        shape = None if data is None else data.get("shape")
+        if isinstance(shape, list) and len(shape) >= 3 and type(shape[-3]) is int:
+            return shape[-3]
+        return 0
 
     def store(self, result: ScenarioResult) -> bool:
         """Store *result* if it improves on what is held; report whether.
@@ -174,7 +190,12 @@ class ResultCache:
         payload: Dict[str, object] = {
             "format": CACHE_FORMAT,
             "scenario_hash": key,
-            "result": result.to_dict(),
+            # For people reading the store; lookups never parse it.
+            "scenario": result.scenario.to_dict(),
+            "shape": list(result.values.shape),
+            "values": base64.b64encode(
+                result.values.astype("<f8").tobytes()
+            ).decode("ascii"),
         }
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
@@ -185,6 +206,17 @@ class ResultCache:
             os.unlink(tmp)
             raise
         return True
+
+
+def _stored_result(
+    scenario: Scenario, values: np.ndarray, trials: int
+) -> ScenarioResult:
+    """The first *trials* stored trials of *scenario*, as a result."""
+    return ScenarioResult(
+        scenario=scenario if trials == scenario.trials else scenario.with_trials(trials),
+        values=np.ascontiguousarray(values[..., :trials, :, :]),
+        metric_labels=scenario.metric_labels(),
+    )
 
 
 def _plain_run(
@@ -250,9 +282,9 @@ def run_cached(
         return StudyResult(results=result.results, provenance=provenance)
 
     requested = requested_counts.pop()
-    entries = {sc.name: cache.lookup(sc) for sc in study.scenarios}
+    stored_values = [cache.lookup(sc) for sc in study.scenarios]
     covered = min(
-        (entry.trials if entry is not None else 0 for entry in entries.values()),
+        (0 if values is None else values.shape[-3] for values in stored_values),
         default=0,
     )
     delta_window: Optional[Tuple[int, int]] = None
@@ -268,8 +300,8 @@ def run_cached(
         # Every entry covers at least ``covered`` trials.
         stored = StudyResult(
             results=tuple(
-                entry.result.truncated(min(covered, requested))  # type: ignore[union-attr]
-                for entry in entries.values()
+                _stored_result(sc, values, min(covered, requested))  # type: ignore[arg-type]
+                for sc, values in zip(study.scenarios, stored_values)
             ),
             provenance=run_provenance(workers),
         )

@@ -27,10 +27,13 @@ unit's completed work:
   the supervisor rebuilds the pool and re-queues every unit that was
   in flight.
 
-Each unit has at most one attempt in flight at a time.  Units are
-equal, seeded trial blocks, so there are no genuine stragglers to
-hedge against, and on one host a running attempt cannot be preempted:
-the supervisor neither times attempts out nor launches duplicates.
+Each unit has at most one attempt in flight at a time, and at most
+``workers`` attempts run at once, submitted in list order: the order
+of *units* is the schedule.  The study compiler sizes its trial blocks
+by an analytic cost and lists them longest first, so the last units
+to start are the shortest; there are no genuine stragglers to hedge
+against, and on one host a running attempt cannot be preempted: the
+supervisor neither times attempts out nor launches duplicates.
 
 Without an explicit policy, units run under :data:`DEFAULT_POLICY` —
 one retry, then fail fast — which is what a plain ``Study.run`` uses.

@@ -11,10 +11,16 @@ capture attacks, class mixes and whole growth sweeps in ``n``.  This
 is the only sampler of the model in the library; ``tests/oracle.py``
 is its independent per-trial reference.
 
-Work units are ``(group, size, K-column, trial-block)`` tuples.
-Columns split into contiguous trial blocks whenever there are fewer
-``(size, K)`` columns than workers (:func:`split_trial_blocks`), so a
-single-``K`` study still saturates the pool.  Because each deployment
+Work units are ``(group, size, K-column, trial-block)`` tuples.  Each
+``(size, K)`` column is weighted by its analytic pair-event cost
+``nK + (nK)^2 / (2P)`` (:meth:`GroupPlan.column_cost`) and split into
+contiguous trial blocks in proportion to its share of the scheduled
+cost (:func:`split_trial_blocks`): a single-``K`` study still
+saturates the pool, and the ``n = 1000`` column of a growth sweep gets
+more blocks than the ``n = 200`` one.  With more than one worker the
+blocks go to the supervisor longest first, so the pool never idles
+behind one long unit at the end; one worker gets one block per column
+in plan order.  Because each deployment
 seed is addressed by ``(size_index, ring_index, trial)`` for sized
 groups and ``(ring_index, trial)`` for plain ones, and per-trial values
 are *assigned* (never reduced across blocks), results are bit-identical
@@ -37,6 +43,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -68,42 +76,47 @@ __all__ = [
 
 
 def split_trial_blocks(
-    num_columns: int,
+    costs: Sequence[Union[int, float, Fraction]],
     trials: int,
     workers: int,
-    total_columns: Optional[int] = None,
+    total_cost: Union[int, float, Fraction, None] = None,
     start: int = 0,
 ) -> List[Tuple[int, int, int]]:
     """Work units ``(column, start, stop)`` for a columns-by-trials grid.
 
     Whole columns are the natural work unit (fan-out and IPC amortize
-    over all their trials), but when there are fewer columns than
-    workers each column splits into ``ceil(workers / columns)``
-    contiguous trial blocks so the pool stays busy.  A "column" is one
-    ``(size, K)`` pair of a group; ``total_columns`` overrides the
-    divisor when several groups share one pool.
+    over all their trials), but a column that carries a large share of
+    the work splits into contiguous trial blocks so no worker waits on
+    it alone: column *c* gets ``ceil(workers * costs[c] / total_cost)``
+    blocks, at least one.  A "column" is one ``(size, K)`` pair of a
+    group and its cost is :meth:`GroupPlan.column_cost`;
+    ``total_cost`` (default ``sum(costs)``) is the cost of every column
+    sharing the pool when several groups run in one call.  Equal costs
+    give the plain count split, ``ceil(workers / columns)`` blocks per
+    column, and one worker always gets one block per column.  Costs are
+    compared as exact fractions, so equal costs never round apart.
 
     ``start`` restricts the blocks to the trial window ``[start,
     trials)`` — the incremental unit of adaptive trial extension.  An
     empty window (``start >= trials``) yields no blocks, and a window
     smaller than the would-be block count degrades to single-trial
-    blocks.  Block boundaries are a pure function of ``(num_columns,
-    trials, workers, start)``; they never affect results, only
-    parallelism, because every ``(column, trial)`` cell is seeded
-    independently by its absolute trial index.
+    blocks.  Block boundaries are a pure function of the arguments;
+    they never affect results, only parallelism, because every
+    ``(column, trial)`` cell is seeded independently by its absolute
+    trial index.
     """
     if start < 0:
         raise ParameterError(f"start must be >= 0, got {start}")
-    if start >= trials:
+    if start >= trials or not costs:
         return []
-    divisor = total_columns if total_columns is not None else num_columns
-    splits = min(trials - start, max(1, -(-workers // max(divisor, 1))))
-    bounds = np.linspace(start, trials, splits + 1, dtype=np.int64)
-    return [
-        (column, int(bounds[b]), int(bounds[b + 1]))
-        for column in range(num_columns)
-        for b in range(splits)
-    ]
+    exact = [Fraction(cost) for cost in costs]
+    total = sum(exact) if total_cost is None else Fraction(total_cost)
+    blocks: List[Tuple[int, int, int]] = []
+    for column, cost in enumerate(exact):
+        splits = min(trials - start, max(1, -(-workers * cost // total)))
+        bounds = np.linspace(start, trials, splits + 1, dtype=np.int64)
+        blocks += [(column, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    return blocks
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,6 +160,22 @@ class GroupPlan:
     def num_columns(self) -> int:
         """Value columns per deployment (scenario x curve x metric)."""
         return sum(s.num_curves * len(s.metrics) for s in self.scenarios)
+
+    def column_cost(self, size_index: int, ring_index: int) -> Fraction:
+        """Analytic per-deployment cost of one ``(size, K)`` column.
+
+        ``nK + (nK)^2 / (2P)``: the ``nK`` ring entries the overlap
+        count sorts, plus its expected pair events (each of the ``P``
+        keys is held by ``nK/P`` nodes on average, so it contributes
+        about ``(nK/P)^2 / 2`` node pairs).  A class mix uses its
+        ``mu``-weighted mean ring size.  Only ratios between columns
+        matter (:func:`split_trial_blocks`).
+        """
+        ring = self.ring_grid[size_index][ring_index]
+        if self.class_mix is not None:
+            ring = math.fsum(m * k for m, k in zip(self.class_mix.mu, ring))
+        nk = self.sizes[size_index] * Fraction(ring)
+        return nk + nk * nk / (2 * self.pool_sizes[size_index])
 
     def column_offsets(self) -> List[int]:
         """Starting column of each member scenario."""
@@ -419,9 +448,10 @@ class Study:
 
         Every ``(group, size, K-column)`` is scheduled, or with an
         *active* map only the listed ones.  Each splits its window
-        into contiguous trial blocks (:func:`split_trial_blocks`,
-        divided over every scheduled column), and all blocks go to the
-        supervisor in one call.  The value tensors are seeded with
+        into contiguous trial blocks in proportion to its share of the
+        scheduled cost (:func:`split_trial_blocks`), and all blocks go
+        to the supervisor in one call, longest first when there is
+        more than one worker.  The value tensors are seeded with
         ``NaN``, so dead units and inactive curves leave unevaluated
         cells the merge substrate understands.  Provenance is
         :func:`run_provenance` plus, under a scheduler policy, the
@@ -454,15 +484,22 @@ class Study:
                                 f"range for scenario {scenario.name!r}"
                             )
                     scheduled.append(key)
-        spans = [
-            split_trial_blocks(1, stop, workers, max(len(scheduled), 1), start=start)
-            for start, stop in windows
-        ]
-        blocks: List[Tuple[int, int, int, int, int]] = [
-            (gi, si, ri, start, stop)
-            for gi, si, ri in scheduled
-            for _, start, stop in spans[gi]
-        ]
+        costs = [plans[gi].column_cost(si, ri) for gi, si, ri in scheduled]
+        total = sum(costs)
+        blocks: List[Tuple[int, int, int, int, int]] = []
+        for (gi, si, ri), cost in zip(scheduled, costs):
+            start, stop = windows[gi]
+            blocks += [
+                (gi, si, ri, a, b)
+                for _, a, b in split_trial_blocks([cost], stop, workers, total, start)
+            ]
+        if workers > 1:
+            # Longest first: the supervisor keeps ``workers`` units in
+            # flight in list order, so this is longest-processing-time
+            # scheduling.  The sort is stable, so equal blocks keep
+            # plan order.
+            unit_cost = dict(zip(scheduled, costs))
+            blocks.sort(key=lambda b: -unit_cost[b[:3]] * (b[4] - b[3]))
         policy = resolve_scheduler_policy(scheduler)
         block_values, report = run_batches(
             functools.partial(_group_block, plans, active), blocks, workers, policy

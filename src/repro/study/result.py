@@ -464,8 +464,7 @@ class ScenarioResult:
             values = np.asarray(_field(data, "values", what), dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ExperimentError(f"{what} 'values' is not a numeric array: {exc}") from exc
-        lead = (scenario.num_sizes,) if scenario.sized else ()
-        axes = lead + (scenario.num_rings, scenario.num_curves, len(scenario.metrics))
+        axes = scenario.value_axes()
         if values.ndim == len(axes) + 1 and values.shape[:-3] + values.shape[-2:] != axes:
             raise ExperimentError(
                 f"{what} 'values' shape {values.shape} does not match scenario "

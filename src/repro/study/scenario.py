@@ -504,6 +504,15 @@ class Scenario:
         """Curve-axis length (uniform across sizes by validation)."""
         return len(self.curves_at(0)) if self.curves else 0
 
+    def value_axes(self) -> Tuple[int, ...]:
+        """A result tensor's axes around its trial axis (third from the end).
+
+        ``(sizes, rings, curves, metrics)`` for a size grid, ``(rings,
+        curves, metrics)`` otherwise.
+        """
+        lead = (self.num_sizes,) if self.sized else ()
+        return lead + (self.num_rings, self.num_curves, len(self.metrics))
+
     # -- validation ----------------------------------------------------
 
     def _normalize_class_rings(self) -> None:

@@ -10,6 +10,7 @@ chaos injection active, mirroring the PR 6 convergence proofs.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import os
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
-from repro.service.cache import CACHE_FORMAT, CacheEntry, ResultCache, run_cached
+from repro.service.cache import CACHE_FORMAT, ResultCache, run_cached
 from repro.service import events
 from repro.simulation.faults import ChaosSpec, FaultStrategy
 from repro.service.shards import InProcessTransport, run_sharded
@@ -357,9 +358,9 @@ class TestStorePolicy:
         for thread in threads:
             thread.join()
         assert errors == []
-        entry = cache.lookup(result.scenario)
-        assert entry is not None
-        assert np.array_equal(entry.result.values, result.values)
+        stored = cache.lookup(result.scenario)
+        assert stored is not None
+        assert np.array_equal(stored, result.values)
         path = cache.path_for(result.scenario.content_hash())
         assert [p.name for p in path.parent.iterdir()] == [path.name]
 
@@ -368,8 +369,7 @@ class TestStorePolicy:
         narrow = Study((_scenario(trials=4),)).run(workers=WORKERS)["cached"]
         assert cache.store(wide) is True
         assert cache.store(narrow) is False  # does not regress coverage
-        entry = cache.lookup(wide.scenario)
-        assert isinstance(entry, CacheEntry) and entry.trials == 10
+        assert cache.lookup(wide.scenario).shape[-3] == 10
 
     def test_lookup_survives_corrupt_entries(self, cache):
         scenario = _scenario()
@@ -386,19 +386,34 @@ class TestStorePolicy:
         assert cache.lookup(scenario) is None
 
 
-def _drop_last_size(entry):
-    entry["result"]["values"].pop()
+def _edit_values(edit):
+    """A mangling that rewrites the decoded value tensor's bytes."""
+
+    def mangle(entry):
+        values = np.frombuffer(base64.b64decode(entry["values"]), dtype="<f8").copy()
+        entry["values"] = base64.b64encode(edit(values).tobytes()).decode("ascii")
+
+    return mangle
+
+
+def _plant_nan(values):
+    values[3] = np.nan
+    return values
 
 
 #: Field-level manglings of a stored entry; each must read as a miss.
 MANGLINGS = {
-    "format": lambda e: e.update(format="repro-cache/v0"),
+    "format": lambda e: e.update(format="repro-cache/v1"),
     "scenario_hash": lambda e: e.update(scenario_hash="0" * 64),
-    "result_missing": lambda e: e.pop("result"),
-    "result_not_object": lambda e: e.update(result=[1, 2]),
-    "stream_version_lower": lambda e: e["result"].update(stream_version=STREAM_VERSION - 1),
-    "trial_offset": lambda e: e["result"].update(trial_offset=3),
-    "values_truncated": _drop_last_size,
+    "shape_rank": lambda e: e.update(shape=e["shape"][1:]),
+    "shape_axes": lambda e: e.update(shape=[3] + e["shape"][1:]),
+    "shape_zero": lambda e: e.update(shape=e["shape"][:2] + [0] + e["shape"][3:]),
+    "shape_type": lambda e: e.update(shape=[float(n) for n in e["shape"]]),
+    "values_missing": lambda e: e.pop("values"),
+    "values_bad_base64": lambda e: e.update(values="not base64!"),
+    "values_type": lambda e: e.update(values=[1.0, 0.0]),
+    "values_truncated": _edit_values(lambda v: v[:-1]),
+    "values_nan": _edit_values(_plant_nan),
 }
 
 
@@ -430,31 +445,53 @@ class TestMangledEntries:
         again = run_cached(study, cache, workers=1)
         assert again.provenance["cache"]["disposition"] == "miss"
         assert np.array_equal(again["cached"].values, cold_values)
-        entry = cache.lookup(study.scenarios[0])
-        assert entry is not None and np.array_equal(entry.result.values, cold_values)
+        stored = cache.lookup(study.scenarios[0])
+        assert stored is not None and np.array_equal(stored, cold_values)
 
-    def test_parent_format_fault_report_still_hits_and_folds(self, cache):
-        # Entries written by earlier versions carry a "faults" history,
-        # well-formed or not; it is ignored.
+    def test_nan_entry_is_not_served_or_stuck(self, cache, cold_values):
+        # A NaN cell used to be served as a complete hit, an extension
+        # kept it, and store then refused the NaN-bearing result, so
+        # the entry never healed.
         study = Study((_scenario(),))
-        cold = run_cached(study, cache, workers=1)
-        _rewrite_entry(
-            cache,
-            study.scenarios[0],
-            lambda e: e.update(faults={"crashes": 3, "dead_units": 5, "timeouts": 1}),
+        run_cached(study, cache, workers=1)
+        _rewrite_entry(cache, study.scenarios[0], MANGLINGS["values_nan"])
+        again = run_cached(study, cache, workers=1)
+        assert again.provenance["cache"]["disposition"] == "miss"
+        assert np.array_equal(again["cached"].values, cold_values)
+        _rewrite_entry(cache, study.scenarios[0], MANGLINGS["values_nan"])
+        extended = Study((_scenario(trials=8),))
+        ext = run_cached(extended, cache, workers=1)
+        assert ext.provenance["cache"]["disposition"] == "miss"
+        assert not np.isnan(ext["cached"].values).any()
+        assert np.array_equal(ext["cached"].values, extended.run(workers=1)["cached"].values)
+        assert cache.lookup(study.scenarios[0]).shape[-3] == 8
+
+    def test_v1_entry_misses_and_is_replaced(self, cache, cold_values):
+        # The JSON-list layout of the previous format, with a stored
+        # fault history: a miss, replaced by a v2 entry.
+        study = Study((_scenario(),))
+        result = study.run(workers=1)["cached"]
+        key = result.scenario.content_hash()
+        path = cache.path_for(key)
+        path.parent.mkdir(parents=True)
+        path.write_text(
+            json.dumps(
+                {
+                    "format": "repro-cache/v1",
+                    "scenario_hash": key,
+                    "result": result.to_dict(),
+                    "faults": {"crashes": 3},
+                }
+            )
         )
-        hit = run_cached(study, cache, workers=1)
-        assert hit.provenance["cache"]["disposition"] == "hit"
-        assert "faults" not in hit.provenance
-        assert np.array_equal(hit["cached"].values, cold["cached"].values)
-        ext = run_cached(
-            Study((_scenario(trials=10),)), cache, workers=1, scheduler=SchedulerPolicy()
-        )
-        assert ext.provenance["cache"]["disposition"] == "extension"
-        assert ext.provenance["faults"]["crashes"] == 0
-        assert ext.provenance["faults"]["units"] == ext.provenance["units"]
-        stored = json.loads(cache.path_for(study.scenarios[0].content_hash()).read_text())
-        assert "faults" not in stored
+        again = run_cached(study, cache, workers=1)
+        assert again.provenance["cache"]["disposition"] == "miss"
+        assert np.array_equal(again["cached"].values, cold_values)
+        stored = json.loads(path.read_text())
+        assert stored["format"] == CACHE_FORMAT == "repro-cache/v2"
+        assert stored["shape"] == list(cold_values.shape)
+        assert set(stored) == {"format", "scenario_hash", "scenario", "shape", "values"}
+        assert run_cached(study, cache, workers=1).provenance["cache"]["disposition"] == "hit"
 
 
 class TestStreamVersion:
@@ -471,7 +508,7 @@ class TestStreamVersion:
 
 
 class TestReadPath:
-    """Each request parses each stored entry once."""
+    """Each request decodes each stored entry once and parses no result."""
 
     @staticmethod
     def _count(monkeypatch, owner, name, calls):
@@ -492,7 +529,7 @@ class TestReadPath:
         self._count(monkeypatch, ScenarioResult, "from_dict", calls)
         hit = run_cached(study, cache, workers=WORKERS)
         assert hit.provenance["cache"]["disposition"] == "hit"
-        assert calls == {"lookup": 1, "from_dict": 1}
+        assert calls == {"lookup": 1}
 
     def test_extension_store_does_not_rebuild_the_entry(self, cache, monkeypatch):
         run_cached(Study((_scenario(trials=4),)), cache, workers=WORKERS)
@@ -502,8 +539,8 @@ class TestReadPath:
         self._count(monkeypatch, ScenarioResult, "from_dict", calls)
         ext = run_cached(Study((_scenario(trials=6),)), cache, workers=WORKERS)
         assert ext.provenance["cache"]["disposition"] == "extension"
-        assert calls == {"lookup": 1, "store": 1, "from_dict": 1}
-        assert cache.lookup(_scenario()).trials == 6
+        assert calls == {"lookup": 1, "store": 1}
+        assert cache.lookup(_scenario()).shape[-3] == 6
 
     def test_store_rereads_coverage_written_by_another_process(self, cache):
         wide = Study((_scenario(trials=10),)).run(workers=WORKERS)["cached"]
@@ -511,7 +548,7 @@ class TestReadPath:
         assert cache.store(narrow) is True
         ResultCache(cache.root).store(wide)  # a second handle on the store
         assert cache.store(narrow) is False
-        assert cache.lookup(_scenario()).trials == 10
+        assert cache.lookup(_scenario()).shape[-3] == 10
 
 
 class TestShardedRoute:

@@ -1,7 +1,8 @@
 """Execution engine satellites: trial-block splitting and warm pools.
 
-Pins the under-utilization fix (columns splitting into trial blocks
-when there are fewer K columns than workers), the persistent-pool
+Pins the cost-weighted block layout (a column splitting into trial
+blocks in proportion to its share of the analytic cost, handed out
+longest first), the persistent-pool
 plumbing, and the scheduling guarantees of the one dispatcher
 (:func:`run_units` under its default policy): no head-of-line
 blocking (completion order decoupled from result order), no leaked
@@ -12,17 +13,21 @@ on a failing study, and one ``unit_completed`` event per unit.
 from __future__ import annotations
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from repro.exceptions import DeadUnitError
+from repro.experiments.zero_one import build_zero_one_study
 from repro.service import events
+from repro.service.shards import run_sharded
 from repro.simulation import pool
-from repro.simulation.scheduler import run_units
+from repro.simulation.scheduler import FaultReport, run_units
 from repro.study import MetricSpec, Scenario, Study
 from repro.study import compiler
 from repro.study.compiler import split_trial_blocks
+from repro.study.scenario import ClassMix
 
 
 def _map(fn, units, workers):
@@ -37,7 +42,7 @@ class TestSplitTrialBlocks:
         # 1 column, 10 trials, 4 workers: ceil(4/1) = 4 blocks with
         # linspace boundaries 0|2|5|7|10.  This layout is part of the
         # determinism story, so pin it exactly.
-        assert split_trial_blocks(1, 10, 4) == [
+        assert split_trial_blocks([1], 10, 4) == [
             (0, 0, 2),
             (0, 2, 5),
             (0, 5, 7),
@@ -45,19 +50,19 @@ class TestSplitTrialBlocks:
         ]
 
     def test_more_columns_than_workers_no_split(self):
-        blocks = split_trial_blocks(8, 10, 4)
+        blocks = split_trial_blocks([1] * 8, 10, 4)
         assert blocks == [(c, 0, 10) for c in range(8)]
 
     def test_splits_capped_by_trials(self):
         # 2 trials cannot split into more than 2 blocks per column.
-        blocks = split_trial_blocks(1, 2, 16)
+        blocks = split_trial_blocks([1], 2, 16)
         assert blocks == [(0, 0, 1), (0, 1, 2)]
 
     def test_blocks_partition_trials(self):
         for columns in (1, 2, 5):
             for trials in (1, 7, 24):
                 for workers in (1, 3, 8, 20):
-                    blocks = split_trial_blocks(columns, trials, workers)
+                    blocks = split_trial_blocks([1] * columns, trials, workers)
                     for column in range(columns):
                         spans = [
                             (start, stop)
@@ -72,45 +77,45 @@ class TestSplitTrialBlocks:
 
     def test_total_columns_divisor_override(self):
         # The study compiler schedules several groups into one pool:
-        # with 4 total columns and 4 workers, a 1-column group does not
-        # split even though 1 < 4.
-        assert split_trial_blocks(1, 10, 4, total_columns=4) == [(0, 0, 10)]
+        # with 4 unit-cost columns in total and 4 workers, a 1-column
+        # group does not split even though 1 < 4.
+        assert split_trial_blocks([1], 10, 4, total_cost=4) == [(0, 0, 10)]
 
     def test_nonzero_start_restricts_to_extension_window(self):
         # Adaptive rounds split only [start, trials); boundaries stay a
         # pure function of the arguments.
-        assert split_trial_blocks(1, 20, 4, start=10) == [
+        assert split_trial_blocks([1], 20, 4, start=10) == [
             (0, 10, 12),
             (0, 12, 15),
             (0, 15, 17),
             (0, 17, 20),
         ]
         # start=0 is exactly the historical layout
-        assert split_trial_blocks(1, 10, 4, start=0) == split_trial_blocks(1, 10, 4)
+        assert split_trial_blocks([1], 10, 4, start=0) == split_trial_blocks([1], 10, 4)
 
     def test_empty_extension_yields_no_blocks(self):
-        assert split_trial_blocks(3, 10, 4, start=10) == []
-        assert split_trial_blocks(3, 10, 4, start=15) == []
+        assert split_trial_blocks([1] * 3, 10, 4, start=10) == []
+        assert split_trial_blocks([1] * 3, 10, 4, start=15) == []
 
     def test_single_trial_extension_block(self):
-        assert split_trial_blocks(2, 10, 8, start=9) == [(0, 9, 10), (1, 9, 10)]
+        assert split_trial_blocks([1, 1], 10, 8, start=9) == [(0, 9, 10), (1, 9, 10)]
 
     def test_block_count_larger_than_remainder_degrades_to_single_trials(self):
         # 16 workers want 16 blocks, but only 3 trials remain: the
         # window degrades to 3 single-trial blocks, never empty ones.
-        blocks = split_trial_blocks(1, 10, 16, start=7)
+        blocks = split_trial_blocks([1], 10, 16, start=7)
         assert blocks == [(0, 7, 8), (0, 8, 9), (0, 9, 10)]
 
     def test_negative_start_rejected(self):
         from repro.exceptions import ParameterError
 
         with pytest.raises(ParameterError, match="start"):
-            split_trial_blocks(1, 10, 4, start=-1)
+            split_trial_blocks([1], 10, 4, start=-1)
 
     def test_offset_blocks_partition_extension_window(self):
         for start in (0, 1, 5, 23, 24):
             for workers in (1, 4, 40):
-                blocks = split_trial_blocks(2, 24, workers, start=start)
+                blocks = split_trial_blocks([1] * 2, 24, workers, start=start)
                 if start >= 24:
                     assert blocks == []
                     continue
@@ -141,6 +146,116 @@ class TestSplitTrialBlocks:
         split = study.run(workers=4)
         assert split.provenance["units"] == 4
         assert np.array_equal(serial["single"].values, split["single"].values)
+
+
+#: The zero-one growth sweep's grid: n = 200/500/1000 at P = 10^4,
+#: with the K the zero-one design picks at each n.
+def _growth(trials=48):
+    return Scenario(
+        name="growth",
+        num_nodes_grid=(200, 500, 1000),
+        pool_size=10000,
+        ring_sizes=((58,), (47,), (40,)),
+        curves=((2, 0.5),),
+        metrics=(MetricSpec("connectivity"),),
+        trials=trials,
+        seed=5,
+    )
+
+
+def _unit_lists(monkeypatch):
+    """Record every unit list handed to the dispatcher; run none of them."""
+    seen = []
+
+    def record(fn, units, workers, policy):
+        seen.append(list(units))
+        return [None] * len(units), FaultReport(units=len(units))
+
+    monkeypatch.setattr(compiler, "run_batches", record)
+    return seen
+
+
+class TestCostWeightedLayout:
+    def test_column_cost_is_the_pair_event_estimate(self):
+        plan = Study((_growth(),)).compile()[0]
+        # nK + (nK)^2 / (2P)
+        assert [plan.column_cost(si, 0) for si in range(3)] == [
+            11600 + Fraction(11600**2, 20000),
+            23500 + Fraction(23500**2, 20000),
+            40000 + Fraction(40000**2, 20000),
+        ]
+
+    def test_class_mix_uses_the_weighted_mean_ring(self):
+        scenario = Scenario(
+            name="mix",
+            num_nodes=100,
+            pool_size=1000,
+            ring_sizes=((10, 30),),
+            classes=ClassMix(mu=(0.25, 0.75), channel_probs=((1.0, 1.0), (1.0, 1.0))),
+            curves=((1, 1.0),),
+            metrics=(MetricSpec("connectivity"),),
+            trials=2,
+            seed=1,
+        )
+        nk = Fraction(100 * 25)
+        assert Study((scenario,)).compile()[0].column_cost(0, 0) == nk + nk * nk / 2000
+
+    def test_growth_grid_splits_one_one_two(self):
+        plan = Study((_growth(),)).compile()[0]
+        costs = [plan.column_cost(si, 0) for si in range(3)]
+        assert split_trial_blocks(costs, 48, 2) == [
+            (0, 0, 48),
+            (1, 0, 48),
+            (2, 0, 24),
+            (2, 24, 48),
+        ]
+
+    def test_growth_grid_units_go_longest_first(self, monkeypatch):
+        seen = _unit_lists(monkeypatch)
+        Study((_growth(),)).run(workers=2)
+        # Per-block cost: n = 1000 half-columns (2.88e6 each), then the
+        # whole n = 500 (2.45e6) and n = 200 (0.88e6) columns.
+        assert seen == [
+            [
+                (0, 2, 0, 0, 24),
+                (0, 2, 0, 24, 48),
+                (0, 1, 0, 0, 48),
+                (0, 0, 0, 0, 48),
+            ]
+        ]
+
+    def test_one_worker_gets_one_block_per_column_in_plan_order(self, monkeypatch):
+        seen = _unit_lists(monkeypatch)
+        Study((_growth(),)).run(workers=1)
+        Study((_growth(),)).run_extension(48, 96, workers=1)
+        assert seen == [
+            [(0, si, 0, 0, 48) for si in range(3)],
+            [(0, si, 0, 48, 96) for si in range(3)],
+        ]
+
+    def test_values_do_not_depend_on_the_layout(self, monkeypatch):
+        study = build_zero_one_study(
+            trials=6, num_nodes_grid=(30, 60, 120), pool_size=500, seed=3
+        )
+        reference = study.run(workers=1)["zero_one"].values
+        layouts = []
+        real = compiler.run_batches
+
+        def record(fn, units, workers, policy):
+            layouts.append(list(units))
+            return real(fn, units, workers, policy)
+
+        monkeypatch.setattr(compiler, "run_batches", record)
+        for workers in (1, 2, 3):
+            for result in (
+                study.run(workers=workers),
+                run_sharded(study, shards=2, workers=workers),
+            ):
+                assert np.array_equal(result["zero_one"].values, reference)
+        # One block per column at one worker; the n = 120 column
+        # (60% of the cost) splits, and goes first, at two and three.
+        assert [len(units) for units in layouts] == [3, 3, 3] + [4, 4, 4] * 2
+        assert all(units[0][1] == 2 for units in layouts[3:])
 
 
 def _double(x: int) -> int:
