@@ -1,12 +1,14 @@
 """The three hot-path kernels every Monte Carlo workload runs on.
 
-The min-label connectivity union, candidate-pair overlap counting and
-the exact k-connectivity decision (Tarjan at ``k = 2``; at ``k >= 3``
-a Nagamochi–Ibaraki sparse certificate, then the closure scan) live on
-:class:`~repro.kernels.reference.ReferenceBackend` (pure numpy).  Everything above (``graphs/``, ``keygraphs/``,
-``study/``) calls them through the one instance :func:`get_backend`
-returns, so a profiler can wrap the class's methods in one place and
-see every kernel call.
+The min-label connectivity union, candidate-pair overlap counting (only
+pairs sharing at least ``min_count`` keys are emitted, so the
+q-composite threshold is applied inside the kernel) and the exact
+k-connectivity decision (Tarjan at ``k = 2``; at ``k >= 3`` a
+Nagamochi–Ibaraki sparse certificate, then the closure scan) live on
+:class:`~repro.kernels.reference.ReferenceBackend` (pure numpy).
+Everything above (``graphs/``, ``keygraphs/``, ``study/``) calls them
+through the one instance :func:`get_backend` returns, so a profiler can
+wrap the class's methods in one place and see every kernel call.
 """
 
 from __future__ import annotations

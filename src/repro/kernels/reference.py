@@ -6,8 +6,8 @@ workload in this repository:
 1. **min-label connectivity union** — component labels of an edge array
    (the connectivity decision of every sweep trial);
 2. **candidate-pair overlap counting** — shared-key multiplicities per
-   co-holding node pair from the key → holders incidence (the sampling
-   cost of every deployment);
+   node pair sharing at least ``min_count`` keys, from the key →
+   holders incidence (the sampling cost of every deployment);
 3. **the exact k-connectivity decision** — Tarjan biconnectivity on
    the simple graph for ``k = 2`` (linear, so no preprocessing pays)
    and, for ``k >= 3``, a Nagamochi–Ibaraki sparse certificate followed
@@ -22,7 +22,9 @@ The module functions implement them:
 * :func:`overlap_counts` is the inverted-index counter: one sort of
   combined ``key * n + node`` codes, pair-event expansion batched by
   holder count (one stable sort of the group sizes), and a pair-code
-  sort plus run-length count;
+  sort plus one run-detection pass that emits only the runs of at
+  least ``min_count`` events — the q-composite threshold applied where
+  the runs are found, so no all-pairs output is built and filtered;
 * :func:`scan_first_certificate` is the Nagamochi–Ibaraki sparse
   certificate: the first k forests of one maximum-adjacency scan.
 
@@ -92,9 +94,12 @@ def _triu_pairs(m: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def overlap_counts(
-    node_ids: np.ndarray, key_ids: np.ndarray, num_nodes: int
+    node_ids: np.ndarray,
+    key_ids: np.ndarray,
+    num_nodes: int,
+    min_count: int = 1,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Shared-key count per co-holding pair via the inverted key index.
+    """Shared-key count per pair sharing ``min_count`` or more keys.
 
     One in-place sort of the combined codes ``key * n + node`` groups
     the incidence by key with each key's holders node-ascending, so the
@@ -103,9 +108,10 @@ def overlap_counts(
     of equal holder count, so each batch is one ``(num_keys, m)``
     gather plus one ``triu``-index expansion (cached per size) — no
     per-key Python iteration.  Pair multiplicities are a second
-    in-place sort plus a run-length count.  Both sorts run on int32
-    when every code fits (the common case), on int64 otherwise; the
-    outputs are int64.
+    in-place sort plus one run-detection pass that finds the head and
+    tail of every run of at least ``min_count`` equal codes; shorter
+    runs are never emitted.  Both sorts run on int32 when every code
+    fits (the common case), on int64 otherwise; the outputs are int64.
     """
     n = int(num_nodes)
     narrow = (
@@ -153,14 +159,24 @@ def overlap_counts(
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     pairs = np.concatenate(pair_chunks)
     pairs.sort()
-    first = np.empty(pairs.size, dtype=bool)
-    first[0] = True
-    np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
-    run_starts = np.flatnonzero(first)
-    counts = np.empty(run_starts.size, dtype=np.int64)
-    counts[:-1] = run_starts[1:] - run_starts[:-1]
-    counts[-1] = pairs.size - run_starts[-1]
-    return pairs[run_starts].astype(np.int64), counts
+    # Each run of equal codes is one pair; keep the runs of length at
+    # least ``min_count``.  ``edge[i]`` marks a code boundary before
+    # ``pairs[i]`` (``edge[0]`` and ``edge[size]`` are the ends), and
+    # ``long[i]`` says ``pairs[i] == pairs[i + min_count - 1]``.  A kept
+    # run's head is a run start with ``long`` set, and its tail a run end
+    # whose code recurs ``min_count - 1`` places back; heads and tails of
+    # the kept runs pair up in order.
+    span = pairs.size - min_count + 1
+    if span <= 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    edge = np.empty(pairs.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(pairs[1:], pairs[:-1], out=edge[1:-1])
+    long = pairs[min_count - 1 :] == pairs[:span]
+    heads = np.flatnonzero(edge[:span] & long)
+    tails = np.flatnonzero(edge[min_count:] & long)
+    counts = (tails - heads + min_count).astype(np.int64, copy=False)
+    return pairs[heads].astype(np.int64), counts
 
 
 def scan_first_certificate(
@@ -262,21 +278,28 @@ class ReferenceBackend:
         return min_label_components(num_nodes, u, v)
 
     def overlap_counts(
-        self, node_ids: np.ndarray, key_ids: np.ndarray, num_nodes: int
+        self,
+        node_ids: np.ndarray,
+        key_ids: np.ndarray,
+        num_nodes: int,
+        min_count: int = 1,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Shared-key count per co-holding node pair.
+        """Shared-key count per node pair sharing at least ``min_count`` keys.
 
         Input is the flattened incidence (``node_ids[i]`` holds
         ``key_ids[i]``; both int64, non-empty; ``0 <= node_ids <
         num_nodes`` and ``key_ids >= 0``, as key ids are pool indices;
         rows are unique — a node holds a key at most once, as key rings
-        are subsets).  Returns ``(pair_keys, counts)`` where
-        ``pair_keys`` encodes each unordered pair ``(a, b), a < b``
-        sharing at least one key as ``a * num_nodes + b``, sorted
-        ascending, and ``counts`` is the number of shared keys; both
-        outputs are int64.  Pairs sharing zero keys are absent.
+        are subsets; ``min_count`` is an int >= 1).  Returns
+        ``(pair_keys, counts)`` where ``pair_keys`` encodes each
+        unordered pair ``(a, b), a < b`` sharing at least ``min_count``
+        keys as ``a * num_nodes + b``, sorted ascending, and ``counts``
+        is the number of shared keys; both outputs are int64.  Only runs
+        of at least ``min_count`` pair events are emitted, so pairs
+        sharing fewer keys (zero included) are absent, and the default
+        of 1 gives every co-holding pair.
         """
-        return overlap_counts(node_ids, key_ids, num_nodes)
+        return overlap_counts(node_ids, key_ids, num_nodes, min_count)
 
     def sparse_certificate(
         self, num_nodes: int, edges: np.ndarray, k: int

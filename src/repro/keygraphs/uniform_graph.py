@@ -4,7 +4,10 @@ An edge joins two nodes whose rings share at least ``q`` keys.  The
 shared-key counts come from the inverted key index: the
 :func:`~repro.kernels.reference.overlap_counts` kernel sorts the
 incidence by key, emits one pair event per co-holding pair per key and
-counts pair multiplicities with a second sort plus a run-length count.
+counts pair multiplicities with a second sort plus one run-detection
+pass.  The threshold ``q`` is applied inside the kernel (its
+``min_count``): pairs sharing fewer keys are never emitted, so no
+caller builds and then filters the all-pairs output.
 Cost is proportional to the number of pair events, expected
 ``P * C(nK/P, 2)`` — around ``4·10^5`` at the paper's Figure 1 scale,
 versus ``5·10^5`` node pairs times ``K`` for the naive scan.
@@ -57,29 +60,34 @@ def _flatten_rings(rings: Rings) -> Tuple[np.ndarray, np.ndarray, int]:
     return node_ids, key_ids, n
 
 
-def overlap_counts_from_rings(rings: Rings) -> Tuple[np.ndarray, np.ndarray]:
-    """Return ``(pair_keys, counts)``: shared-key count per co-holding pair.
+def overlap_counts_from_rings(
+    rings: Rings, min_count: int = 1
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Return ``(pair_keys, counts)`` for pairs sharing ``min_count``+ keys.
 
     ``pair_keys`` encodes each unordered node pair ``(u, v), u < v`` as
     ``u * n + v``, sorted ascending; ``counts`` is the number of keys
-    the pair shares.  Both are int64.  Pairs sharing zero keys are
-    absent.  This is the primitive under both the q-composite edge rule
-    (``counts >= q``) and the attack layer (which needs the actual
-    shared-key multiplicities).
+    the pair shares.  Both are int64.  Pairs sharing fewer than
+    *min_count* keys are absent (at the default of 1, every co-holding
+    pair is present).  This is the primitive under both the q-composite
+    edge rule (``min_count=q``) and the attack layer (which needs every
+    co-holding pair's shared-key multiplicity).
 
     Key ids are pool indices and must be non-negative; a negative id
-    raises :class:`~repro.exceptions.ParameterError`.  The counting
-    itself is a kernel (:mod:`repro.kernels`): a combined-code sort by
-    key, then a pair-code sort plus run-length count
-    (:func:`repro.kernels.reference.overlap_counts`).
+    raises :class:`~repro.exceptions.ParameterError`, and so does a
+    *min_count* that is not an int >= 1.  The counting itself is a
+    kernel (:mod:`repro.kernels`): a combined-code sort by key, then a
+    pair-code sort plus one run-detection pass that emits only runs of
+    at least *min_count* (:func:`repro.kernels.reference.overlap_counts`).
     """
+    min_count = check_positive_int(min_count, "min_count")
     node_ids, key_ids, n = _flatten_rings(rings)
     if key_ids.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     lowest = int(key_ids.min())
     if lowest < 0:
         raise ParameterError(f"key ids must be non-negative, got {lowest}")
-    return get_backend().overlap_counts(node_ids, key_ids, n)
+    return get_backend().overlap_counts(node_ids, key_ids, n, min_count)
 
 
 def edges_from_rings(rings: Rings, q: int) -> np.ndarray:
@@ -93,9 +101,8 @@ def edges_from_rings(rings: Rings, q: int) -> np.ndarray:
         Minimum number of shared keys for an edge.
     """
     q = check_positive_int(q, "q")
-    node_pairs, counts = overlap_counts_from_rings(rings)
+    chosen, _ = overlap_counts_from_rings(rings, q)
     n = len(rings)
-    chosen = node_pairs[counts >= q]
     out = np.empty((chosen.size, 2), dtype=np.int64)
     out[:, 0] = chosen // n
     out[:, 1] = chosen % n

@@ -50,11 +50,11 @@ follows.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import math
 import os
 import pathlib
-import tempfile
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -71,6 +71,29 @@ __all__ = ["CACHE_FORMAT", "ResultCache", "run_cached"]
 
 CACHE_FORMAT = "repro-cache/v2"
 
+#: Per-process serial of temp-file names; with the pid it gives every
+#: store its own temp file.
+_TEMP_SERIAL = itertools.count()
+
+
+def _create_temp(path: pathlib.Path) -> Tuple[int, pathlib.Path]:
+    """Create a new temp file beside *path*, mode ``0o666`` less the umask.
+
+    The operating system applies the umask to the ``0o666`` of
+    ``os.open``, so an entry is as readable as any other file its
+    writer creates (a ``tempfile.mkstemp`` file is ``0o600`` whatever
+    the umask, which locks out other users sharing the cache).  The
+    name adds the pid and a per-process serial to the entry's;
+    ``O_EXCL`` never opens an existing file, and a name left by an
+    earlier process with the same pid is skipped.
+    """
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_TEMP_SERIAL)}.tmp")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+
 
 class ResultCache:
     """File-backed store mapping scenario content hash → value tensor.
@@ -78,7 +101,9 @@ class ResultCache:
     Layout: ``root/<hash[:2]>/<hash>.json`` (fan-out keeps directories
     small at scale).  Each write goes through its own same-directory
     temp file + ``rename``, so concurrent readers never observe a torn
-    entry and concurrent writers never move each other's files.
+    entry and concurrent writers never move each other's files.  Entries
+    are created mode ``0o666`` less the umask, like the fan-out
+    directories, so users sharing the cache can read each other's.
     """
 
     def __init__(self, root: Union[str, pathlib.Path]) -> None:
@@ -197,7 +222,7 @@ class ResultCache:
                 result.values.astype("<f8").tobytes()
             ).decode("ascii"),
         }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        fd, tmp = _create_temp(path)
         try:
             with os.fdopen(fd, "w") as stream:
                 stream.write(json.dumps(payload))

@@ -5,6 +5,9 @@ the sampled rings, the candidate pairs sharing at least ``q_min`` keys
 with their overlap counts, and the channel variables (one uniform per
 candidate edge for the on/off model, torus positions for the disk
 model, one capture permutation when attack metrics are requested).
+The overlap kernel applies the ``q_min`` threshold itself
+(``min_count``), so pairs sharing fewer keys are never materialized,
+and the candidates are exactly what it emits.
 Every curve and metric of every scenario in the deployment's group is a
 deterministic function of these arrays — nothing is resampled.
 
@@ -110,7 +113,9 @@ class Deployment:
 
     num_nodes: int
     rings: Union[np.ndarray, List[np.ndarray]]
-    candidates: np.ndarray  # int64 pair keys u * n + v with count >= q_min
+    # int64 pair keys u * n + v with count >= q_min: exactly the pairs the
+    # overlap kernel emits at min_count=q_min
+    candidates: np.ndarray
     counts: np.ndarray  # shared-key count per candidate
     uniforms: Optional[np.ndarray] = None  # on/off channel
     pair_dists: Optional[np.ndarray] = None  # disk channel, per candidate
@@ -179,10 +184,7 @@ def sample_deployment(
                 f"homogeneous deployments take one ring size, got {ring_size!r}"
             )
         rings = sample_uniform_rings(num_nodes, int(ring_size), pool_size, rng)
-    pair_keys, counts = overlap_counts_from_rings(rings)
-    keep = counts >= q_min
-    candidates = pair_keys[keep]
-    cand_counts = counts[keep]
+    candidates, cand_counts = overlap_counts_from_rings(rings, q_min)
     uniforms = rng.random(candidates.size) if needs_onoff else None
     pair_dists = None
     if needs_disk:

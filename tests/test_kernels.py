@@ -1,6 +1,6 @@
 """Tests for the hot-path kernels (:mod:`repro.kernels`).
 
-Three pillars:
+Four pillars:
 
 1. the kernel set — :func:`repro.kernels.get_backend` returns one
    instance whose class carries every kernel, so every call site (and a
@@ -17,7 +17,12 @@ Three pillars:
    malformed edge arrays;
 3. worker invariance — study metrics on the shared Figure-1 fixture
    (every kernel on) are identical serial and pooled, warm pool on and
-   off.
+   off;
+4. the overlap threshold — a deployment sampled with the ``q_min``
+   threshold inside the overlap kernel holds the same candidates,
+   counts and channel uniforms as one rebuilt from the all-pairs
+   output and a post-filter (brute-force parity of the kernel itself
+   is in ``tests/test_uniform_graph.py``).
 """
 
 from __future__ import annotations
@@ -35,8 +40,13 @@ from repro.graphs.unionfind import is_connected_edges
 from repro.graphs.vertex_connectivity import _closure_scan_edges, is_k_connected_edges
 from repro.kernels import get_backend, resolve_backend_name
 from repro.kernels.reference import ReferenceBackend, scan_first_certificate
-from repro.keygraphs.uniform_graph import uniform_intersection_edges
+from repro.keygraphs.rings import sample_uniform_rings
+from repro.keygraphs.uniform_graph import (
+    overlap_counts_from_rings,
+    uniform_intersection_edges,
+)
 from repro.study import MetricSpec, Scenario, Study
+from repro.study.metrics import sample_deployment
 from tests.oracle import to_graph
 from tests.conftest import POOL_STARTS, prepare_pool
 
@@ -246,3 +256,22 @@ class TestWorkerInvariance:
         np.testing.assert_array_equal(
             serial["consistency"].values, pooled["consistency"].values
         )
+
+
+class TestOverlapThreshold:
+    @pytest.mark.parametrize("q_min", [1, 2, 3])
+    def test_deployment_equals_post_filtered_rebuild(self, q_min):
+        n, pool, ring, seed = 200, 2000, 30, 20171
+        dep = sample_deployment(n, pool, ring, q_min, np.random.default_rng(seed))
+        # The same draws, with the threshold applied after an all-pairs
+        # count: rings, then one channel uniform per candidate.
+        rng = np.random.default_rng(seed)
+        rings = sample_uniform_rings(n, ring, pool, rng)
+        pair_keys, counts = overlap_counts_from_rings(rings)
+        keep = counts >= q_min
+        uniforms = rng.random(int(keep.sum()))
+        assert dep.candidates.size > 0
+        assert np.array_equal(dep.candidates, pair_keys[keep])
+        assert np.array_equal(dep.counts, counts[keep])
+        assert np.array_equal(dep.uniforms, uniforms)
+        assert dep.candidates.dtype == np.int64 and dep.counts.dtype == np.int64

@@ -14,6 +14,7 @@ import base64
 import dataclasses
 import json
 import os
+import stat
 import threading
 
 import numpy as np
@@ -362,6 +363,23 @@ class TestStorePolicy:
         assert stored is not None
         assert np.array_equal(stored, result.values)
         path = cache.path_for(result.scenario.content_hash())
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"]
+    )
+    def test_entry_mode_follows_the_umask(self, cache, umask, mode):
+        # An entry is created like any other file of its writer: under
+        # umask 022 a second user sharing the cache can read it (a
+        # ``tempfile.mkstemp`` entry was 0o600 whatever the umask).
+        study = Study((_scenario(),))
+        previous = os.umask(umask)
+        try:
+            run_cached(study, cache, workers=1)
+        finally:
+            os.umask(previous)
+        path = cache.path_for(study.scenarios[0].content_hash())
+        assert stat.S_IMODE(path.stat().st_mode) == mode
         assert [p.name for p in path.parent.iterdir()] == [path.name]
 
     def test_store_keeps_the_widest_result(self, cache):

@@ -3,8 +3,8 @@
 The strongest checks: the inverted-index overlap kernel must give the
 same edge sets as the dense Gram matrix of :mod:`tests.oracle` and the
 same counts as brute-force pairwise intersections on adversarial ragged
-incidences, and the realized edge frequency must match the exact
-hypergeometric ``s(K, P, q)``.
+incidences, at every ``min_count`` threshold, and the realized edge
+frequency must match the exact hypergeometric ``s(K, P, q)``.
 """
 
 from __future__ import annotations
@@ -79,22 +79,72 @@ class TestOverlapCounts:
         with pytest.raises(ParameterError, match="non-negative"):
             overlap_counts_from_rings(np.array([[0, 1], [-3, 1]]))
 
+    def test_min_count_threshold_matches_post_filter(self):
+        rings = sample_uniform_rings(40, 12, 120, seed=4)
+        pair_keys, counts = overlap_counts_from_rings(rings)
+        for q in (1, 2, 3, 5):
+            keys_q, counts_q = overlap_counts_from_rings(rings, q)
+            keep = counts >= q
+            assert np.array_equal(keys_q, pair_keys[keep]), q
+            assert np.array_equal(counts_q, counts[keep]), q
+
+
+_RINGS = [np.array([0, 1, 2]), np.array([1, 2, 3])]
+
+
+class TestMinCountBoundary:
+    """``min_count`` is a count: anything but an int >= 1 is refused."""
+
+    def test_zero_raises(self):
+        with pytest.raises(ParameterError, match="min_count"):
+            overlap_counts_from_rings(_RINGS, 0)
+
+    def test_negative_raises(self):
+        with pytest.raises(ParameterError, match="min_count"):
+            overlap_counts_from_rings(_RINGS, -2)
+
+    def test_bool_raises(self):
+        with pytest.raises(ParameterError, match="min_count"):
+            overlap_counts_from_rings(_RINGS, True)
+
+    def test_non_int_raises(self):
+        with pytest.raises(ParameterError, match="min_count"):
+            overlap_counts_from_rings(_RINGS, 2.0)
+
+
+#: Thresholds every kernel check runs at (5 exceeds most counts).
+MIN_COUNTS = (1, 2, 3, 5)
+
 
 def _check_kernel(rings: List[List[int]]) -> None:
-    """``reference.overlap_counts`` equals brute-force pairwise counts."""
+    """``reference.overlap_counts`` equals brute-force pairwise counts.
+
+    At every threshold in :data:`MIN_COUNTS`, the kernel must emit
+    exactly the pairs sharing at least that many keys, with their
+    counts, and nothing below the threshold.
+    """
     n = len(rings)
     node_ids = np.array([i for i, r in enumerate(rings) for _ in r], dtype=np.int64)
     key_ids = np.array([k for r in rings for k in r], dtype=np.int64)
-    pair_keys, counts = reference.overlap_counts(node_ids, key_ids, n)
-    assert pair_keys.dtype == np.int64 and counts.dtype == np.int64
-    assert (np.diff(pair_keys) > 0).all()
-    expect: Dict[int, int] = {}
+    shared_counts: Dict[int, int] = {}
     for u in range(n):
         for v in range(u + 1, n):
             shared = np.intersect1d(rings[u], rings[v]).size
             if shared:
-                expect[u * n + v] = shared
-    assert dict(zip(pair_keys.tolist(), counts.tolist())) == expect
+                shared_counts[u * n + v] = shared
+    for min_count in MIN_COUNTS:
+        pair_keys, counts = reference.overlap_counts(
+            node_ids, key_ids, n, min_count
+        )
+        assert pair_keys.dtype == np.int64 and counts.dtype == np.int64
+        assert (np.diff(pair_keys) > 0).all()
+        assert (counts >= min_count).all(), min_count
+        expect = {
+            code: shared
+            for code, shared in shared_counts.items()
+            if shared >= min_count
+        }
+        assert dict(zip(pair_keys.tolist(), counts.tolist())) == expect, min_count
 
 
 # Offsets of 2**31 push ``(max_key + 1) * n`` past int32, so the kernel
@@ -123,6 +173,40 @@ class TestOverlapKernel:
         rings = [[base + 1, base + 2], [base + 2, base + 5], [base + 1, base + 2, base + 5]]
         assert (base + 5 + 1) * len(rings) >= 2**31
         _check_kernel(rings)
+
+    def test_int64_width_at_min_count_two(self):
+        # The 2**31 key offset of the property test: nodes 0 and 2 share
+        # three keys and nodes 1 and 2 two, nodes 0 and 1 one.
+        base = 2**31
+        rings = [[base, base + 1, base + 2], [base + 2, base + 7], [base, base + 1, base + 2, base + 7]]
+        node_ids = np.array([i for i, r in enumerate(rings) for _ in r], dtype=np.int64)
+        key_ids = np.array([k for r in rings for k in r], dtype=np.int64)
+        pair_keys, counts = reference.overlap_counts(node_ids, key_ids, 3, 2)
+        assert pair_keys.tolist() == [0 * 3 + 2, 1 * 3 + 2]
+        assert counts.tolist() == [3, 2]
+        assert pair_keys.dtype == np.int64 and counts.dtype == np.int64
+        _check_kernel(rings)
+
+    def test_min_count_above_every_count_is_empty(self):
+        # Every pair shares at most two keys, over five pair events.
+        rings = [[0, 1, 2], [1, 2, 3], [2, 3, 4]]
+        node_ids = np.array([i for i, r in enumerate(rings) for _ in r], dtype=np.int64)
+        key_ids = np.array([k for r in rings for k in r], dtype=np.int64)
+        assert reference.overlap_counts(node_ids, key_ids, 3, 2)[0].size == 2
+        pair_keys, counts = reference.overlap_counts(node_ids, key_ids, 3, 3)
+        assert pair_keys.size == 0 and counts.size == 0
+        assert pair_keys.dtype == np.int64 and counts.dtype == np.int64
+
+    def test_min_count_above_the_pair_event_count_is_empty(self):
+        # One pair event in all; a threshold past it leaves nothing.
+        node_ids = np.array([0, 1, 1], dtype=np.int64)
+        key_ids = np.array([4, 4, 9], dtype=np.int64)
+        for min_count in (2, 5):
+            pair_keys, counts = reference.overlap_counts(
+                node_ids, key_ids, 2, min_count
+            )
+            assert pair_keys.size == 0 and counts.size == 0
+            assert pair_keys.dtype == np.int64 and counts.dtype == np.int64
 
 
 class TestEdgeSemantics:
