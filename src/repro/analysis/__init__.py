@@ -6,57 +6,36 @@ checksum-verified shard folding — rests on *seed discipline* and
 *ordering discipline* that runtime regression tests can only check on
 the inputs they happen to exercise.  This package proves those
 invariants at the source level, for all code paths, with a small
-AST-based analyzer:
+AST-based analyzer run as one fixed pipeline:
 
-* a **rule-plugin registry** (:mod:`repro.analysis.registry`) —
-  repo-specific rules R001–R008 live in :mod:`repro.analysis.rules`
-  and external code can register more;
-* **per-rule severity and configuration** (each rule carries a
-  ``default_config`` dict; the engine accepts overrides);
+* a **fixed rule catalog** — R000–R008, one tuple in
+  :mod:`repro.analysis.rules`, every finding an error;
 * an **inline-suppression syntax** — ``# repro: noqa[R001] -- why`` —
   where the justification is *required* (a bare ``noqa`` is itself a
-  finding, R000);
-* a committed **baseline file** for grandfathered findings
-  (:mod:`repro.analysis.baseline`), keyed on content hashes so
-  unrelated edits never invalidate entries;
+  finding, R000) and which silences findings in its own module only;
 * **text/JSON reporters** and CI-friendly exit codes via
-  ``repro lint [PATHS] [--select/--ignore/--format/--baseline]``.
+  ``repro lint [PATHS] [--select/--ignore/--format]``: 0 clean, 1 any
+  finding left, 2 configuration error.
 
-The engine lives in :mod:`repro.analysis.engine`; importing this
-package registers the built-in rules.
+The engine lives in :mod:`repro.analysis.engine`.
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline, BaselineEntry
-from repro.analysis.engine import LintResult, collect_modules, lint_paths
-from repro.analysis.registry import (
-    Finding,
-    ModuleInfo,
-    Project,
-    Rule,
-    get_rule,
-    list_rules,
-    register_rule,
-)
+from repro.analysis.engine import LintResult, collect_modules, lint_paths, list_rules
+from repro.analysis.registry import Finding, ModuleInfo, Rule
 from repro.analysis.reporters import render_json, render_text
-
-# Importing the rules package registers R000–R008 with the registry.
-import repro.analysis.rules  # noqa: F401  (import-for-side-effect)
+from repro.analysis.rules import RULES
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "LintResult",
     "ModuleInfo",
-    "Project",
+    "RULES",
     "Rule",
     "collect_modules",
-    "get_rule",
     "lint_paths",
     "list_rules",
-    "register_rule",
     "render_json",
     "render_text",
 ]

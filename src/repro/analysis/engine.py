@@ -1,42 +1,36 @@
-"""The lint engine: file collection, rule dispatch, suppression, baseline.
+"""The lint engine: file collection, rule dispatch, suppression.
 
 :func:`lint_paths` is the one entry point; ``repro lint`` and the test
 suite both call it.  The pipeline:
 
 1. collect ``*.py`` files under the given paths (stable sorted order);
+   paths that yield none are a configuration error;
 2. parse each into a :class:`~repro.analysis.registry.ModuleInfo`
    (syntax errors become ``R999`` findings rather than crashes);
-3. run every selected rule's ``check_module`` per module, then its
-   ``finalize`` over the whole :class:`~repro.analysis.registry.Project`;
-4. drop findings suppressed by a *justified* inline
-   ``# repro: noqa[RULE] -- why`` on the finding's line (R000 polices
-   unjustified ones);
-5. partition the remainder against the baseline.
+3. run every rule in :data:`~repro.analysis.rules.RULES` (or the
+   ``--select``ed ones): ``check_module`` per module, then
+   ``finalize`` over the whole module list;
+4. set aside findings suppressed by a *justified* inline
+   ``# repro: noqa[RULE] -- why`` on the finding's line in its own
+   module (R000 polices unjustified ones).
 
-Exit-code contract (``LintResult.exit_code``): 0 = clean or fully
-baselined/suppressed, 1 = at least one active error-severity finding.
-Configuration mistakes raise :class:`~repro.exceptions.AnalysisError`,
-which the CLI maps to exit code 2.
+Exit-code contract (``LintResult.exit_code``): 0 = no finding left
+after suppression, 1 = at least one.  Configuration mistakes raise
+:class:`~repro.exceptions.AnalysisError`, which the CLI maps to exit
+code 2.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import pathlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Set, Tuple, Type, Union
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.registry import (
-    Finding,
-    ModuleInfo,
-    Project,
-    Rule,
-    get_rule,
-    list_rules,
-)
+from repro.analysis.registry import Finding, ModuleInfo, Rule
+from repro.analysis.rules import RULES
 from repro.exceptions import AnalysisError
 
-__all__ = ["LintResult", "collect_modules", "lint_paths"]
+__all__ = ["LintResult", "collect_modules", "lint_paths", "list_rules"]
 
 #: Rule id reserved for files the analyzer cannot parse.
 PARSE_ERROR_RULE = "R999"
@@ -47,21 +41,18 @@ class LintResult:
     """Outcome of one lint run."""
 
     findings: List[Finding]  #: active (reported, gate-relevant)
-    baselined: List[Finding]  #: matched by the baseline
     suppressed: List[Finding]  #: silenced by justified inline noqa
     files: int
     rules: List[str]  #: ids that ran
 
     @property
     def exit_code(self) -> int:
-        errors = [f for f in self.findings if f.severity == "error"]
-        return 1 if errors else 0
+        return 1 if self.findings else 0
 
     def summary(self) -> str:
         return (
             f"{len(self.findings)} finding(s) "
-            f"({len(self.baselined)} baselined, "
-            f"{len(self.suppressed)} suppressed) "
+            f"({len(self.suppressed)} suppressed) "
             f"across {self.files} file(s), rules: {', '.join(self.rules)}"
         )
 
@@ -80,7 +71,7 @@ def _iter_python_files(paths: Sequence[Union[str, pathlib.Path]]):
 
 
 def _relative_key(path: pathlib.Path, root: pathlib.Path) -> str:
-    """Stable reporting/baseline key for *path*.
+    """Stable reporting key for *path*.
 
     Files inside a ``repro`` package report as ``repro/...`` regardless
     of how the linter was invoked (``src``, ``src/repro``, an absolute
@@ -137,89 +128,48 @@ def collect_modules(
     return modules, errors
 
 
-def _select_rules(
-    select: Optional[Iterable[str]],
-    ignore: Optional[Iterable[str]],
-    severities: Optional[Dict[str, str]],
-    config: Optional[Dict[str, Dict[str, object]]],
-) -> List[Rule]:
-    if select:
-        classes = [get_rule(rule_id.upper()) for rule_id in select]
-    else:
-        classes = list_rules()
-    ignored = {rule_id.upper() for rule_id in ignore} if ignore else set()
-    for rule_id in ignored:
-        get_rule(rule_id)  # validate: typos in --ignore should not pass silently
-    severities = {k.upper(): v for k, v in (severities or {}).items()}
-    for rule_id, level in severities.items():
-        get_rule(rule_id)
-        if level not in ("error", "warning"):
-            raise AnalysisError(
-                f"severity for {rule_id} must be 'error' or 'warning', got {level!r}"
-            )
-    rules: List[Rule] = []
-    for cls in classes:
-        if cls.id in ignored:
-            continue
-        instance = cls((config or {}).get(cls.id))
-        if cls.id in severities:
-            instance.severity = severities[cls.id]
-        rules.append(instance)
-    return rules
+def list_rules() -> List[Type[Rule]]:
+    """Every rule class, ordered by id."""
+    return list(RULES)
 
 
-def _apply_suppressions(
-    modules: Dict[str, ModuleInfo], findings: List[Finding]
-) -> Tuple[List[Finding], List[Finding]]:
-    kept: List[Finding] = []
-    suppressed: List[Finding] = []
-    for finding in findings:
-        module = modules.get(finding.path)
-        note = module.suppressions.get(finding.line) if module else None
-        if (
-            note is not None
-            and note.valid
-            and (finding.rule in note.rules or "ALL" in note.rules)
-        ):
-            suppressed.append(finding)
-        else:
-            kept.append(finding)
-    return kept, suppressed
+def _rule_ids(raw: Iterable[str]) -> Set[str]:
+    known = {cls.id for cls in RULES}
+    ids = {rule_id.upper() for rule_id in raw}
+    unknown = sorted(ids - known)
+    if unknown:
+        raise AnalysisError(
+            f"unknown rule(s) {', '.join(unknown)}; known: {', '.join(sorted(known))}"
+        )
+    return ids
 
 
 def lint_paths(
     paths: Sequence[Union[str, pathlib.Path]],
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    baseline: Optional[Union[str, pathlib.Path, Baseline]] = None,
-    severities: Optional[Dict[str, str]] = None,
-    config: Optional[Dict[str, Dict[str, object]]] = None,
 ) -> LintResult:
     """Run the linter; see the module docstring for the pipeline."""
-    rules = _select_rules(select, ignore, severities, config)
+    selected = _rule_ids(select) if select else {cls.id for cls in RULES}
+    # Typos in --ignore are config errors too, not silent no-ops.
+    selected -= _rule_ids(ignore or ())
+    rules = [cls() for cls in RULES if cls.id in selected]
     modules, parse_errors = collect_modules(paths)
-    project = Project(modules)
+    if not modules and not parse_errors:
+        raise AnalysisError(
+            f"no python files under {', '.join(str(p) for p in paths)}"
+        )
 
     findings: List[Finding] = list(parse_errors)
     for rule in rules:
         for module in modules:
             findings.extend(rule.check_module(module))
-        findings.extend(rule.finalize(project))
+        findings.extend(rule.finalize(modules))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
 
-    by_rel = {module.rel: module for module in modules}
-    findings, suppressed = _apply_suppressions(by_rel, findings)
-
-    baselined: List[Finding] = []
-    if baseline is not None:
-        if not isinstance(baseline, Baseline):
-            baseline = Baseline.load(baseline)
-        findings, baselined = baseline.split(findings)
-
     return LintResult(
-        findings=findings,
-        baselined=baselined,
-        suppressed=suppressed,
+        findings=[f for f in findings if not f.suppressed],
+        suppressed=[f for f in findings if f.suppressed],
         files=len(modules),
         rules=[rule.id for rule in rules],
     )

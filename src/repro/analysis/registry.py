@@ -1,17 +1,16 @@
-"""Rule plugin registry and the data model shared by all lint rules.
+"""The data model shared by all lint rules.
 
-A *rule* is a class with an ``id`` (``"R001"``), a ``name``, a default
-``severity``, a ``default_config`` dict, and two hooks:
+A *rule* is a class with an ``id`` (``"R001"``), a ``name``, a
+``description`` and two hooks:
 
 * :meth:`Rule.check_module` — called once per analyzed module with a
   parsed :class:`ModuleInfo`; yields :class:`Finding`s.
 * :meth:`Rule.finalize` — called once after every module has been
-  visited, with the whole :class:`Project`; cross-file rules (R007's
+  visited, with the whole module list; cross-file rules (R007's
   provenance completeness) report here.
 
-Rules self-register via the :func:`register_rule` decorator, so adding
-a rule is one class in :mod:`repro.analysis.rules` (or any imported
-module — external packages can register their own).
+The built-in rules are listed, in id order, in
+:data:`repro.analysis.rules.RULES`; that tuple is the whole catalog.
 """
 
 from __future__ import annotations
@@ -20,22 +19,9 @@ import ast
 import dataclasses
 import pathlib
 import re
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
+from typing import Dict, Iterable, List, Tuple
 
-from repro.exceptions import AnalysisError
-
-__all__ = [
-    "Finding",
-    "ModuleInfo",
-    "Project",
-    "Rule",
-    "Suppression",
-    "get_rule",
-    "list_rules",
-    "register_rule",
-]
-
-SEVERITIES = ("error", "warning")
+__all__ = ["Finding", "ModuleInfo", "Rule", "Suppression"]
 
 #: ``# repro: noqa[R001,R002] -- justification`` (justification required).
 _NOQA_RE = re.compile(
@@ -50,15 +36,18 @@ class Finding:
     """One lint finding, anchored to a source line."""
 
     rule: str
-    path: str  #: stable package-relative posix path (baseline key)
+    path: str  #: stable package-relative posix path (reporting key)
     line: int  #: 1-indexed
     col: int  #: 0-indexed
     message: str
-    severity: str = "error"
-    snippet: str = ""  #: stripped source line (baseline content hash input)
+    snippet: str = ""  #: stripped source line
+    #: Silenced by a justified ``noqa`` in the finding's own module.
+    suppressed: bool = dataclasses.field(default=False, compare=False)
 
     def to_dict(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
+        data = dataclasses.asdict(self)
+        del data["suppressed"]  # the report lists suppressed findings apart
+        return data
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1} {self.rule} {self.message}"
@@ -84,8 +73,8 @@ class ModuleInfo:
         self.path = path
         #: Package-relative posix path: ``repro/study/metrics.py`` for
         #: tree files, scan-root-relative for fixture trees.  This is
-        #: the reporting + baseline key, so findings are stable across
-        #: invocation directories.
+        #: the reporting key, so findings are stable across invocation
+        #: directories.
         self.rel = rel
         self.source = source
         self.lines: List[str] = source.splitlines()
@@ -113,93 +102,37 @@ class ModuleInfo:
             return self.lines[lineno - 1].strip()
         return ""
 
-    def finding(
-        self,
-        rule: "Rule",
-        node: ast.AST,
-        message: str,
-        severity: Optional[str] = None,
-    ) -> Finding:
+    def finding(self, rule: "Rule", node: ast.AST, message: str) -> Finding:
+        """A finding of *rule* at *node*, checked against this module's
+        own inline suppressions (never another module's with the same
+        ``rel``)."""
         line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
+        note = self.suppressions.get(line)
         return Finding(
             rule=rule.id,
             path=self.rel,
             line=line,
-            col=col,
+            col=getattr(node, "col_offset", 0),
             message=message,
-            severity=severity or rule.severity,
             snippet=self.line_text(line),
+            suppressed=note is not None
+            and note.valid
+            and (rule.id in note.rules or "ALL" in note.rules),
         )
 
 
-class Project:
-    """The full analyzed module set, for cross-file ``finalize`` hooks."""
-
-    def __init__(self, modules: List[ModuleInfo]) -> None:
-        self.modules = modules
-
-    def __iter__(self) -> Iterator[ModuleInfo]:
-        return iter(self.modules)
-
-
 class Rule:
-    """Base class for lint rules; subclass and :func:`register_rule`."""
+    """Base class for lint rules; add subclasses to ``rules.RULES``."""
 
     id: str = ""
     name: str = ""
-    severity: str = "error"
     description: str = ""
-    #: Per-rule configuration; the engine deep-copies and overlays
-    #: user-supplied overrides before a run.
-    default_config: Dict[str, object] = {}
-
-    def __init__(self, config: Optional[Dict[str, object]] = None) -> None:
-        merged = dict(self.default_config)
-        if config:
-            merged.update(config)
-        self.config = merged
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
         return ()
 
-    def finalize(self, project: Project) -> Iterable[Finding]:
+    def finalize(self, modules: List[ModuleInfo]) -> Iterable[Finding]:
         return ()
-
-
-_RULES: Dict[str, Type[Rule]] = {}
-
-
-def register_rule(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding *cls* to the rule registry.
-
-    Re-registering an id replaces the previous rule (tests and external
-    plugins use this to inject instrumented variants).
-    """
-    if not cls.id or not re.fullmatch(r"[A-Z][A-Z0-9_]*\d", cls.id):
-        raise AnalysisError(
-            f"rule id must look like 'R001', got {cls.id!r} on {cls.__name__}"
-        )
-    if cls.severity not in SEVERITIES:
-        raise AnalysisError(
-            f"rule {cls.id} severity must be one of {SEVERITIES}, got {cls.severity!r}"
-        )
-    _RULES[cls.id] = cls
-    return cls
-
-
-def get_rule(rule_id: str) -> Type[Rule]:
-    try:
-        return _RULES[rule_id]
-    except KeyError:
-        raise AnalysisError(
-            f"unknown rule {rule_id!r}; registered: {', '.join(sorted(_RULES))}"
-        )
-
-
-def list_rules() -> List[Type[Rule]]:
-    """Registered rule classes, ordered by id."""
-    return [_RULES[rule_id] for rule_id in sorted(_RULES)]
 
 
 def _scan_suppressions(source: str) -> Dict[int, Suppression]:

@@ -5,12 +5,11 @@ from __future__ import annotations
 import json
 from typing import Dict, List
 
-from repro.analysis.engine import LintResult
-from repro.analysis.registry import list_rules
+from repro.analysis.engine import LintResult, list_rules
 
 __all__ = ["render_text", "render_json", "render_rule_listing"]
 
-REPORT_FORMAT = "repro-lint-report/v1"
+REPORT_FORMAT = "repro-lint-report/v2"
 
 
 def render_text(result: LintResult, verbose: bool = False) -> str:
@@ -18,9 +17,6 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
     finding, then the summary line."""
     lines: List[str] = [finding.render() for finding in result.findings]
     if verbose:
-        lines.extend(
-            f"{finding.render()}  [baselined]" for finding in result.baselined
-        )
         lines.extend(
             f"{finding.render()}  [suppressed]" for finding in result.suppressed
         )
@@ -33,19 +29,11 @@ def render_json(result: LintResult) -> str:
     document: Dict[str, object] = {
         "format": REPORT_FORMAT,
         "findings": [finding.to_dict() for finding in result.findings],
-        "baselined": [finding.to_dict() for finding in result.baselined],
         "suppressed": [finding.to_dict() for finding in result.suppressed],
         "summary": {
             "files": result.files,
             "rules": result.rules,
             "active": len(result.findings),
-            "errors": sum(
-                1 for f in result.findings if f.severity == "error"
-            ),
-            "warnings": sum(
-                1 for f in result.findings if f.severity == "warning"
-            ),
-            "baselined": len(result.baselined),
             "suppressed": len(result.suppressed),
             "exit_code": result.exit_code,
         },
@@ -55,7 +43,6 @@ def render_json(result: LintResult) -> str:
 
 def render_rule_listing() -> str:
     """``repro lint --list-rules`` output."""
-    lines = []
-    for cls in list_rules():
-        lines.append(f"{cls.id}  {cls.name:28} [{cls.severity}] {cls.description}")
-    return "\n".join(lines)
+    return "\n".join(
+        f"{cls.id}  {cls.name:28} {cls.description}" for cls in list_rules()
+    )

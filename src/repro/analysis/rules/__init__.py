@@ -1,7 +1,7 @@
 """Built-in lint rules.
 
-Importing this package registers every rule with the registry in
-:mod:`repro.analysis.registry`.  One module per concern:
+:data:`RULES` is the whole catalog, in id order; ``repro lint`` runs
+every rule in it (or the ``--select``ed ones).  One module per concern:
 
 * :mod:`~repro.analysis.rules.meta` — R000 suppression hygiene;
 * :mod:`~repro.analysis.rules.determinism` — R001 unseeded randomness,
@@ -17,10 +17,21 @@ Importing this package registers every rule with the registry in
 
 from __future__ import annotations
 
-from repro.analysis.rules import (  # noqa: F401  (import-for-registration)
-    determinism,
-    errors,
-    meta,
-    provenance,
-    structure,
+from typing import Tuple, Type
+
+from repro.analysis.registry import Rule
+from repro.analysis.rules import determinism, errors, meta, provenance, structure
+
+__all__ = ["RULES"]
+
+RULES: Tuple[Type[Rule], ...] = (
+    meta.SuppressionHygiene,
+    determinism.UnseededRandomness,
+    determinism.WallClockEntropy,
+    determinism.UnorderedIteration,
+    structure.KernelSeam,
+    structure.WorkerImportHygiene,
+    errors.TypedExceptions,
+    provenance.ProvenanceCompleteness,
+    determinism.FloatReductionOrder,
 )

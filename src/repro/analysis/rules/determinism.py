@@ -11,10 +11,10 @@ discipline on every code path.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence
 
 from repro.analysis.astutil import ImportMap, call_name, parent_map
-from repro.analysis.registry import Finding, ModuleInfo, Rule, register_rule
+from repro.analysis.registry import Finding, ModuleInfo, Rule
 
 __all__ = [
     "UnseededRandomness",
@@ -38,7 +38,6 @@ def _matches(name: Optional[str], patterns: Sequence[str]) -> bool:
     return False
 
 
-@register_rule
 class UnseededRandomness(Rule):
     """R001: every random draw must trace back to a ``SeedSequence``.
 
@@ -51,46 +50,41 @@ class UnseededRandomness(Rule):
 
     id = "R001"
     name = "unseeded-randomness"
-    severity = "error"
     description = (
         "no global/unseeded RNGs outside utils/rng.py — randomness must "
         "derive from a SeedSequence"
     )
-    default_config = {
-        # Modules allowed to construct unseeded generators.
-        "allowed_modules": ["utils/rng.py"],
-        # The global-state numpy RNG namespace; constructing from it is
-        # fine only through these seedable entry points.
-        "seedable": [
-            "numpy.random.default_rng",
-            "numpy.random.Generator",
-            "numpy.random.SeedSequence",
-            "numpy.random.PCG64",
-            "numpy.random.Philox",
-            "numpy.random.SFC64",
-            "numpy.random.MT19937",
-            "numpy.random.BitGenerator",
-        ],
-        "banned_modules": ["random"],
-    }
+    #: Modules allowed to construct unseeded generators.
+    ALLOWED_MODULES = ("utils/rng.py",)
+    #: The global-state numpy RNG namespace; constructing from it is
+    #: fine only through these seedable entry points.
+    SEEDABLE = frozenset({
+        "numpy.random.default_rng",
+        "numpy.random.Generator",
+        "numpy.random.SeedSequence",
+        "numpy.random.PCG64",
+        "numpy.random.Philox",
+        "numpy.random.SFC64",
+        "numpy.random.MT19937",
+        "numpy.random.BitGenerator",
+    })
+    BANNED_MODULES = frozenset({"random"})
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
-        if module.matches(self.config["allowed_modules"]):
+        if module.matches(self.ALLOWED_MODULES):
             return []
         findings: List[Finding] = []
         imports = ImportMap(module.tree)
-        seedable = set(self.config["seedable"])
-        banned_modules = set(self.config["banned_modules"])
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                findings.extend(self._check_import(module, node, banned_modules))
+                findings.extend(self._check_import(module, node))
             if not isinstance(node, ast.Call):
                 continue
             name = call_name(imports, node)
             if name is None:
                 continue
             head = name.split(".")[0]
-            if head in banned_modules:
+            if head in self.BANNED_MODULES:
                 findings.append(
                     module.finding(
                         self, node,
@@ -99,7 +93,7 @@ class UnseededRandomness(Rule):
                         "(repro.utils.rng) instead",
                     )
                 )
-            elif name.startswith("numpy.random.") and name not in seedable:
+            elif name.startswith("numpy.random.") and name not in self.SEEDABLE:
                 findings.append(
                     module.finding(
                         self, node,
@@ -119,16 +113,14 @@ class UnseededRandomness(Rule):
                     )
         return findings
 
-    def _check_import(
-        self, module: ModuleInfo, node: ast.AST, banned: Set[str]
-    ) -> Iterable[Finding]:
+    def _check_import(self, module: ModuleInfo, node: ast.AST) -> Iterable[Finding]:
         names: List[str] = []
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
             names = [node.module]
         for name in names:
-            if name.split(".")[0] in banned:
+            if name.split(".")[0] in self.BANNED_MODULES:
                 yield module.finding(
                     self, node,
                     f"import of `{name}`: the stdlib random module is "
@@ -148,7 +140,6 @@ class UnseededRandomness(Rule):
         return isinstance(first, ast.Constant) and first.value is None
 
 
-@register_rule
 class WallClockEntropy(Rule):
     """R002: no wall-clock or entropy sources on result-bearing paths.
 
@@ -161,37 +152,33 @@ class WallClockEntropy(Rule):
 
     id = "R002"
     name = "wall-clock-entropy"
-    severity = "error"
     description = (
         "no wall-clock/entropy sources (time.time, uuid4, os.urandom, "
         "datetime.now) in kernels/, simulation/, study/, service/"
     )
-    default_config = {
-        "packages": ["kernels", "simulation", "study", "service"],
-        "banned": [
-            "time.time",
-            "time.time_ns",
-            "datetime.datetime.now",
-            "datetime.datetime.utcnow",
-            "datetime.date.today",
-            "uuid.uuid1",
-            "uuid.uuid4",
-            "os.urandom",
-            "secrets.",
-        ],
-    }
+    PACKAGES = ("kernels", "simulation", "study", "service")
+    BANNED = (
+        "time.time",
+        "time.time_ns",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.date.today",
+        "uuid.uuid1",
+        "uuid.uuid4",
+        "os.urandom",
+        "secrets.",
+    )
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
-        if not module.in_packages(self.config["packages"]):
+        if not module.in_packages(self.PACKAGES):
             return []
         findings: List[Finding] = []
         imports = ImportMap(module.tree)
-        banned = list(self.config["banned"])
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
             name = call_name(imports, node)
-            if _matches(name, banned):
+            if _matches(name, self.BANNED):
                 findings.append(
                     module.finding(
                         self, node,
@@ -238,7 +225,6 @@ def _is_set_typed(node: ast.AST, imports: ImportMap) -> bool:
 _SANITIZERS = {"sorted", "len", "min", "max", "any", "all", "set", "frozenset"}
 
 
-@register_rule
 class UnorderedIteration(Rule):
     """R003: iteration order over sets/dict-keys must be sanitized.
 
@@ -253,21 +239,17 @@ class UnorderedIteration(Rule):
 
     id = "R003"
     name = "unordered-iteration"
-    severity = "error"
     description = (
         "iteration over set()/dict.keys() feeding accumulation, array "
         "construction, or scheduling order — wrap in sorted(...)"
     )
-    default_config = {
-        # Order-sensitive consumers that materialize iteration order.
-        "consumers": ["list", "tuple", "enumerate", "sum"],
-    }
+    #: Order-sensitive consumers that materialize iteration order.
+    CONSUMERS = frozenset({"list", "tuple", "enumerate", "sum"})
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
         findings: List[Finding] = []
         imports = ImportMap(module.tree)
         parents = parent_map(module.tree)
-        consumers = set(self.config["consumers"])
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 if _is_set_typed(node.iter, imports):
@@ -295,7 +277,7 @@ class UnorderedIteration(Rule):
                 )
             elif isinstance(node, ast.Call):
                 name = call_name(imports, node)
-                if name in consumers and node.args and _is_set_typed(
+                if name in self.CONSUMERS and node.args and _is_set_typed(
                     node.args[0], imports
                 ):
                     findings.append(
@@ -317,7 +299,6 @@ class UnorderedIteration(Rule):
         return False
 
 
-@register_rule
 class FloatReductionOrder(Rule):
     """R008: float reductions in kernel code must use a fixed-order sum.
 
@@ -331,15 +312,14 @@ class FloatReductionOrder(Rule):
 
     id = "R008"
     name = "float-reduction-order"
-    severity = "error"
     description = (
         "builtin sum() in kernel code — use np.sum/ndarray.sum "
         "(pairwise) or math.fsum for order-stable float reduction"
     )
-    default_config = {"packages": ["kernels"]}
+    PACKAGES = ("kernels",)
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
-        if not module.in_packages(self.config["packages"]):
+        if not module.in_packages(self.PACKAGES):
             return []
         findings: List[Finding] = []
         imports = ImportMap(module.tree)

@@ -16,42 +16,37 @@ import ast
 from typing import Iterable, List
 
 from repro.analysis.astutil import ImportMap, attr_chain
-from repro.analysis.registry import Finding, ModuleInfo, Rule, register_rule
+from repro.analysis.registry import Finding, ModuleInfo, Rule
 
 __all__ = ["TypedExceptions"]
 
 
-@register_rule
 class TypedExceptions(Rule):
     id = "R006"
     name = "typed-exceptions"
-    severity = "error"
     description = (
         "supervised paths (keygraphs/, simulation/, study/, service/) "
         "raise only "
         "typed exceptions from repro.exceptions, never bare "
         "Exception/ValueError"
     )
-    default_config = {
-        "packages": ["keygraphs", "simulation", "study", "service"],
-        "banned": [
-            "Exception",
-            "BaseException",
-            "ValueError",
-            "RuntimeError",
-            "KeyError",
-            "IndexError",
-            "ArithmeticError",
-            "OSError",
-        ],
-    }
+    PACKAGES = ("keygraphs", "simulation", "study", "service")
+    BANNED = frozenset({
+        "Exception",
+        "BaseException",
+        "ValueError",
+        "RuntimeError",
+        "KeyError",
+        "IndexError",
+        "ArithmeticError",
+        "OSError",
+    })
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
-        if not module.in_packages(self.config["packages"]):
+        if not module.in_packages(self.PACKAGES):
             return []
         findings: List[Finding] = []
         imports = ImportMap(module.tree)
-        banned = set(self.config["banned"])
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
@@ -63,7 +58,7 @@ class TypedExceptions(Rule):
                 continue
             resolved = imports.resolve(exc) or name
             # `raise exc` re-raises a caught variable: out of scope.
-            if name in banned and resolved in banned:
+            if name in self.BANNED and resolved in self.BANNED:
                 findings.append(
                     module.finding(
                         self, node,

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from repro.analysis.registry import Finding, ModuleInfo, Rule, register_rule
+from repro.analysis.registry import Finding, ModuleInfo, Rule
 
 __all__ = ["SuppressionHygiene"]
 
 
-@register_rule
 class SuppressionHygiene(Rule):
     id = "R000"
     name = "suppression-hygiene"
-    severity = "error"
     description = (
         "every `# repro: noqa[RULE]` must name rules and carry a "
         "`-- justification`"
@@ -43,7 +41,6 @@ class SuppressionHygiene(Rule):
                     line=note.line,
                     col=0,
                     message=f"suppression {detail}; it suppresses nothing",
-                    severity=self.severity,
                     snippet=module.line_text(note.line),
                 )
             )

@@ -18,75 +18,65 @@ the gate goes green.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
-from repro.analysis.registry import Finding, ModuleInfo, Project, Rule, register_rule
+from repro.analysis.registry import Finding, ModuleInfo, Rule
 
 __all__ = ["ProvenanceCompleteness"]
 
 
-@register_rule
 class ProvenanceCompleteness(Rule):
     id = "R007"
     name = "provenance-completeness"
-    severity = "error"
     description = (
         "every CLI flag that can alter results must map to a provenance "
         "key some module writes (or be declared scenario-recorded/"
-        "operational in the rule config)"
+        "operational in R007's flag tables)"
     )
-    default_config = {
-        # dest -> provenance key that must be written somewhere.
-        "provenance_flags": {
-            "workers": "workers",
-            "target_ci": "adaptive",
-            "max_trials": "adaptive",
-            "block_trials": "adaptive",
-            "chaos": "faults",
-            "max_retries": "scheduler",
-            "cache": "cache",
-        },
-        # Recorded inside the result payload by construction: these
-        # rewrite scenario fields, and ScenarioResult.to_dict embeds
-        # the full scenario (seed, trials, overrides included).
-        "scenario_flags": ["seed", "trials", "overrides"],
-        # Cannot alter result values: I/O locations, rendering, service
-        # plumbing, and the linter's own flags.
-        "operational_flags": [
-            "save", "file", "name", "job",
-            "spool", "wait", "timeout", "events", "max_concurrent",
-            "max_jobs", "idle_timeout",
-            "paths", "select", "ignore", "format", "baseline",
-            "no_baseline", "write_baseline", "list_rules", "verbose",
-            "severity", "justification",
-        ],
+    #: dest -> provenance key that must be written somewhere.
+    PROVENANCE_FLAGS = {
+        "workers": "workers",
+        "target_ci": "adaptive",
+        "max_trials": "adaptive",
+        "block_trials": "adaptive",
+        "chaos": "faults",
+        "max_retries": "scheduler",
+        "cache": "cache",
     }
+    #: Recorded inside the result payload by construction: these
+    #: rewrite scenario fields, and ScenarioResult.to_dict embeds the
+    #: full scenario (seed, trials, overrides included).
+    SCENARIO_FLAGS = frozenset({"seed", "trials", "overrides"})
+    #: Cannot alter result values: I/O locations, rendering, service
+    #: plumbing, and the linter's own flags.
+    OPERATIONAL_FLAGS = frozenset({
+        "save", "file", "name", "job",
+        "spool", "wait", "timeout", "events", "max_concurrent",
+        "max_jobs", "idle_timeout",
+        "paths", "select", "ignore", "format", "list_rules", "verbose",
+    })
 
-    def finalize(self, project: Project) -> Iterable[Finding]:
+    def finalize(self, modules: List[ModuleInfo]) -> Iterable[Finding]:
         flags: List[Tuple[ModuleInfo, ast.Call, str]] = []
         written: Set[str] = set()
-        for module in project:
+        for module in modules:
             flags.extend(
                 (module, call, dest)
                 for call, dest in self._iter_flags(module)
             )
             written |= self._provenance_keys(module)
 
-        provenance_flags: Dict[str, str] = dict(self.config["provenance_flags"])
-        scenario_flags = set(self.config["scenario_flags"])
-        operational = set(self.config["operational_flags"])
-
         findings: List[Finding] = []
         for module, call, dest in flags:
-            if dest in scenario_flags or dest in operational:
+            if dest in self.SCENARIO_FLAGS or dest in self.OPERATIONAL_FLAGS:
                 continue
-            key = provenance_flags.get(dest)
+            key = self.PROVENANCE_FLAGS.get(dest)
             if key is None:
                 findings.append(
                     module.finding(
                         self, call,
                         f"CLI flag (dest `{dest}`) is unclassified: map it "
-                        "to a provenance key in the R007 config, or "
+                        "to a provenance key in R007's PROVENANCE_FLAGS, or "
                         "declare it scenario-recorded/operational",
                     )
                 )

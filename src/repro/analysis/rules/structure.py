@@ -21,33 +21,28 @@ from repro.analysis.astutil import (
     call_name,
     iter_import_time_nodes,
 )
-from repro.analysis.registry import Finding, ModuleInfo, Rule, register_rule
+from repro.analysis.registry import Finding, ModuleInfo, Rule
 
 __all__ = ["KernelSeam", "WorkerImportHygiene"]
 
 
-@register_rule
 class KernelSeam(Rule):
     id = "R004"
     name = "kernel-seam"
-    severity = "error"
     description = (
         "kernels/ is array-first: no repro.graphs.graph imports and no "
         "Graph-typed signatures"
     )
-    default_config = {
-        "packages": ["kernels"],
-        "banned_imports": ["repro.graphs.graph"],
-        "banned_types": ["Graph"],
-    }
+    PACKAGES = ("kernels",)
+    BANNED_IMPORTS = ("repro.graphs.graph",)
+    BANNED_TYPES = frozenset({"Graph"})
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
-        if not module.in_packages(self.config["packages"]):
+        if not module.in_packages(self.PACKAGES):
             return []
         return [*self._check_imports(module), *self._check_annotations(module)]
 
     def _check_imports(self, module: ModuleInfo) -> Iterable[Finding]:
-        banned = tuple(self.config["banned_imports"])
         for node in ast.walk(module.tree):
             targets: List[str] = []
             if isinstance(node, ast.Import):
@@ -59,7 +54,7 @@ class KernelSeam(Rule):
             for target in targets:
                 if any(
                     target == name or target.startswith(name + ".")
-                    for name in banned
+                    for name in self.BANNED_IMPORTS
                 ):
                     yield module.finding(
                         self, node,
@@ -70,7 +65,6 @@ class KernelSeam(Rule):
                     break
 
     def _check_annotations(self, module: ModuleInfo) -> Iterable[Finding]:
-        banned = set(self.config["banned_types"])
         for node in ast.walk(module.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -79,7 +73,7 @@ class KernelSeam(Rule):
             for annotation in annotations:
                 if annotation is None:
                     continue
-                if self._mentions(annotation, banned):
+                if self._mentions(annotation, self.BANNED_TYPES):
                     yield module.finding(
                         self, node,
                         f"`{node.name}` accepts/returns a Graph object; "
@@ -88,7 +82,7 @@ class KernelSeam(Rule):
                     break
 
     @staticmethod
-    def _mentions(annotation: ast.AST, banned: set) -> bool:
+    def _mentions(annotation: ast.AST, banned: frozenset) -> bool:
         # Annotations may be strings (postponed evaluation) or nodes.
         if isinstance(annotation, ast.Constant) and isinstance(
             annotation.value, str
@@ -102,51 +96,39 @@ class KernelSeam(Rule):
         return False
 
 
-@register_rule
 class WorkerImportHygiene(Rule):
     id = "R005"
     name = "worker-import-hygiene"
-    severity = "error"
     description = (
         "worker-reachable modules must not read env vars or mutate "
         "global state at import time (outside the sanctioned seam)"
     )
-    default_config = {
-        # Everything a spawn-started worker imports transitively.
-        "packages": [
-            "kernels", "simulation", "study", "service", "graphs",
-            "keygraphs", "channels", "core", "probability", "utils", "wsn",
-        ],
-        # The sanctioned configuration seam: ambient env resolution is
-        # these modules' explicit, function-scoped job.  (They are still
-        # checked — only *their* import-time reads would be flagged.)
-        "allowed_modules": [],
-        "env_reads": ["os.getenv", "os.environ.get", "os.environ.setdefault"],
-        "mutating_calls": [
-            "os.putenv",
-            "numpy.seterr",
-            "numpy.random.seed",
-            "warnings.filterwarnings",
-            "warnings.simplefilter",
-            "logging.basicConfig",
-            "multiprocessing.set_start_method",
-            "sys.setrecursionlimit",
-        ],
-    }
+    #: Everything a spawn-started worker imports transitively.
+    PACKAGES = (
+        "kernels", "simulation", "study", "service", "graphs",
+        "keygraphs", "channels", "core", "probability", "utils", "wsn",
+    )
+    ENV_READS = ("os.getenv", "os.environ.get", "os.environ.setdefault")
+    MUTATING_CALLS = (
+        "os.putenv",
+        "numpy.seterr",
+        "numpy.random.seed",
+        "warnings.filterwarnings",
+        "warnings.simplefilter",
+        "logging.basicConfig",
+        "multiprocessing.set_start_method",
+        "sys.setrecursionlimit",
+    )
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
-        if not module.in_packages(self.config["packages"]):
-            return []
-        if module.matches(self.config["allowed_modules"]):
+        if not module.in_packages(self.PACKAGES):
             return []
         findings: List[Finding] = []
         imports = ImportMap(module.tree)
-        env_reads = list(self.config["env_reads"])
-        mutating = list(self.config["mutating_calls"])
         for node in iter_import_time_nodes(module.tree):
             if isinstance(node, ast.Call):
                 name = call_name(imports, node)
-                if name in env_reads:
+                if name in self.ENV_READS:
                     findings.append(
                         module.finding(
                             self, node,
@@ -156,7 +138,7 @@ class WorkerImportHygiene(Rule):
                             "function",
                         )
                     )
-                elif name in mutating:
+                elif name in self.MUTATING_CALLS:
                     findings.append(
                         module.finding(
                             self, node,

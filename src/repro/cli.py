@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         default=None,
         metavar="RULES",
-        help="comma-separated rule ids to run (default: all registered)",
+        help="comma-separated rule ids to run (default: all)",
     )
     p.add_argument(
         "--ignore",
@@ -136,45 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (json is the CI gate's input)",
     )
     p.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help=(
-            "baseline file of grandfathered findings (default: "
-            ".repro-lint-baseline.json next to the linted tree, when "
-            "present)"
-        ),
-    )
-    p.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    p.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="PATH",
-        help=(
-            "grandfather all current findings into PATH and exit 0; "
-            "edit the generated justifications before committing"
-        ),
-    )
-    p.add_argument(
-        "--severity",
-        action="append",
-        default=[],
-        metavar="RULE=LEVEL",
-        help="override a rule's severity (error|warning), repeatable",
-    )
-    p.add_argument(
         "--list-rules",
         action="store_true",
-        help="list registered rules and exit",
+        help="list the rules and exit",
     )
     p.add_argument(
         "--verbose",
         action="store_true",
-        help="also show baselined and suppressed findings (text format)",
+        help="also show suppressed findings (text format)",
     )
 
     p = sub.add_parser("study", help="run scenarios from a JSON file")
@@ -690,88 +659,26 @@ def _run_status(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Default baseline filename, looked up next to the linted tree.
-BASELINE_FILENAME = ".repro-lint-baseline.json"
-
-
-def _default_baseline(paths: List[str]) -> Optional[pathlib.Path]:
-    """Find ``.repro-lint-baseline.json`` near the linted paths.
-
-    Checks each path's directory and its parents up to the filesystem
-    root, so ``repro lint src/repro`` from the repo root and ``repro
-    lint .`` from inside ``src`` both find the committed baseline.
-    """
-    seen = set()
-    for raw in paths:
-        start = pathlib.Path(raw).resolve()
-        if start.is_file():
-            start = start.parent
-        for directory in [start, *start.parents]:
-            if directory in seen:
-                break
-            seen.add(directory)
-            candidate = directory / BASELINE_FILENAME
-            if candidate.is_file():
-                return candidate
-    return None
-
-
 def _run_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import Baseline, lint_paths, render_json, render_text
+    from repro.analysis import lint_paths, render_json, render_text
     from repro.analysis.reporters import render_rule_listing
+    from repro.exceptions import AnalysisError
 
     if args.list_rules:
         print(render_rule_listing())
         return 0
 
-    select = args.select.split(",") if args.select else None
-    ignore = args.ignore.split(",") if args.ignore else None
-    severities: Dict[str, str] = {}
-    for pair in args.severity:
-        rule_id, sep, level = pair.partition("=")
-        if not sep:
-            raise ExperimentError(f"--severity expects RULE=LEVEL, got {pair!r}")
-        severities[rule_id] = level
-
-    baseline = None
-    if args.write_baseline is None and not args.no_baseline:
-        baseline = (
-            pathlib.Path(args.baseline)
-            if args.baseline
-            else _default_baseline(args.paths)
-        )
-        if args.baseline and not baseline.is_file():
-            raise ExperimentError(f"no such baseline file: {baseline}")
-
-    from repro.exceptions import AnalysisError
-
     try:
         result = lint_paths(
             args.paths,
-            select=select,
-            ignore=ignore,
-            baseline=baseline,
-            severities=severities,
+            select=args.select.split(",") if args.select else None,
+            ignore=args.ignore.split(",") if args.ignore else None,
         )
     except AnalysisError as exc:
-        # Configuration problems (unknown rule, malformed baseline, bad
-        # path) are exit code 2: distinguishable from findings (1) in CI.
+        # Configuration problems (unknown rule, bad path, no python
+        # files) are exit code 2: distinguishable from findings (1) in CI.
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline is not None:
-        generated = Baseline.from_findings(
-            result.findings,
-            justification="grandfathered by --write-baseline; replace with "
-            "a real justification",
-        )
-        generated.save(args.write_baseline)
-        print(
-            f"wrote {len(generated.entries)} baseline entr"
-            f"{'y' if len(generated.entries) == 1 else 'ies'} to "
-            f"{args.write_baseline}"
-        )
-        return 0
 
     if args.format == "json":
         print(render_json(result))

@@ -105,9 +105,9 @@ class ShardMismatchError(ExperimentError):
 class AnalysisError(ReproError):
     """The static-analysis linter was misconfigured or could not run.
 
-    Raised by :mod:`repro.analysis` for unknown rule ids, malformed
-    baseline files, and invalid rule registrations — never for findings
-    in analyzed code, which are reported, not raised.
+    Raised by :mod:`repro.analysis` for unknown rule ids, missing
+    paths, and paths that hold no python file — never for findings in
+    analyzed code, which are reported, not raised.
     """
 
 

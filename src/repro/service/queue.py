@@ -71,7 +71,7 @@ _JOB_OPTIONS = {
 
 
 def _now() -> float:
-    return time.time()
+    return time.time()  # repro: noqa[R002] -- spool job status timestamps (queued/started/finished) are service observability metadata; they never enter StudyResult values or checksums
 
 
 class StudyService:
