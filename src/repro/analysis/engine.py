@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import pathlib
+from collections import Counter
 from typing import Iterable, List, Optional, Sequence, Set, Tuple, Type, Union
 
 from repro.analysis.registry import Finding, ModuleInfo, Rule
@@ -93,16 +94,25 @@ def collect_modules(
     paths: Sequence[Union[str, pathlib.Path]],
 ) -> Tuple[List[ModuleInfo], List[Finding]]:
     """Parse every python file under *paths*; unparseable files become
-    ``R999`` findings instead of aborting the run."""
-    modules: List[ModuleInfo] = []
-    errors: List[Finding] = []
+    ``R999`` findings instead of aborting the run.
+
+    Files whose :func:`_relative_key` would collide (``repro lint b a``
+    over two trees that both hold ``x.py``) report under the path as
+    given (``b/x.py``, ``a/x.py``) instead, so every location names one
+    file; rules still scope them by the relative key.
+    """
+    files = []
     seen = set()
     for path, root in _iter_python_files(paths):
         resolved = path.resolve()
-        if resolved in seen:
-            continue
-        seen.add(resolved)
-        rel = _relative_key(path, root)
+        if resolved not in seen:
+            seen.add(resolved)
+            files.append((path, _relative_key(path, root)))
+    counts = Counter(key for _, key in files)
+    modules: List[ModuleInfo] = []
+    errors: List[Finding] = []
+    for path, key in files:
+        rel = path.as_posix() if counts[key] > 1 else key
         try:
             source = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
@@ -114,7 +124,7 @@ def collect_modules(
             )
             continue
         try:
-            modules.append(ModuleInfo(path=path, rel=rel, source=source))
+            modules.append(ModuleInfo(path=path, rel=rel, source=source, scope=key))
         except SyntaxError as exc:
             errors.append(
                 Finding(

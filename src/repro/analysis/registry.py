@@ -19,7 +19,7 @@ import ast
 import dataclasses
 import pathlib
 import re
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["Finding", "ModuleInfo", "Rule", "Suppression"]
 
@@ -69,21 +69,25 @@ class Suppression:
 class ModuleInfo:
     """One parsed source module plus the metadata rules need."""
 
-    def __init__(self, path: pathlib.Path, rel: str, source: str) -> None:
+    def __init__(
+        self, path: pathlib.Path, rel: str, source: str, scope: Optional[str] = None
+    ) -> None:
         self.path = path
         #: Package-relative posix path: ``repro/study/metrics.py`` for
-        #: tree files, scan-root-relative for fixture trees.  This is
-        #: the reporting key, so findings are stable across invocation
+        #: tree files, scan-root-relative for fixture trees (the path as
+        #: given when two scanned files share that key).  This is the
+        #: reporting key, so findings are stable across invocation
         #: directories.
         self.rel = rel
         self.source = source
         self.lines: List[str] = source.splitlines()
         self.tree: ast.Module = ast.parse(source)
         self.suppressions: Dict[int, Suppression] = _scan_suppressions(source)
-        #: Path components after the (last) ``repro`` package dir, or
-        #: all of ``rel`` when there is none — the scope vocabulary
-        #: (``kernels``, ``study``, ...) rules match against.
-        parts = rel.split("/")
+        #: Path components after the (last) ``repro`` package dir of
+        #: *scope* (default ``rel``), or all of it when there is none —
+        #: the scope vocabulary (``kernels``, ``study``, ...) rules
+        #: match against.
+        parts = (scope or rel).split("/")
         if "repro" in parts:
             parts = parts[len(parts) - 1 - parts[::-1].index("repro") + 1 :]
         self.subparts: Tuple[str, ...] = tuple(parts)

@@ -28,7 +28,7 @@ Subcommands
     ``--target-ci HW`` the study runs *adaptively*: the declared
     ``trials`` is the first round, and ``(size, K, curve)`` cells keep
     extending in blocks (``--block-trials``, capped per cell at
-    ``--max-trials``, default 4000) until their Wilson half-width
+    ``--max-trials``) until their Wilson half-width
     (indicator metrics) or standard error (value metrics) reaches the
     target — e.g. ``repro study FILE.json --target-ci 0.01
     --max-trials 4000``.  ``--set``
@@ -65,6 +65,7 @@ from typing import Dict, List, Optional
 from repro.exceptions import ExperimentError, ParameterError
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.simulation.results import save_result
+from repro.study.adaptive import ADAPTIVE_OPTIONS, AdaptivePolicy, policy_from_options
 
 __all__ = ["main", "build_parser", "parse_overrides"]
 
@@ -166,7 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="per-cell trial cap for --target-ci runs (default 4000)",
+        help=(
+            "per-cell trial cap for --target-ci runs "
+            f"(default {AdaptivePolicy.max_trials})"
+        ),
     )
     p.add_argument(
         "--block-trials",
@@ -407,6 +411,16 @@ def _build_scheduler_policy(args: argparse.Namespace):
     return SchedulerPolicy(**kwargs)  # type: ignore[arg-type]
 
 
+def _adaptive_options(args: argparse.Namespace) -> Dict[str, object]:
+    """The adaptive request the ``--target-ci``/``--max-trials``/
+    ``--block-trials`` flags spell (see :func:`policy_from_options`)."""
+    return {
+        key: getattr(args, key)
+        for key in ADAPTIVE_OPTIONS
+        if getattr(args, key) is not None
+    }
+
+
 def _run_study_file(args: argparse.Namespace) -> int:
     from repro.study import Study, render_study_result
 
@@ -459,26 +473,17 @@ def _run_study_file(args: argparse.Namespace) -> int:
 
     study = Study.from_dict(data)
     scheduler = _build_scheduler_policy(args)
-    if args.target_ci is not None:
+    policy = policy_from_options(_adaptive_options(args))
+    if policy is not None:
         if args.cache:
             raise ExperimentError(
-                "--target-ci does not combine with --cache; "
-                "submit adaptive jobs to `repro serve` instead"
+                "--target-ci does not combine with --cache: adaptive runs "
+                "do not use the result cache"
             )
-        from repro.study import AdaptivePolicy, run_adaptive_study
+        from repro.study import run_adaptive_study
 
-        policy = AdaptivePolicy(
-            ci_target=args.target_ci,
-            max_trials=args.max_trials if args.max_trials is not None else 4000,
-            block_trials=args.block_trials,
-        )
         result = run_adaptive_study(
             study, policy, workers=args.workers, scheduler=scheduler
-        )
-    elif args.max_trials is not None or args.block_trials is not None:
-        raise ExperimentError(
-            "--max-trials/--block-trials configure adaptive runs; "
-            "pass --target-ci to enable one"
         )
     elif args.cache:
         from repro.service.cache import ResultCache, run_cached
@@ -569,21 +574,11 @@ def _run_submit(args: argparse.Namespace) -> int:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParameterError(f"study file {path} does not parse as JSON: {exc}")
+    options = _adaptive_options(args)
+    policy_from_options(options)  # refuse a bad request before queueing it
     spool = pathlib.Path(args.spool)
     jobs_dir = spool / "jobs"
     jobs_dir.mkdir(parents=True, exist_ok=True)
-    options: Dict[str, object] = {}
-    if args.target_ci is not None:
-        options["target_ci"] = args.target_ci
-        if args.max_trials is not None:
-            options["max_trials"] = args.max_trials
-        if args.block_trials is not None:
-            options["block_trials"] = args.block_trials
-    elif args.max_trials is not None or args.block_trials is not None:
-        raise ExperimentError(
-            "--max-trials/--block-trials configure adaptive jobs; "
-            "pass --target-ci to enable one"
-        )
     job_id = _submit_job_id(path)
     job_path = jobs_dir / f"{job_id}.json"
     tmp = job_path.with_name(job_path.name + ".tmp")

@@ -16,12 +16,13 @@ clearing the largest α at each ``n``), and per-size curves (the
 spawn_key=(size_index, ring_index, trial))``, so estimates are
 bit-identical for any worker count.
 
-``backend="adaptive"`` rides :mod:`repro.study.adaptive`: the tails of
-the law (cells already resolved at/near 0 or 1) stop after a loose
-Wilson target, while transition-band cells keep extending in trial
-blocks until they reach ``ci_target`` — the trial budget concentrates
-exactly where the threshold is still being resolved, at the same
-deterministic per-trial seeds as a one-shot run.
+Adaptive allocation of the same declaration is
+``run_adaptive_study(build_zero_one_study(...), policy)`` (see
+:mod:`repro.study.adaptive`), or ``repro study
+examples/adaptive_study.json --target-ci HW`` from the CLI: the
+saturated tails stop within the first rounds while the cells near the
+threshold keep extending, at the same per-trial seeds as a one-shot
+run.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.core.scaling import channel_prob_for_alpha
-from repro.exceptions import ParameterError
 from repro.probability.limits import limit_probability
 from repro.simulation.engine import trials_from_env
 from repro.simulation.results import CurvePoint, ExperimentResult
@@ -95,64 +95,22 @@ def run_zero_one(
     q: int = 2,
     seed: int = 20170607,
     workers: Optional[int] = None,
-    backend: str = "study",
-    ci_target: float = 0.02,
-    max_trials: int = 4000,
-    block_trials: Optional[int] = None,
-    transition_band: Sequence[float] = (0.1, 0.9),
-    tail_ci_target: float = 0.05,
 ) -> ExperimentResult:
     """Estimate P[connected] at fixed ±α across growing ``n``.
 
-    The default ``"study"`` backend runs the single size-grid scenario
-    of :func:`build_zero_one_study`: every ``n`` is a size-axis entry
-    of one shared-deployment plan, all α offsets at one ``n`` are
-    curves of the same sampled worlds (nested channel thinning), and
-    the ±α comparison therefore uses common random numbers — the
-    transition sharpening is visible at far fewer trials than with
-    independent sampling.
-
-    ``backend="adaptive"`` sharpens only the transition band: starting
-    from *trials* as the first round, cells are extended in blocks
-    until their Wilson half-width reaches ``ci_target`` — but cells
-    whose running estimate sits outside ``transition_band`` (the
-    saturated 0/1 tails, exactly where Theorem 1's claim is already
-    decided) are held only to the looser ``tail_ci_target``.  Trials
-    concentrate on the ``(n, α)`` points that still resolve the
-    threshold, and the spend is reported in the result config
-    (``config["adaptive"]``, see
-    :func:`repro.study.adaptive.trial_allocation`).
+    Runs the single size-grid scenario of :func:`build_zero_one_study`:
+    every ``n`` is a size-axis entry of one shared-deployment plan, all
+    α offsets at one ``n`` are curves of the same sampled worlds
+    (nested channel thinning), and the ±α comparison therefore uses
+    common random numbers — the transition sharpening is visible at
+    far fewer trials than with independent sampling.
     """
-    if backend not in ("study", "adaptive"):
-        raise ParameterError(
-            f"unknown backend {backend!r}; use 'study' or 'adaptive'"
-        )
     trials = trials if trials is not None else trials_from_env(80, full=500)
     study = build_zero_one_study(
         trials, num_nodes_grid, alpha_offsets, pool_size, q, seed
     )
     scenario = study.scenarios[0]
-    adaptive_summary: Optional[dict] = None
-    if backend == "study":
-        scenario_result = study.run(workers=workers)["zero_one"]
-    else:
-        from repro.study.adaptive import AdaptivePolicy, run_adaptive_study
-
-        band = tuple(float(b) for b in transition_band)
-        if len(band) != 2:
-            raise ParameterError(
-                f"transition_band must be (low, high), got {transition_band!r}"
-            )
-        policy = AdaptivePolicy(
-            ci_target=ci_target,
-            max_trials=max_trials,
-            block_trials=block_trials,
-            indicator_band=band,
-            tail_ci_target=tail_ci_target,
-        )
-        study_result = run_adaptive_study(study, policy, workers=workers)
-        scenario_result = study_result["zero_one"]
-        adaptive_summary = dict(study_result.provenance["adaptive"])  # type: ignore[index,arg-type]
+    scenario_result = study.run(workers=workers)["zero_one"]
     points: List[CurvePoint] = []
     for si, n in enumerate(num_nodes_grid):
         ring = scenario.ring_sizes_at(si)[0]
@@ -173,15 +131,8 @@ def run_zero_one(
         "pool_size": pool_size,
         "q": q,
         "seed": seed,
-        "backend": backend,
     }
-    if adaptive_summary is not None:
-        config["adaptive"] = adaptive_summary
-    return ExperimentResult(
-        name="zero_one",
-        config=config,
-        points=points,
-    )
+    return ExperimentResult(name="zero_one", config=config, points=points)
 
 
 def render_zero_one(result: ExperimentResult) -> str:
@@ -198,21 +149,11 @@ def render_zero_one(result: ExperimentResult) -> str:
                 pt.prediction,
             ]
         )
-    backend = result.config.get("backend", "study")
-    if backend == "adaptive":
-        alloc = result.config.get("adaptive", {})
-        trials_note = (
-            f"adaptive: ci_target={alloc.get('policy', {}).get('ci_target')}, "
-            f"spent={alloc.get('trials_spent')} cell-trials "
-            f"({alloc.get('savings_vs_fixed')}x vs fixed)"
-        )
-    else:
-        trials_note = f"trials={result.config['trials']}"
     return format_table(
         ["n", "alpha", "K", "p", "trials", "empirical", "limit"],
         rows,
         title=(
             f"Zero-one law sharpening (q={result.config['q']}, "
-            f"P={result.config['pool_size']}, {trials_note})"
+            f"P={result.config['pool_size']}, trials={result.config['trials']})"
         ),
     )

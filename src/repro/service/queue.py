@@ -29,13 +29,14 @@ semantics.
 
 Job files are either a bare study JSON (scenario object / list /
 ``{"scenarios": [...]}``) or a wrapper ``{"study": ..., "options":
-{"target_ci": ..., "max_trials": ..., "block_trials": ...}}`` for
-adaptive runs.  Options are checked before any work runs: an unknown
-key, ``max_trials`` / ``block_trials`` without ``target_ci``, or a
-value :class:`~repro.study.adaptive.AdaptivePolicy` rejects fails the
-job with :class:`~repro.exceptions.ParameterError`.  Events emitted while a job runs are tagged with its
-``job_id`` via :func:`repro.service.events.event_context`, so one
-process-wide bus serves any number of concurrent jobs.
+{...}}`` whose options are the adaptive request of ``repro submit``
+(``target_ci``, ``max_trials``, ``block_trials``).  Options are read by
+:func:`repro.study.adaptive.policy_from_options` before any work runs,
+so a malformed request fails the job with
+:class:`~repro.exceptions.ParameterError`.  Events emitted while a job
+runs are tagged with its ``job_id`` via
+:func:`repro.service.events.event_context`, so one process-wide bus
+serves any number of concurrent jobs.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from repro.exceptions import ParameterError
 from repro.service import events
 from repro.service.cache import ResultCache, run_cached
 from repro.simulation.scheduler import SchedulerPolicy
-from repro.study.adaptive import AdaptivePolicy, run_adaptive_study
+from repro.study.adaptive import AdaptivePolicy, policy_from_options, run_adaptive_study
 from repro.study.compiler import Study
 from repro.study.result import StudyResult
 
@@ -61,13 +62,6 @@ __all__ = ["JOB_FORMAT", "StudyService"]
 JOB_FORMAT = "repro-job/v1"
 
 _SPOOL_DIRS = ("jobs", "active", "status", "events", "results")
-
-#: Job option -> the :class:`AdaptivePolicy` field it sets.
-_JOB_OPTIONS = {
-    "target_ci": "ci_target",
-    "max_trials": "max_trials",
-    "block_trials": "block_trials",
-}
 
 
 def _now() -> float:
@@ -149,31 +143,15 @@ class StudyService:
 
     def _parse_job(self, data: object) -> Tuple[Study, Optional[AdaptivePolicy]]:
         """``(study, adaptive policy or None)`` from a job file's payload."""
-        options: Dict[str, object] = {}
+        options: object = {}
         if isinstance(data, dict) and data.get("format") == JOB_FORMAT:
-            raw_options = data.get("options", {})
-            if not isinstance(raw_options, dict):
-                raise ParameterError(
-                    f"job options must be a mapping, got {type(raw_options).__name__}"
-                )
-            options = raw_options
+            options = data.get("options", {})
             data = data.get("study")
-        unknown = set(options) - set(_JOB_OPTIONS)
-        if unknown:
+        if not isinstance(options, dict):
             raise ParameterError(
-                f"unknown job options {sorted(unknown)}; valid options: "
-                f"{sorted(_JOB_OPTIONS)}"
+                f"job options must be a mapping, got {type(options).__name__}"
             )
-        policy: Optional[AdaptivePolicy] = None
-        if options:
-            if "target_ci" not in options:
-                raise ParameterError(
-                    f"job options {sorted(options)} tune adaptive runs and "
-                    "need 'target_ci'"
-                )
-            policy = AdaptivePolicy(
-                **{_JOB_OPTIONS[key]: value for key, value in options.items()}  # type: ignore[arg-type]
-            )
+        policy = policy_from_options(options)
         return Study.from_dict(data), policy  # type: ignore[arg-type]
 
     def _execute(self, study: Study, policy: Optional[AdaptivePolicy]) -> StudyResult:

@@ -7,12 +7,20 @@ cells in the transition band need thousands — and a fixed count must
 be sized for the worst cell, overpaying everywhere else.  This driver
 runs a compiled :class:`~repro.study.compiler.Study` in trial-block
 rounds and, after each round, keeps extending only the ``(size, K,
-curve)`` cells whose stopping statistic still exceeds their CI target:
+curve)`` cells whose stopping statistic still exceeds the CI target.
+There is one rule, :class:`AdaptivePolicy` ``(ci_target, max_trials,
+block_trials)``:
 
 * indicator metrics (per their
-  :class:`~repro.study.scenario.MetricSpec`) stop when the Wilson
+  :class:`~repro.study.scenario.MetricSpec`) stop when the 95% Wilson
   half-width of the cell's estimate drops to ``ci_target``;
-* value metrics stop when the standard error of the mean does.
+* value metrics stop when the standard error of the mean does;
+* every cell stops at ``max_trials``.
+
+The Wilson rule already stops the saturated tails early: a 0/n cell
+meets a 0.02 target at n = 93, while a p̂ = 0.5 cell needs 2,398
+trials, so no separate tail target is needed — a caller who wants
+looser cells passes a looser ``ci_target``.
 
 Each round executes
 :meth:`~repro.study.compiler.Study.run_extension` over the absolute
@@ -36,11 +44,8 @@ for the cells that need them — and skipping evaluation avoids the
 per-curve connectivity/flow decisions, the dominant post-sampling
 cost.
 
-The ``indicator_band`` policy knob implements "sharpen only the
-transition band": indicator cells whose running estimate sits outside
-``(band_low, band_high)`` — the saturated 0/1 tails — are held to the
-looser ``tail_ci_target`` instead of ``ci_target``, concentrating
-trials where Theorem 1's claim actually lives.
+Every adaptive request — ``repro study``/``repro submit`` flags and
+``repro serve`` job options — is read by :func:`policy_from_options`.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -61,7 +66,9 @@ from repro.study.scenario import Scenario
 from repro.utils.validation import check_positive_int
 
 __all__ = [
+    "ADAPTIVE_OPTIONS",
     "AdaptivePolicy",
+    "policy_from_options",
     "run_adaptive_study",
     "stopping_half_width",
     "mean_standard_error",
@@ -108,9 +115,7 @@ def mean_standard_error(series: np.ndarray) -> float:
     return float(series.std(ddof=1)) / math.sqrt(n)
 
 
-def stopping_half_width(
-    series: np.ndarray, *, is_indicator: bool, z: float = 1.96
-) -> float:
+def stopping_half_width(series: np.ndarray, *, is_indicator: bool) -> float:
     """The statistic a cell's CI target is compared against.
 
     Indicators use the Wilson half-width of the cell's success count
@@ -122,7 +127,7 @@ def stopping_half_width(
     if series.size == 0:
         return math.inf
     if is_indicator:
-        return wilson_half_width(int(series.sum()), int(series.size), z)
+        return wilson_half_width(int(series.sum()), int(series.size))
     return mean_standard_error(series)
 
 
@@ -133,35 +138,19 @@ class AdaptivePolicy:
     Attributes
     ----------
     ci_target:
-        Default per-cell target: extension stops when the cell's
-        stopping statistic (Wilson half-width for indicators, standard
-        error for means) is at or below it.
+        Extension stops when a cell's stopping statistic (Wilson
+        half-width for indicators, standard error for means) is at or
+        below it.
     max_trials:
         Hard per-cell cap; cells still unconverged there stop anyway.
     block_trials:
         Trials added per round; defaults to each scenario's declared
         ``trials`` (the first round's size).
-    ci_targets:
-        Per-metric-label overrides, e.g. ``{"connectivity": 0.01}``.
-    indicator_band:
-        Optional ``(low, high)``: indicator cells whose running
-        estimate falls outside it (the saturated tails) are held to
-        ``tail_ci_target`` instead — the "sharpen only the transition
-        band" mode.
-    tail_ci_target:
-        Target for out-of-band indicator cells (defaults to
-        ``ci_target``; never tighter than it).
-    z:
-        Normal quantile of the interval (1.96 = 95%).
     """
 
     ci_target: float = 0.02
     max_trials: int = 4000
     block_trials: Optional[int] = None
-    ci_targets: Union[Mapping[str, float], Tuple[Tuple[str, float], ...]] = ()
-    indicator_band: Optional[Tuple[float, float]] = None
-    tail_ci_target: Optional[float] = None
-    z: float = 1.96
 
     def __post_init__(self) -> None:
         # Positive, not (0, 1): Wilson half-widths live in (0, 0.5],
@@ -183,70 +172,44 @@ class AdaptivePolicy:
             object.__setattr__(
                 self, "block_trials", check_positive_int(self.block_trials, "block_trials")
             )
-        if isinstance(self.ci_targets, Mapping):
-            object.__setattr__(
-                self, "ci_targets", tuple(sorted(self.ci_targets.items()))
-            )
-        else:
-            object.__setattr__(
-                self,
-                "ci_targets",
-                tuple((str(k), float(v)) for k, v in self.ci_targets),
-            )
-        for label, target in self.ci_targets:
-            if not target > 0.0:
-                raise ParameterError(
-                    f"ci_targets[{label!r}] must be positive, got {target}"
-                )
-        if self.indicator_band is not None:
-            low, high = self.indicator_band
-            if not 0.0 <= low < high <= 1.0:
-                raise ParameterError(
-                    f"indicator_band must satisfy 0 <= low < high <= 1, "
-                    f"got {self.indicator_band}"
-                )
-            object.__setattr__(self, "indicator_band", (float(low), float(high)))
-        if self.tail_ci_target is not None and not self.tail_ci_target > 0.0:
-            raise ParameterError(
-                f"tail_ci_target must be positive, got {self.tail_ci_target}"
-            )
-        if self.z <= 0:
-            raise ParameterError(f"z must be positive, got {self.z}")
-
-    def target_for(
-        self, label: str, *, is_indicator: bool, estimate: Optional[float] = None
-    ) -> float:
-        """The CI target one cell is held to right now.
-
-        Band membership is decided by the *running* estimate, so a
-        cell that drifts into the transition band re-tightens on the
-        next round — the band assignment is re-checked every round,
-        never latched.
-        """
-        base = dict(self.ci_targets).get(label, self.ci_target)
-        if (
-            is_indicator
-            and self.indicator_band is not None
-            and estimate is not None
-        ):
-            low, high = self.indicator_band
-            if estimate <= low or estimate >= high:
-                tail = self.tail_ci_target if self.tail_ci_target is not None else base
-                return max(base, tail)
-        return base
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "ci_target": self.ci_target,
-            "max_trials": self.max_trials,
-            "block_trials": self.block_trials,
-            "ci_targets": dict(self.ci_targets),
-            "indicator_band": (
-                list(self.indicator_band) if self.indicator_band else None
-            ),
-            "tail_ci_target": self.tail_ci_target,
-            "z": self.z,
-        }
+        return dataclasses.asdict(self)
+
+
+#: Adaptive request option (CLI flag dest, job option key) -> the
+#: :class:`AdaptivePolicy` field it sets.
+ADAPTIVE_OPTIONS = {
+    "target_ci": "ci_target",
+    "max_trials": "max_trials",
+    "block_trials": "block_trials",
+}
+
+
+def policy_from_options(options: Mapping[str, Any]) -> Optional[AdaptivePolicy]:
+    """The :class:`AdaptivePolicy` an adaptive request asks for.
+
+    *options* maps :data:`ADAPTIVE_OPTIONS` keys to values; an empty
+    mapping is a fixed-trial run (``None``).  Unknown keys,
+    ``max_trials``/``block_trials`` without ``target_ci`` and values
+    the policy rejects raise :class:`ParameterError`.
+    """
+    unknown = set(options) - set(ADAPTIVE_OPTIONS)
+    if unknown:
+        raise ParameterError(
+            f"unknown adaptive options {sorted(unknown)}; valid options: "
+            f"{sorted(ADAPTIVE_OPTIONS)}"
+        )
+    if not options:
+        return None
+    if "target_ci" not in options:
+        raise ParameterError(
+            f"adaptive options {sorted(options)} tune adaptive runs and "
+            "need 'target_ci'"
+        )
+    return AdaptivePolicy(
+        **{ADAPTIVE_OPTIONS[key]: value for key, value in options.items()}
+    )
 
 
 def _cell_converged(
@@ -262,14 +225,7 @@ def _cell_converged(
         series = res.series_at(si, ri, ci, mi)
         if series.size >= policy.max_trials:
             continue
-        half_width = stopping_half_width(
-            series, is_indicator=metric.is_indicator, z=policy.z
-        )
-        estimate = float(series.mean()) if series.size else None
-        target = policy.target_for(
-            metric.label, is_indicator=metric.is_indicator, estimate=estimate
-        )
-        if half_width > target:
+        if stopping_half_width(series, is_indicator=metric.is_indicator) > policy.ci_target:
             return False
     return True
 
@@ -300,12 +256,11 @@ def _active_columns(
 
 def run_adaptive_study(
     study: Study,
-    policy: Optional[AdaptivePolicy] = None,
+    policy: AdaptivePolicy,
     workers: Optional[int] = None,
     scheduler: Optional[SchedulerPolicy] = None,
-    **policy_kwargs: object,
 ) -> StudyResult:
-    """Run *study* adaptively until every cell meets its CI target.
+    """Run *study* adaptively until every cell meets *policy*'s CI target.
 
     The scenarios' declared ``trials`` is the first round (every cell
     needs a minimum sample before its half-width means anything); each
@@ -326,22 +281,6 @@ def run_adaptive_study(
     many trials each cell holds is read from the results
     (``trial_range``, ``cell_trials()``), not from provenance.
     """
-    if policy is None:
-        policy = AdaptivePolicy(**policy_kwargs)  # type: ignore[arg-type]
-    elif policy_kwargs:
-        raise ParameterError(
-            "pass either a policy object or policy keywords, not both"
-        )
-    known_labels = {
-        label for scenario in study.scenarios for label in scenario.metric_labels()
-    }
-    unknown = [label for label, _ in policy.ci_targets if label not in known_labels]
-    if unknown:
-        raise ParameterError(
-            f"ci_targets name metrics this study never measures: {unknown}; "
-            f"measured metric labels: {sorted(known_labels)}"
-        )
-
     acc = study.run(workers=workers, scheduler=scheduler)
     rounds: List[Dict[str, object]] = []
 

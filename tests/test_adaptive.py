@@ -29,7 +29,11 @@ from repro.study import (
     run_adaptive_study,
     trial_allocation,
 )
-from repro.study.adaptive import mean_standard_error, stopping_half_width
+from repro.study.adaptive import (
+    mean_standard_error,
+    policy_from_options,
+    stopping_half_width,
+)
 from repro.study.result import ScenarioResult
 from tests.conftest import POOL_STARTS, prepare_pool
 
@@ -404,6 +408,18 @@ class TestStoppingEstimators:
     def test_empty_cell_is_unresolved(self):
         assert stopping_half_width(np.array([]), is_indicator=True) == math.inf
 
+    def test_one_rule_stops_tails_long_before_the_threshold(self):
+        # The single CI target already stops saturated cells early: a
+        # 0/n cell meets 0.02 at n = 93, a p-hat = 0.5 cell at 2,398.
+        assert (
+            stopping_half_width(np.zeros(93), is_indicator=True)
+            <= 0.02
+            < stopping_half_width(np.zeros(92), is_indicator=True)
+        )
+        half = np.tile([0.0, 1.0], 1199)
+        assert stopping_half_width(half, is_indicator=True) <= 0.02
+        assert stopping_half_width(half[:-2], is_indicator=True) > 0.02
+
     def test_indicator_uses_wilson_not_wald(self):
         # At p-hat = 0 a Wald interval has width 0 and would stop a
         # 1-trial cell instantly; Wilson must not.
@@ -421,42 +437,45 @@ class TestAdaptivePolicy:
             AdaptivePolicy(max_trials=0)
         with pytest.raises(ParameterError, match="block_trials"):
             AdaptivePolicy(block_trials=-3)
-        with pytest.raises(ParameterError, match="indicator_band"):
-            AdaptivePolicy(indicator_band=(0.9, 0.1))
-        with pytest.raises(ParameterError, match="ci_targets"):
-            AdaptivePolicy(ci_targets={"connectivity": -0.5})
+
+    def test_three_settings(self):
+        assert [f.name for f in dataclasses.fields(AdaptivePolicy)] == [
+            "ci_target", "max_trials", "block_trials",
+        ]
+        assert AdaptivePolicy().to_dict() == {
+            "ci_target": 0.02, "max_trials": 4000, "block_trials": None,
+        }
 
     def test_targets_above_one_allowed_for_value_metric_scales(self):
         # Wilson half-widths live in (0, 0.5], but standard-error
         # targets apply to value metrics on any scale (degree counts,
         # attack exposure) — a target of 2.0 counts is legitimate.
-        policy = AdaptivePolicy(ci_target=2.0, ci_targets={"degree_count[h=0]": 5.0})
-        assert policy.target_for("degree_count[h=0]", is_indicator=False) == 5.0
+        assert AdaptivePolicy(ci_target=2.0).ci_target == 2.0
 
-    def test_per_metric_targets(self):
-        policy = AdaptivePolicy(ci_target=0.02, ci_targets={"connectivity": 0.1})
-        assert policy.target_for("connectivity", is_indicator=True) == 0.1
-        assert policy.target_for("giant_fraction", is_indicator=False) == 0.02
 
-    def test_band_loosens_tails_only(self):
-        policy = AdaptivePolicy(
-            ci_target=0.02,
-            indicator_band=(0.1, 0.9),
-            tail_ci_target=0.05,
+class TestPolicyFromOptions:
+    def test_empty_request_is_a_fixed_run(self):
+        assert policy_from_options({}) is None
+
+    def test_maps_options_to_policy_fields(self):
+        policy = policy_from_options(
+            {"target_ci": 0.05, "max_trials": 400, "block_trials": 25}
         )
-        in_band = policy.target_for("connectivity", is_indicator=True, estimate=0.5)
-        low_tail = policy.target_for("connectivity", is_indicator=True, estimate=0.0)
-        high_tail = policy.target_for("connectivity", is_indicator=True, estimate=0.97)
-        assert in_band == 0.02
-        assert low_tail == high_tail == 0.05
-        # value metrics never see the band
-        assert policy.target_for("giant_fraction", is_indicator=False, estimate=0.0) == 0.02
+        assert policy == AdaptivePolicy(ci_target=0.05, max_trials=400, block_trials=25)
+        assert policy_from_options({"target_ci": 0.1}) == AdaptivePolicy(ci_target=0.1)
 
-    def test_tail_target_never_tighter_than_base(self):
-        policy = AdaptivePolicy(
-            ci_target=0.1, indicator_band=(0.1, 0.9), tail_ci_target=0.01
-        )
-        assert policy.target_for("connectivity", is_indicator=True, estimate=0.0) == 0.1
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ParameterError, match=r"unknown adaptive options \['z'\]"):
+            policy_from_options({"target_ci": 0.05, "z": 2.58})
+
+    @pytest.mark.parametrize("knob", ["max_trials", "block_trials"])
+    def test_knob_without_target_rejected(self, knob):
+        with pytest.raises(ParameterError, match="need 'target_ci'"):
+            policy_from_options({knob: 8})
+
+    def test_policy_rejections_surface(self):
+        with pytest.raises(ParameterError, match="ci_target must be positive"):
+            policy_from_options({"target_ci": 0})
 
 
 class TestAdaptiveDriver:
@@ -505,24 +524,6 @@ class TestAdaptiveDriver:
         )
         assert result.provenance["adaptive"]["rounds"] == []
 
-    def test_unknown_ci_target_labels_rejected(self):
-        # A typoed label would otherwise silently fall back to the
-        # default target and "converge" at the wrong precision.
-        study = Study((plain_scenario(),))
-        with pytest.raises(ParameterError, match="never measures.*connectivty"):
-            run_adaptive_study(
-                study,
-                AdaptivePolicy(ci_target=0.2, ci_targets={"connectivty": 0.005}),
-                workers=1,
-            )
-
-    def test_policy_object_and_kwargs_are_exclusive(self):
-        study = Study((plain_scenario(),))
-        with pytest.raises(ParameterError, match="not both"):
-            run_adaptive_study(
-                study, AdaptivePolicy(), ci_target=0.5, workers=1
-            )
-
     @pytest.mark.slow
     def test_ragged_allocation_spends_less_than_fixed(self):
         # Two curves with very different variances: the saturated
@@ -548,9 +549,6 @@ class TestAdaptiveDriver:
         )
         text = render_study_result(result)
         assert "trials" in text  # the per-cell allocation column
-
-
-# -- zero_one adaptive mode -------------------------------------------
 
 
 class TestProvenanceCounts:
@@ -579,47 +577,23 @@ class TestProvenanceCounts:
 
 
 class TestZeroOneAdaptive:
-    KW = dict(
-        trials=20,
-        num_nodes_grid=(80, 120),
-        alpha_offsets=(-2.0, 2.0),
-        pool_size=2000,
-        workers=1,
-    )
-
-    def test_adaptive_backend_runs_and_reports(self):
-        from repro.experiments.zero_one import render_zero_one, run_zero_one
-
-        result = run_zero_one(
-            backend="adaptive",
-            ci_target=0.15,
-            max_trials=60,
-            tail_ci_target=0.2,
-            **self.KW,
-        )
-        assert result.config["backend"] == "adaptive"
-        adaptive = result.config["adaptive"]
-        assert adaptive["trials_spent"] <= adaptive["fixed_trial_cost"]
-        assert {pt.estimate.trials for pt in result.points} <= set(range(20, 61))
-        assert "adaptive" in render_zero_one(result)
-
     def test_adaptive_estimates_match_one_shot_prefix(self):
-        from repro.experiments.zero_one import run_zero_one
+        # The adaptive route for the zero-one sweep is the generic
+        # driver on the experiment's own declaration.
+        from repro.experiments.zero_one import build_zero_one_study, run_zero_one
 
-        adaptive = run_zero_one(
-            backend="adaptive", ci_target=1e-6, max_trials=40, **self.KW
-        )
-        kw = dict(self.KW)
-        kw["trials"] = 40
-        fixed = run_zero_one(backend="study", **kw)
-        for pa, pf in zip(adaptive.points, fixed.points):
-            assert pa.estimate.successes == pf.estimate.successes
-            assert pa.estimate.trials == pf.estimate.trials
-
-    def test_bad_band_rejected(self):
-        from repro.experiments.zero_one import run_zero_one
-
-        with pytest.raises(ParameterError, match="transition_band"):
-            run_zero_one(
-                backend="adaptive", transition_band=(0.1, 0.5, 0.9), **self.KW
+        kw = dict(num_nodes_grid=(80, 120), alpha_offsets=(-2.0, 2.0), pool_size=2000)
+        adaptive = run_adaptive_study(
+            build_zero_one_study(trials=20, **kw),
+            AdaptivePolicy(ci_target=1e-6, max_trials=40),
+            workers=1,
+        )["zero_one"]
+        fixed = run_zero_one(trials=40, workers=1, **kw)
+        assert adaptive.trial_range == (0, 40)
+        for pt in fixed.points:
+            est = adaptive.bernoulli(
+                "connectivity", (2, pt.point["p"]), pt.point["K"], size=pt.point["n"]
+            )
+            assert (est.successes, est.trials) == (
+                pt.estimate.successes, pt.estimate.trials,
             )

@@ -23,7 +23,7 @@ import pytest
 
 from repro.simulation.faults import STRATEGY_KINDS, ChaosSpec, FaultStrategy
 from repro.simulation.scheduler import SchedulerPolicy
-from repro.study.adaptive import run_adaptive_study
+from repro.study.adaptive import AdaptivePolicy, run_adaptive_study
 from repro.study.compiler import Study
 from repro.study.scenario import ClassMix, MetricSpec, Scenario
 from tests.conftest import POOL_STARTS, prepare_pool
@@ -116,8 +116,7 @@ def test_adaptive_study_converges_under_chaos(pool_start):
     prepare_pool(pool_start, WORKERS)
     clean = run_adaptive_study(
         Study((_zero_one_scenario(),)),
-        max_trials=24,
-        ci_target=0.15,
+        AdaptivePolicy(ci_target=0.15, max_trials=24),
         workers=WORKERS,
     )
     spec = ChaosSpec(
@@ -126,8 +125,7 @@ def test_adaptive_study_converges_under_chaos(pool_start):
     )
     faulted = run_adaptive_study(
         Study((_zero_one_scenario(),)),
-        max_trials=24,
-        ci_target=0.15,
+        AdaptivePolicy(ci_target=0.15, max_trials=24),
         workers=WORKERS,
         scheduler=SchedulerPolicy(max_retries=4, chaos=spec),
     )

@@ -382,6 +382,54 @@ class TestCliStudy:
         with pytest.raises(ParameterError, match="does not parse"):
             main(["study", str(path)])
 
+    def test_study_target_ci_with_cache_is_refused(self, tmp_path):
+        import json
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(self.STUDY))
+        cache = tmp_path / "cache"
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "study", str(path),
+                "--target-ci", "0.05", "--cache", str(cache),
+            ],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert (
+            "--target-ci does not combine with --cache: adaptive runs do "
+            "not use the result cache"
+        ) in proc.stderr
+        assert "repro serve" not in proc.stderr
+        assert not cache.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--target-ci", "0"], "ci_target must be positive"),
+            (["--max-trials", "8"], "need 'target_ci'"),
+            (["--target-ci", "0.05", "--block-trials", "0"], "block_trials"),
+        ],
+    )
+    def test_submit_validates_before_writing_the_job(self, tmp_path, flags, message):
+        import json
+
+        from repro.exceptions import ParameterError
+
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(self.STUDY))
+        spool = tmp_path / "spool"
+        with pytest.raises(ParameterError, match=message):
+            main(["submit", str(path), "--spool", str(spool), *flags])
+        assert not spool.exists()
+
     def test_study_malformed_scenario(self, tmp_path):
         import json
 

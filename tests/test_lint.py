@@ -165,10 +165,28 @@ class TestSuppression:
             (tmp_path / tree / "x.py").write_text(draw + comment + "\n")
         result = lint_paths([str(tmp_path / "b"), str(tmp_path / "a")])
         assert [(f.rule, f.path, f.line) for f in result.findings] == [
-            ("R001", "x.py", 2)
+            ("R001", (tmp_path / "b" / "x.py").as_posix(), 2)
         ]
         assert len(result.suppressed) == 1
         assert result.exit_code == 1
+
+    def test_colliding_keys_report_paths_as_given(self, tmp_path, monkeypatch, capsys):
+        """Two trees with the same layout print distinct locations; a
+        lone tree keeps its scan-root-relative key."""
+        draw = "import numpy as np\nx = np.random.rand()"
+        for tree, comment in (
+            ("a", "  # repro: noqa[R001] -- fixture keeps legacy draw"),
+            ("b", ""),
+        ):
+            (tmp_path / tree).mkdir()
+            (tmp_path / tree / "x.py").write_text(draw + comment + "\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint", "b", "a", "--verbose"]) == 1
+        out = capsys.readouterr().out
+        assert "b/x.py:2:5 R001" in out
+        assert "a/x.py:2:5 R001" in out and "[suppressed]" in out
+        result = lint_paths(["b"])
+        assert [f.path for f in result.findings] == ["x.py"]
 
 
 class TestReporters:

@@ -313,10 +313,17 @@ class TestZeroOneSingleDeclaration:
         ]
 
     def test_unknown_backend(self):
+        # One path: adaptive zero-one runs go through run_adaptive_study
+        # on build_zero_one_study, so `backend` is no parameter at all.
+        from repro.cli import main
         from repro.experiments.zero_one import run_zero_one
 
-        with pytest.raises(ParameterError, match="unknown backend"):
-            run_zero_one(backend="vibes", **self.KW)
+        assert "backend" not in run_zero_one(workers=1, **self.KW).config
+        with pytest.raises(
+            ExperimentError,
+            match=r"unknown --set keys \['backend'\]; valid parameters: \['alpha_offsets'",
+        ):
+            main(["run", "zero_one", "--set", 'backend="adaptive"'])
 
 
 class TestTheorem1GrowthSweep:
